@@ -58,7 +58,7 @@ CacheArray::wayAllowed(KernelId kernel, int way) const
 }
 
 VictimResult
-CacheArray::chooseVictim(LineAddr la, KernelId kernel)
+CacheArray::chooseVictim(LineAddr la, KernelId kernel) const
 {
     const int set = setIndex(la);
     VictimResult res;

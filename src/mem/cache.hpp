@@ -88,7 +88,7 @@ class CacheArray
      * candidate way is reserved — the paper's "no allocatable cache
      * line slot" reservation-failure source.
      */
-    VictimResult chooseVictim(LineAddr line, KernelId kernel);
+    VictimResult chooseVictim(LineAddr line, KernelId kernel) const;
 
     /** Reserve a way for an in-flight fill (allocate-on-miss). */
     void reserve(int set, int way, LineAddr line, KernelId kernel);

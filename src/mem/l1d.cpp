@@ -41,6 +41,26 @@ L1Outcome
 L1Dcache::access(LineAddr line_number, KernelId kernel, bool write,
                  const L1Target &target, Cycle now)
 {
+    RsFailMemo &memo = rsfail_memo_;
+    if (memo.reason != RsFailReason::None && memo.line == line_number &&
+        memo.kernel == kernel && memo.write == write) {
+        L1Outcome out;
+        out.kind = L1Outcome::Kind::RsFail;
+        out.fail = memo.reason;
+        return out;
+    }
+    const L1Outcome out =
+        probeAccess(line_number, kernel, write, target, now);
+    memo = out.serviced()
+               ? RsFailMemo{}
+               : RsFailMemo{line_number, kernel, write, out.fail};
+    return out;
+}
+
+L1Outcome
+L1Dcache::probeAccess(LineAddr line_number, KernelId kernel, bool write,
+                      const L1Target &target, Cycle now)
+{
     L1Outcome out;
 
     if (write) {
@@ -160,6 +180,7 @@ L1Dcache::access(LineAddr line_number, KernelId kernel, bool write,
 void
 L1Dcache::fill(LineAddr line_number, std::vector<L1Target> &out)
 {
+    rsfail_memo_.reason = RsFailReason::None;
     const int way = tags_.probe(line_number);
     if (way >= 0) {
         const int set = tags_.setIndex(line_number);
@@ -241,6 +262,7 @@ void
 L1Dcache::restore(SnapshotReader &r)
 {
     r.section("l1d");
+    rsfail_memo_.reason = RsFailReason::None;
     tags_.restore(r);
     mshrs_.restore(r, [](SnapshotReader &sr) {
         L1Target t;

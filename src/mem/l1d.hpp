@@ -65,6 +65,13 @@ class L1Dcache
 
     /**
      * Attempt one coalesced line access.
+     *
+     * A reservation failure mutates nothing, so until one of the
+     * mutating members below runs, the same (line, kernel, write)
+     * access fails the same way: a stalled LSU head's per-cycle retry
+     * is answered from a one-entry memo of the last failure instead
+     * of re-probing. Every mutating member clears the memo.
+     *
      * @param line line to access
      * @param kernel issuing kernel (owns allocation, stats)
      * @param write true for a store (WEWN path)
@@ -81,7 +88,12 @@ class L1Dcache
     }
 
     /** Pop the miss-queue head after a successful downstream inject. */
-    void popMissQueue() { miss_queue_.pop_front(); }
+    void
+    popMissQueue()
+    {
+        rsfail_memo_.reason = RsFailReason::None;
+        miss_queue_.pop_front();
+    }
 
     /**
      * A fill returned from L2 for @p line: make the reserved line
@@ -102,10 +114,16 @@ class L1Dcache
     /** UCP hook: constrain kernel to a contiguous way range. */
     void restrictKernelWays(KernelId kernel, int first, int count)
     {
+        rsfail_memo_.reason = RsFailReason::None;
         tags_.restrictToWays(kernel, first, count);
     }
 
-    void clearWayRestrictions() { tags_.clearWayRestrictions(); }
+    void
+    clearWayRestrictions()
+    {
+        rsfail_memo_.reason = RsFailReason::None;
+        tags_.clearWayRestrictions();
+    }
 
     /**
      * Section 4.5 ablation: cap the MSHRs kernel @p kernel may hold
@@ -116,6 +134,7 @@ class L1Dcache
     void
     setMshrQuota(KernelId kernel, int quota)
     {
+        rsfail_memo_.reason = RsFailReason::None;
         if (kernel.idx() >= mshr_quota_.size())
             mshr_quota_.resize(kernel.idx() + 1, 0);
         mshr_quota_[kernel.idx()] = quota;
@@ -129,6 +148,7 @@ class L1Dcache
     void
     setBypass(KernelId kernel, bool bypass)
     {
+        rsfail_memo_.reason = RsFailReason::None;
         if (kernel.idx() >= bypass_.size())
             bypass_.resize(kernel.idx() + 1, false);
         bypass_[kernel.idx()] = bypass;
@@ -143,7 +163,8 @@ class L1Dcache
                    : 0;
     }
 
-    CacheArray &tags() { return tags_; }
+    /** Read-only: the tag array changes only through the members
+     *  above, which keeps the failure memo's invalidation complete. */
     const CacheArray &tags() const { return tags_; }
     int mshrsInUse() const { return mshrs_.size(); }
     int missQueueSize() const
@@ -191,6 +212,17 @@ class L1Dcache
     void restore(SnapshotReader &r);
 
   private:
+    /** The last reservation failure and the access it answers. */
+    struct RsFailMemo
+    {
+        LineAddr line{};
+        KernelId kernel = kInvalidKernel;
+        bool write = false;
+        RsFailReason reason = RsFailReason::None; ///< None = empty
+    };
+
+    L1Outcome probeAccess(LineAddr line, KernelId kernel, bool write,
+                          const L1Target &target, Cycle now);
     bool bypassed(KernelId kernel) const
     {
         return kernel.idx() < bypass_.size() && bypass_[kernel.idx()];
@@ -206,6 +238,7 @@ class L1Dcache
     std::vector<int> mshr_quota_;
     std::vector<int> mshr_held_;
     std::vector<bool> bypass_;
+    RsFailMemo rsfail_memo_; // SNAPSHOT-SKIP(derived; cleared on restore)
 };
 
 } // namespace ckesim

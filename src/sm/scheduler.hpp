@@ -10,6 +10,8 @@
 #ifndef CKESIM_SM_SCHEDULER_HPP
 #define CKESIM_SM_SCHEDULER_HPP
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -29,59 +31,30 @@ class WarpScheduler
      * Pick the warp slot to issue from this cycle, or
      * kInvalidWarpSlot.
      *
-     * @param warps the SM's warp table, or any table whose
-     *        operator[] yields a record with an `age` member (the
+     * @param eligible bit j (of maskWords() words) is set iff slots()[j]
+     *        is Ready *and* passes every structural/CKE gate for its
+     *        next instruction
+     * @param ages TB dispatch age per SM warp slot (GTO "oldest"; the
      *        SM passes its dense scan-age mirror, DESIGN.md §14)
-     * @param can_issue predicate: slot is ready *and* passes every
-     *        structural/CKE gate for its next instruction
      */
-    template <typename WarpTable, typename CanIssue>
-    WarpSlot
-    pick(const WarpTable &warps, const CanIssue &can_issue)
-    {
-        if (policy_ == SchedPolicy::GTO) {
-            // Greedy: stick to the last-issued warp while it can go.
-            if (greedy_.valid() && can_issue(greedy_))
-                return greedy_;
-            // Then oldest (smallest TB age; slot index tie-break).
-            WarpSlot best = kInvalidWarpSlot;
-            std::uint64_t best_age = 0;
-            for (WarpSlot slot : slots_) {
-                if (!can_issue(slot))
-                    continue;
-                const std::uint64_t age = warps[slot.idx()].age;
-                if (!best.valid() || age < best_age) {
-                    best = slot;
-                    best_age = age;
-                }
-            }
-            return best;
-        }
-        // LRR: scan from one past the last pick.
-        const std::size_t n = slots_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t at = (rr_next_ + i) % n;
-            if (can_issue(slots_[at])) {
-                rr_next_ = (at + 1) % n;
-                return slots_[at];
-            }
-        }
-        return kInvalidWarpSlot;
-    }
+    WarpSlot pick(std::span<const std::uint64_t> eligible,
+                  std::span<const std::uint64_t> ages);
 
     /** Record the issued slot (GTO greediness). */
     void onIssue(WarpSlot slot) { greedy_ = slot; }
 
-    /** The issued warp can no longer issue (blocked/finished). */
-    void
-    clearGreedyIf(WarpSlot slot)
-    {
-        if (greedy_ == slot)
-            greedy_ = kInvalidWarpSlot;
-    }
-
     int id() const { return id_; }
     const std::vector<WarpSlot> &slots() const { return slots_; }
+
+    /** Bit j of an eligible set is slots()[j]. */
+    std::size_t
+    bitOf(WarpSlot slot) const
+    {
+        return static_cast<std::size_t>((slot.get() - id_) / stride_);
+    }
+
+    /** 64-bit words in an eligible set. */
+    std::size_t maskWords() const { return (slots_.size() + 63) / 64; }
 
     void
     snapshot(SnapshotWriter &w) const
@@ -99,6 +72,7 @@ class WarpScheduler
 
   private:
     int id_;                        // SNAPSHOT-SKIP(fixed at construction)
+    int stride_;                    // SNAPSHOT-SKIP(fixed at construction)
     SchedPolicy policy_;            // SNAPSHOT-SKIP(fixed at construction)
     std::vector<WarpSlot> slots_;   // SNAPSHOT-SKIP(fixed at construction)
     WarpSlot greedy_ = kInvalidWarpSlot;

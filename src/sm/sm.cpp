@@ -50,6 +50,12 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
     for (int s = 0; s < cfg.sm.num_schedulers; ++s)
         schedulers_.emplace_back(s, cfg.sm.num_schedulers,
                                  cfg.sm.max_warps, cfg.sm.sched_policy);
+    // Scheduler 0 owns the most slots.
+    mask_words_ = schedulers_.front().maskWords();
+    ready_bits_.assign(kMaxKernelsPerSm * 2 * schedulers_.size() *
+                           mask_words_,
+                       0);
+    eligible_.assign(mask_words_, 0);
 
     scratch_thread_addrs_.reserve(
         static_cast<std::size_t>(cfg.sm.simd_width));
@@ -178,7 +184,7 @@ Sm::retireWarp(WarpSlot slot)
 }
 
 void
-Sm::preScan(Cycle now, std::array<bool, kMaxKernelsPerSm> &mem_demand)
+Sm::preScan(Cycle now)
 {
     // Due warps were filed at issue time; only they can transition
     // this cycle, so the full-table scan is gone.
@@ -211,10 +217,27 @@ Sm::preScan(Cycle now, std::array<bool, kMaxKernelsPerSm> &mem_demand)
         }
         due.clear();
     }
-    // mem_demand falls out of the incrementally maintained counters.
-    for (int k = 0; k < kMaxKernelsPerSm; ++k)
-        mem_demand[static_cast<std::size_t>(k)] =
-            ready_mem_[static_cast<std::size_t>(k)] > 0;
+}
+
+bool
+Sm::anyReady(std::size_t kern, bool mem) const
+{
+    const std::size_t first = readySet(kern, mem, 0);
+    const std::size_t last = first + schedulers_.size() * mask_words_;
+    for (std::size_t i = first; i < last; ++i) {
+        if (ready_bits_[i] != 0)
+            return true;
+    }
+    return false;
+}
+
+std::array<bool, kMaxKernelsPerSm>
+Sm::readyMemDemand() const
+{
+    std::array<bool, kMaxKernelsPerSm> demand{};
+    for (std::size_t k = 0; k < ctx_.size(); ++k)
+        demand[k] = anyReady(k, true);
+    return demand;
 }
 
 bool
@@ -318,23 +341,36 @@ Sm::tryDispatch(Cycle now)
     }
 }
 
-bool
-Sm::canIssueWarp(WarpSlot slot) const
+Sm::IssueGates
+Sm::issueGates() const
 {
-    const std::uint8_t meta = scan_meta_[slot.idx()];
-    if ((meta & kScanStateMask) !=
-        static_cast<std::uint8_t>(WarpState::Ready))
-        return false;
-    const KernelId k{meta >> kScanKernelShift};
-    if (!controller_.admitAnyIssue(k))
-        return false;
-    if ((meta & kScanMemBit) != 0) {
-        if (!lsu_.hasRoom())
-            return false;
-        if (!controller_.admitMemIssue(k))
-            return false;
+    IssueGates gates{};
+    const bool lsu_room = lsu_.hasRoom();
+    for (std::size_t k = 0; k < ctx_.size(); ++k) {
+        const KernelId kid{k};
+        gates[k].nonmem = controller_.admitAnyIssue(kid);
+        gates[k].mem = gates[k].nonmem && lsu_room && anyReady(k, true) &&
+                       controller_.admitMemIssue(kid);
     }
-    return true;
+    return gates;
+}
+
+bool
+Sm::gatherEligible(std::size_t sched, const IssueGates &gates)
+{
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t k = 0; k < ctx_.size(); ++k) {
+            if (gates[k].nonmem)
+                word |= ready_bits_[readySet(k, false, sched) + w];
+            if (gates[k].mem)
+                word |= ready_bits_[readySet(k, true, sched) + w];
+        }
+        eligible_[w] = word;
+        any |= word;
+    }
+    return any != 0;
 }
 
 void
@@ -413,30 +449,21 @@ Sm::tick(Cycle now)
     drainFills(now);
     processWakes(now);
 
-    std::array<bool, kMaxKernelsPerSm> mem_demand{};
-    preScan(now, mem_demand);
-    controller_.beginCycle(mem_demand);
+    preScan(now);
+    controller_.beginCycle(readyMemDemand());
 
     tryDispatch(now);
 
-    // GTO reads ages through the dense mirror, not the Warp records.
-    struct AgeView
-    {
-        const std::uint64_t *ages;
-        struct Ref
-        {
-            std::uint64_t age;
-        };
-        Ref operator[](std::size_t i) const { return {ages[i]}; }
-    };
-    const AgeView ages{scan_age_.data()};
-    for (WarpScheduler &sched : schedulers_) {
-        const WarpSlot slot = sched.pick(
-            ages, [&](WarpSlot s) { return canIssueWarp(s); });
-        if (!slot.valid())
+    IssueGates gates = issueGates();
+    for (std::size_t s = 0; s < schedulers_.size(); ++s) {
+        if (!gatherEligible(s, gates))
             continue;
+        const WarpSlot slot = schedulers_[s].pick(eligible_, scan_age_);
         issueFrom(slot, now);
-        sched.onIssue(slot);
+        schedulers_[s].onIssue(slot);
+        // The issue changed LSU room and controller state, which the
+        // next scheduler's gates must see.
+        gates = issueGates();
     }
 
     // Injected fault: the head access fails reservation regardless
@@ -488,32 +515,31 @@ Sm::nextEventCycle(Cycle now) const
         if (c.resident < c.quota && resourcesFit(*c.prof))
             return now;
 
-    Cycle horizon = kNeverCycle;
-    std::array<bool, kMaxKernelsPerSm> demand{};
-    for (std::size_t s = 0; s < scan_meta_.size(); ++s) {
-        const std::uint8_t meta = scan_meta_[s];
-        const std::uint8_t st = meta & kScanStateMask;
-        if (st == static_cast<std::uint8_t>(WarpState::Busy)) {
-            // A due warp transitions in preScan this very cycle.
-            if (scan_ready_[s] <= now)
-                return now;
-            horizon = earliestEvent(horizon, scan_ready_[s]);
-        } else if (st == static_cast<std::uint8_t>(WarpState::Ready)) {
-            if (canIssueWarp(WarpSlot{s}))
-                return now;
-            // Issue-blocked (MIL-frozen / BMI-deprioritized) warps
-            // are passive: every unblocking cause is an event some
-            // other horizon reports. They still register demand.
-            if ((meta & kScanMemBit) != 0)
-                demand[meta >> kScanKernelShift] = true;
-        }
+    // An issuable Ready warp. Issue-blocked (MIL-frozen /
+    // BMI-deprioritized) ones are passive: every unblocking cause is
+    // an event some other horizon reports.
+    const IssueGates gates = issueGates();
+    for (std::size_t k = 0; k < ctx_.size(); ++k) {
+        if ((gates[k].nonmem && anyReady(k, false)) || gates[k].mem)
+            return now;
     }
     // beginCycle latches the demand vector (snapshotted state): with
     // no Busy warp due, the current Ready set IS the post-preScan
     // set, so a latched copy differing from it needs one strict tick
     // to sync before any skip is bit-exact.
-    if (demand != controller_.memDemand())
+    if (readyMemDemand() != controller_.memDemand())
         return now;
+
+    Cycle horizon = kNeverCycle;
+    for (std::size_t s = 0; s < scan_meta_.size(); ++s) {
+        if ((scan_meta_[s] & kScanStateMask) !=
+            static_cast<std::uint8_t>(WarpState::Busy))
+            continue;
+        // A due warp transitions in preScan this very cycle.
+        if (scan_ready_[s] <= now)
+            return now;
+        horizon = earliestEvent(horizon, scan_ready_[s]);
+    }
     if (!wakes_.empty())
         horizon = earliestEvent(
             horizon, clampHorizon(wakes_.top().first, now));
@@ -813,12 +839,12 @@ Sm::restore(SnapshotReader &r)
         if (warp.kernel.valid())
             warp.stream.rebindProfile(ctx_[warp.kernel.idx()].prof);
     }
-    // Rebuild the dense scan mirrors and demand counters (derived;
-    // not serialized). Clearing first makes syncScan's incremental
-    // counter maintenance start from a blank slate.
+    // Rebuild the dense scan mirrors and Ready bitsets (derived; not
+    // serialized). Clearing first makes syncScan's incremental bitset
+    // maintenance start from a blank slate.
     std::fill(scan_meta_.begin(), scan_meta_.end(),
               static_cast<std::uint8_t>(0));
-    ready_mem_.fill(0);
+    std::fill(ready_bits_.begin(), ready_bits_.end(), std::uint64_t{0});
     for (std::size_t s = 0; s < warps_.size(); ++s)
         syncScan(s);
 

@@ -196,28 +196,41 @@ class Sm : public LsuHost
 
     void drainFills(Cycle now);
     void processWakes(Cycle now);
-    void preScan(Cycle now,
-                 std::array<bool, kMaxKernelsPerSm> &mem_demand);
+    void preScan(Cycle now);
     void tryDispatch(Cycle now);
     bool resourcesFit(const KernelProfile &prof) const;
     bool launchTb(KernelId k);
-    bool canIssueWarp(WarpSlot slot) const;
+    bool anyReady(std::size_t kern, bool mem) const;
+    std::array<bool, kMaxKernelsPerSm> readyMemDemand() const;
+
+    /** Which of a kernel's Ready bitsets may issue right now. */
+    struct IssueGate
+    {
+        bool nonmem = false; ///< next instruction is not global-mem
+        bool mem = false;    ///< next instruction is global-mem
+    };
+    using IssueGates = std::array<IssueGate, kMaxKernelsPerSm>;
+    /** Per kernel: controller admits and LSU room. mem is set only
+     *  when a Ready global-mem warp exists. */
+    IssueGates issueGates() const;
+    /** Scheduler @p sched's Ready bitsets under @p gates into
+     *  eligible_; false when the set is empty. */
+    bool gatherEligible(std::size_t sched, const IssueGates &gates);
     void issueFrom(WarpSlot slot, Cycle now);
     void requestReturned(WarpSlot warp_slot, Cycle now);
     void retireWarp(WarpSlot slot);
 
     // ---- dense scan block (DESIGN.md §14) ---------------------------
-    // The per-cycle scans (preScan, scheduler picks, nextEventCycle)
-    // walk every warp slot; reading the ~176-byte Warp records costs
-    // one cache line per slot per scan. These L1-resident mirrors
-    // pack the only fields those scans need. Derived from warps_ —
-    // resynced by syncScan() on every transition, rebuilt on restore,
-    // never serialized.
+    // Reading the ~176-byte Warp records costs one cache line per slot
+    // per scan, so the per-cycle paths read L1-resident mirrors that
+    // pack the only fields they need: scan_meta_ for transitions, the
+    // Busy horizon and ages for GTO, and per-scheduler Ready bitsets
+    // so a pick costs a few word operations instead of one gate check
+    // per Ready slot. Derived from warps_ — resynced by syncScan() on
+    // every transition, rebuilt on restore, never serialized.
     static constexpr std::uint8_t kScanStateMask = 0x07;
     static constexpr std::uint8_t kScanMemBit = 0x08;
     static constexpr int kScanKernelShift = 4;
-    static constexpr std::uint8_t kScanReadyMem =
-        static_cast<std::uint8_t>(WarpState::Ready) | kScanMemBit;
 
     static std::uint8_t
     packScanMeta(const Warp &w)
@@ -231,20 +244,39 @@ class Sm : public LsuHost
             (kern << kScanKernelShift));
     }
 
-    /** Mirror slot @p s of warps_ into the scan block, keeping the
-     *  per-kernel Ready-with-mem counters (incremental mem_demand)
-     *  in step. */
+    /** Index in ready_bits_ of scheduler @p sched's Ready bitset for
+     *  kernel index @p kern and next-is-mem @p mem (mask_words_ words,
+     *  bit j = its j-th slot). One (kernel, mem) pair's bitsets for
+     *  every scheduler are contiguous. */
+    std::size_t
+    readySet(std::size_t kern, bool mem, std::size_t sched) const
+    {
+        return ((kern * 2 + (mem ? 1u : 0u)) * schedulers_.size() +
+                sched) *
+               mask_words_;
+    }
+
+    /** Mirror slot @p s of warps_ into the scan block, moving its bit
+     *  between the Ready bitsets. */
     void
     syncScan(std::size_t s)
     {
         const Warp &w = warps_[s];
         const std::uint8_t old = scan_meta_[s];
         const std::uint8_t neu = packScanMeta(w);
-        constexpr std::uint8_t probe = kScanStateMask | kScanMemBit;
-        if ((old & probe) == kScanReadyMem)
-            --ready_mem_[old >> kScanKernelShift];
-        if ((neu & probe) == kScanReadyMem)
-            ++ready_mem_[neu >> kScanKernelShift];
+        const std::size_t sched = s % schedulers_.size();
+        const std::size_t bit = schedulers_[sched].bitOf(WarpSlot{s});
+        const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+        const auto word = [&](std::uint8_t meta) -> std::uint64_t & {
+            return ready_bits_[readySet(meta >> kScanKernelShift,
+                                        (meta & kScanMemBit) != 0, sched) +
+                               bit / 64];
+        };
+        constexpr auto ready = static_cast<std::uint8_t>(WarpState::Ready);
+        if ((old & kScanStateMask) == ready)
+            word(old) &= ~mask;
+        if ((neu & kScanStateMask) == ready)
+            word(neu) |= mask;
         scan_meta_[s] = neu;
         scan_ready_[s] = w.ready_at;
         scan_age_[s] = w.age;
@@ -282,9 +314,12 @@ class Sm : public LsuHost
      *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
     std::vector<std::vector<WarpSlot>> due_wheel_;
     std::size_t due_mask_ = 0; // SNAPSHOT-SKIP(fixed at construction)
-    /** Ready warps whose next instruction is global-mem, per kernel.
+    /** Ready bitsets, indexed through readySet(). Words beyond a
+     *  scheduler's slot count stay zero.
      *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
-    std::array<int, kMaxKernelsPerSm> ready_mem_{};
+    std::vector<std::uint64_t> ready_bits_;
+    std::size_t mask_words_ = 0; // SNAPSHOT-SKIP(fixed at construction)
+    std::vector<std::uint64_t> eligible_; // SNAPSHOT-SKIP(scratch; dead between picks)
     std::vector<ThreadBlock> tbs_;
     Resources used_;
     SmStats sm_stats_;

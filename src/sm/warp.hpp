@@ -79,14 +79,6 @@ struct Warp
         stream_done = stream.done();
         next_is_mem = !stream_done && isGlobalMem(stream.peek());
     }
-
-    /** Ready to issue at @p now (Busy warps auto-promote)? */
-    bool
-    issuableAt(Cycle now) const
-    {
-        return state == WarpState::Ready ||
-               (state == WarpState::Busy && ready_at <= now);
-    }
 };
 
 /** One resident thread block. */

@@ -128,7 +128,7 @@ TEST(Gpu, UcpAppliesWayRestrictions)
     gpu.run(Cycle{6000});
     // After repartitioning, victim choice for the two kernels must be
     // confined to disjoint way ranges; verify via fresh allocations.
-    CacheArray &tags = gpu.sm(0).l1d().tags();
+    const CacheArray &tags = gpu.sm(0).l1d().tags();
     VictimResult v0 = tags.chooseVictim(LineAddr{0xdead00}, KernelId{0});
     VictimResult v1 = tags.chooseVictim(LineAddr{0xdead00}, KernelId{1});
     ASSERT_TRUE(v0.ok);
