@@ -67,7 +67,7 @@ UmonMonitor::snapshot(SnapshotWriter &w) const
         for (const LineAddr line : stack)
             w.unit(line);
     }
-    w.vecU64(way_hits_);
+    FieldWriter(w).put(way_hits_);
     w.u64(misses_);
 }
 
@@ -92,7 +92,7 @@ UmonMonitor::restore(SnapshotReader &r)
         for (std::uint64_t i = 0; i < m; ++i)
             stack.push_back(r.unit<LineAddr>());
     }
-    way_hits_ = r.vecU64();
+    FieldReader(r).get(way_hits_);
     SIM_CHECK(way_hits_.size() == static_cast<std::size_t>(assoc_),
               ctx,
               "snapshot holds " << way_hits_.size()

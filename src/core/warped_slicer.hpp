@@ -45,6 +45,14 @@ class ScalabilityCurve
         return points_;
     }
 
+    /** Field table (sim/fields.hpp): the sampled points. */
+    template <class V, ObjectOf<ScalabilityCurve>... S>
+    friend constexpr void
+    fields(V &v, S &...s)
+    {
+        v(Field{"points"}, s.points_...);
+    }
+
   private:
     std::vector<std::pair<int, double>> points_; ///< sorted by tbs
 };

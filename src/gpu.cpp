@@ -647,53 +647,19 @@ Gpu::smStatsTotal() const
 
 // ---- crash safety -------------------------------------------------------
 
-namespace {
-/** FNV-1a over a string (the config digest pin stored in snapshots). */
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvBytes(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-} // namespace
-
 GpuSnapshot
 Gpu::snapshot() const
 {
     SnapshotWriter w;
+    FieldWriter out(w);
     w.section("gpu");
     w.boolean(profiling_);
     w.unit(profile_end_);
-    w.u64(profile_assign_.size());
-    for (const auto &[k, count] : profile_assign_) {
-        w.i64(k);
-        w.i64(count);
-    }
-    w.u64(sweet_.tbs.size());
-    for (const int t : sweet_.tbs)
-        w.i64(t);
+    out.put(profile_assign_);
+    out.put(sweet_.tbs);
     w.f64(sweet_.theoretical_ws);
-    w.u64(sweet_.predicted_norm_ipc.size());
-    for (const double p : sweet_.predicted_norm_ipc)
-        w.f64(p);
-    w.u64(partition_.size());
-    for (const int t : partition_)
-        w.i64(t);
+    out.put(sweet_.predicted_norm_ipc);
+    out.put(partition_);
     w.unit(now_);
     w.unit(measured_start_);
     w.u64(last_progress_sig_);
@@ -710,7 +676,7 @@ Gpu::snapshot() const
     GpuSnapshot snap;
     snap.version = kSnapshotFormatVersion;
     snap.cycle = now_;
-    snap.config_digest = fnvString(cfg_.digest());
+    snap.config_digest = fieldHash(cfg_);
     snap.fingerprint = w.fingerprint();
     snap.bytes = w.take();
     return snap;
@@ -727,38 +693,28 @@ Gpu::restore(const GpuSnapshot &snap)
                 " does not match this build's " +
                 std::to_string(kSnapshotFormatVersion) +
                 " (no migration; re-run from scratch)");
-    if (snap.config_digest != fnvString(cfg_.digest()))
+    if (snap.config_digest != fieldHash(cfg_))
         raiseSimError("Snapshot", ctx,
                       "snapshot was taken under a different GpuConfig "
-                      "(" +
-                          cfg_.digest() + " expected)");
-    if (snap.fingerprint != fnvBytes(snap.bytes))
+                      "(a keyed field differs)");
+    Fnv1a payload;
+    payload.bytes(snap.bytes.data(), snap.bytes.size());
+    if (snap.fingerprint != payload.value())
         raiseSimError("Snapshot", ctx,
                       "snapshot payload does not match its "
                       "fingerprint (corrupted or truncated "
                       "checkpoint)");
 
     SnapshotReader r(snap.bytes);
+    FieldReader in(r);
     r.section("gpu");
     profiling_ = r.boolean();
     profile_end_ = r.unit<Cycle>();
-    const std::uint64_t nassign = r.u64();
-    profile_assign_.assign(static_cast<std::size_t>(nassign), {-1, 0});
-    for (auto &[k, count] : profile_assign_) {
-        k = static_cast<int>(r.i64());
-        count = static_cast<int>(r.i64());
-    }
-    sweet_.tbs.assign(static_cast<std::size_t>(r.u64()), 0);
-    for (int &t : sweet_.tbs)
-        t = static_cast<int>(r.i64());
+    in.get(profile_assign_);
+    in.get(sweet_.tbs);
     sweet_.theoretical_ws = r.f64();
-    sweet_.predicted_norm_ipc.assign(
-        static_cast<std::size_t>(r.u64()), 0.0);
-    for (double &p : sweet_.predicted_norm_ipc)
-        p = r.f64();
-    partition_.assign(static_cast<std::size_t>(r.u64()), 0);
-    for (int &t : partition_)
-        t = static_cast<int>(r.i64());
+    in.get(sweet_.predicted_norm_ipc);
+    in.get(partition_);
     now_ = r.unit<Cycle>();
     measured_start_ = r.unit<Cycle>();
     last_progress_sig_ = r.u64();

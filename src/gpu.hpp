@@ -86,6 +86,30 @@ struct SchemeSpec
     void validate(const GpuConfig &cfg) const;
 };
 
+/** Field table (sim/fields.hpp), in job-key order. */
+template <class V, ObjectOf<SchemeSpec>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"partition"}, s.partition...);
+    v(Field{"bmi"}, s.bmi...);
+    v(Field{"mil"}, s.mil...);
+    v(Field{"smil_limits"}, s.smil_limits...);
+    v(Field{"smk_warp_quota"}, s.smk_warp_quota...);
+    v(Field{"isolated_ipc_per_sm"}, s.isolated_ipc_per_sm...);
+    v(Field{"smk_epoch_cycles"}, s.smk_epoch_cycles...);
+    v(Field{"ucp"}, s.ucp...);
+    v(Field{"ucp_interval"}, s.ucp_interval...);
+    v(Field{"ws_profile_window"}, s.ws_profile_window...);
+    v(Field{"oracle_curves"}, s.oracle_curves...);
+    v(Field{"mshr_partition"}, s.mshr_partition...);
+    v(Field{"bypass_l1d"}, s.bypass_l1d...);
+    v(Field{"global_dmil"}, s.global_dmil...);
+    v(Field{"global_dmil_interval"}, s.global_dmil_interval...);
+    v(Field{"faults"}, s.faults...);
+}
+static_assert(tableCovers<SchemeSpec>());
+
 /** One simulated GPU executing one CKE workload under one scheme. */
 class Gpu
 {

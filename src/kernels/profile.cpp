@@ -1,8 +1,9 @@
 #include "kernels/profile.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace ckesim {
 
@@ -332,9 +333,10 @@ findProfile(std::string_view name)
     for (const KernelProfile &p : benchmarkSuite())
         if (p.name == name)
             return p;
-    std::fprintf(stderr, "ckesim: unknown kernel profile '%.*s'\n",
-                 static_cast<int>(name.size()), name.data());
-    std::abort();
+    SimCtx ctx;
+    ctx.module = "profile";
+    raiseSimError("ConfigError", ctx,
+                  "unknown kernel profile '" + std::string(name) + "'");
 }
 
 std::vector<const KernelProfile *>

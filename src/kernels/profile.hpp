@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -115,10 +116,36 @@ struct KernelProfile
     }
 };
 
+/** Field table (sim/fields.hpp), in job-key order. */
+template <class V, ObjectOf<KernelProfile>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"name"}, s.name...);
+    v(Field{"expected_class"}, s.expected_class...);
+    v(Field{"threads_per_tb"}, s.threads_per_tb...);
+    v(Field{"regs_per_thread"}, s.regs_per_thread...);
+    v(Field{"smem_per_tb"}, s.smem_per_tb...);
+    v(Field{"cinst_per_minst"}, s.cinst_per_minst...);
+    v(Field{"req_per_minst"}, s.req_per_minst...);
+    v(Field{"sfu_fraction"}, s.sfu_fraction...);
+    v(Field{"smem_fraction"}, s.smem_fraction...);
+    v(Field{"write_fraction"}, s.write_fraction...);
+    v(Field{"pattern"}, s.pattern...);
+    v(Field{"reuse_prob"}, s.reuse_prob...);
+    v(Field{"footprint_bytes"}, s.footprint_bytes...);
+    v(Field{"footprint_regions"}, s.footprint_regions...);
+    v(Field{"stream_regions"}, s.stream_regions...);
+    v(Field{"mlp"}, s.mlp...);
+    v(Field{"instrs_per_warp"}, s.instrs_per_warp...);
+}
+static_assert(tableCovers<KernelProfile>());
+
 /** The 13-benchmark suite of Table 2, in the paper's order. */
 const std::vector<KernelProfile> &benchmarkSuite();
 
-/** Look up a profile by its short name (e.g. "bp"). Aborts if absent. */
+/** Look up a profile by its short name (e.g. "bp"). Throws SimError
+ *  kind "ConfigError" naming an unknown one. */
 const KernelProfile &findProfile(std::string_view name);
 
 /** Suite members of one class, in suite order. */

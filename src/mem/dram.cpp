@@ -143,7 +143,7 @@ DramChannel::snapshot(SnapshotWriter &w) const
         sw.u64(t.row);
         sw.unit(t.arrival);
     });
-    w.vecU64(open_row_);
+    FieldWriter(w).put(open_row_);
     w.unit(busy_until_);
     fills_.snapshot(w, [](SnapshotWriter &sw, const Fill &f) {
         sw.unit(f.ready);
@@ -165,7 +165,8 @@ DramChannel::restore(SnapshotReader &r)
         t.arrival = sr.unit<Cycle>();
         return t;
     });
-    std::vector<std::uint64_t> rows = r.vecU64();
+    std::vector<std::uint64_t> rows;
+    FieldReader(r).get(rows);
     SimCtx ctx;
     ctx.module = "dram";
     SIM_CHECK(rows.size() == open_row_.size(), ctx,

@@ -89,90 +89,18 @@ crc32(const std::uint8_t *bytes, std::size_t n)
 
 // ---- result payload codec -----------------------------------------------
 
-namespace {
-
-void
-encodeSeries(SnapshotWriter &w, const std::vector<TimeSeries> &series)
-{
-    w.u64(series.size());
-    for (const TimeSeries &ts : series) {
-        w.unit(ts.interval());
-        w.vecU64(ts.bins());
-    }
-}
-
-std::vector<TimeSeries>
-decodeSeries(SnapshotReader &r)
-{
-    std::vector<TimeSeries> series;
-    const std::uint64_t n = r.u64();
-    series.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        TimeSeries ts(r.unit<Cycle>());
-        ts.setBins(r.vecU64());
-        series.push_back(std::move(ts));
-    }
-    return series;
-}
-
-void
-encodeMemSide(SnapshotWriter &w, const MemSideStats &mem)
-{
-    w.f64(mem.l2_miss_rate);
-    w.f64(mem.dram_row_hit_rate);
-}
-
-MemSideStats
-decodeMemSide(SnapshotReader &r)
-{
-    MemSideStats mem;
-    mem.l2_miss_rate = r.f64();
-    mem.dram_row_hit_rate = r.f64();
-    return mem;
-}
-
-} // namespace
-
 std::vector<std::uint8_t>
 encodeSimResult(const SimResult &result)
 {
     SnapshotWriter w;
     w.section("sim_result");
+    FieldWriter out(w);
     if (result.isolated) {
-        const IsolatedResult &iso = *result.isolated;
         w.u8(1);
-        w.f64(iso.ipc);
-        w.f64(iso.ipc_per_sm);
-        snapshotKernelStats(w, iso.stats);
-        snapshotSmStats(w, iso.sm_stats);
-        w.i64(iso.max_tbs);
-        encodeMemSide(w, iso.mem);
-        encodeSeries(w, iso.issue_series);
-        encodeSeries(w, iso.l1d_series);
+        out.put(*result.isolated);
     } else if (result.concurrent) {
-        const ConcurrentResult &con = *result.concurrent;
         w.u8(2);
-        w.str(con.workload_name);
-        w.u64(con.ipc.size());
-        for (const double v : con.ipc)
-            w.f64(v);
-        w.u64(con.norm_ipc.size());
-        for (const double v : con.norm_ipc)
-            w.f64(v);
-        w.f64(con.weighted_speedup);
-        w.f64(con.antt_value);
-        w.f64(con.fairness);
-        w.f64(con.theoretical_ws);
-        w.u64(con.stats.size());
-        for (const KernelStats &s : con.stats)
-            snapshotKernelStats(w, s);
-        snapshotSmStats(w, con.sm_stats);
-        w.u64(con.partition.size());
-        for (const int t : con.partition)
-            w.i64(t);
-        encodeMemSide(w, con.mem);
-        encodeSeries(w, con.issue_series);
-        encodeSeries(w, con.l1d_series);
+        out.put(*result.concurrent);
     } else {
         w.u8(0);
     }
@@ -184,57 +112,25 @@ decodeSimResult(const std::vector<std::uint8_t> &bytes)
 {
     SnapshotReader r(bytes);
     r.section("sim_result");
+    FieldReader in(r);
     SimResult result;
     const std::uint8_t kind = r.u8();
     if (kind == 1) {
         auto iso = std::make_shared<IsolatedResult>();
-        iso->ipc = r.f64();
-        iso->ipc_per_sm = r.f64();
-        iso->stats = restoreKernelStats(r);
-        iso->sm_stats = restoreSmStats(r);
-        iso->max_tbs = static_cast<int>(r.i64());
-        iso->mem = decodeMemSide(r);
-        iso->issue_series = decodeSeries(r);
-        iso->l1d_series = decodeSeries(r);
+        in.get(*iso);
         result.isolated = std::move(iso);
     } else if (kind == 2) {
         auto con = std::make_shared<ConcurrentResult>();
-        con->workload_name = r.str();
-        con->ipc.assign(static_cast<std::size_t>(r.u64()), 0.0);
-        for (double &v : con->ipc)
-            v = r.f64();
-        con->norm_ipc.assign(static_cast<std::size_t>(r.u64()), 0.0);
-        for (double &v : con->norm_ipc)
-            v = r.f64();
-        con->weighted_speedup = r.f64();
-        con->antt_value = r.f64();
-        con->fairness = r.f64();
-        con->theoretical_ws = r.f64();
-        const std::uint64_t nstats = r.u64();
-        con->stats.reserve(static_cast<std::size_t>(nstats));
-        for (std::uint64_t i = 0; i < nstats; ++i)
-            con->stats.push_back(restoreKernelStats(r));
-        con->sm_stats = restoreSmStats(r);
-        con->partition.assign(static_cast<std::size_t>(r.u64()), 0);
-        for (int &t : con->partition)
-            t = static_cast<int>(r.i64());
-        con->mem = decodeMemSide(r);
-        con->issue_series = decodeSeries(r);
-        con->l1d_series = decodeSeries(r);
+        in.get(*con);
         result.concurrent = std::move(con);
     } else if (kind != 0) {
-        SimCtx ctx;
-        ctx.module = "journal";
-        raiseSimError("Snapshot", ctx,
+        raiseSimError("Snapshot", journalCtx(),
                       "unknown SimResult kind byte " +
                           std::to_string(kind));
     }
-    if (!r.atEnd()) {
-        SimCtx ctx;
-        ctx.module = "journal";
-        raiseSimError("Snapshot", ctx,
+    if (!r.atEnd())
+        raiseSimError("Snapshot", journalCtx(),
                       "trailing bytes after SimResult payload");
-    }
     return result;
 }
 

@@ -49,6 +49,17 @@ struct MemSideStats
     double dram_row_hit_rate = 0.0; ///< mean over channels
 };
 
+/** Field tables (sim/fields.hpp) of the results, in journal-record
+ *  order. */
+template <class V, ObjectOf<MemSideStats>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"l2_miss_rate"}, s.l2_miss_rate...);
+    v(Field{"dram_row_hit_rate"}, s.dram_row_hit_rate...);
+}
+static_assert(tableCovers<MemSideStats>());
+
 /** Baseline from an isolated single-kernel run. */
 struct IsolatedResult
 {
@@ -63,6 +74,21 @@ struct IsolatedResult
     std::vector<TimeSeries> issue_series;
     std::vector<TimeSeries> l1d_series;
 };
+
+template <class V, ObjectOf<IsolatedResult>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"ipc"}, s.ipc...);
+    v(Field{"ipc_per_sm"}, s.ipc_per_sm...);
+    v(Field{"stats"}, s.stats...);
+    v(Field{"sm_stats"}, s.sm_stats...);
+    v(Field{"max_tbs"}, s.max_tbs...);
+    v(Field{"mem"}, s.mem...);
+    v(Field{"issue_series"}, s.issue_series...);
+    v(Field{"l1d_series"}, s.l1d_series...);
+}
+static_assert(tableCovers<IsolatedResult>());
 
 /** Everything a concurrent run reports. */
 struct ConcurrentResult
@@ -84,6 +110,26 @@ struct ConcurrentResult
     std::vector<TimeSeries> l1d_series;
 };
 
+template <class V, ObjectOf<ConcurrentResult>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"workload_name"}, s.workload_name...);
+    v(Field{"ipc"}, s.ipc...);
+    v(Field{"norm_ipc"}, s.norm_ipc...);
+    v(Field{"weighted_speedup"}, s.weighted_speedup...);
+    v(Field{"antt_value"}, s.antt_value...);
+    v(Field{"fairness"}, s.fairness...);
+    v(Field{"theoretical_ws"}, s.theoretical_ws...);
+    v(Field{"stats"}, s.stats...);
+    v(Field{"sm_stats"}, s.sm_stats...);
+    v(Field{"partition"}, s.partition...);
+    v(Field{"mem"}, s.mem...);
+    v(Field{"issue_series"}, s.issue_series...);
+    v(Field{"l1d_series"}, s.l1d_series...);
+}
+static_assert(tableCovers<ConcurrentResult>());
+
 /** Optional per-kernel event sampling attached to a job's run. */
 struct SeriesRequest
 {
@@ -91,6 +137,17 @@ struct SeriesRequest
     bool l1d = false;   ///< L1D accesses
     Cycle interval{1000};
 };
+
+/** Field table (sim/fields.hpp), in job-key order. */
+template <class V, ObjectOf<SeriesRequest>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"issue"}, s.issue...);
+    v(Field{"l1d"}, s.l1d...);
+    v(Field{"interval"}, s.interval...);
+}
+static_assert(tableCovers<SeriesRequest>());
 
 /** What a SimJob simulates. */
 enum class JobKind {
@@ -133,7 +190,8 @@ struct SimJob
                              const Workload &workload,
                              const SchemeSpec &spec);
 
-    /** Content hash over every result-affecting input. */
+    /** FNV-1a content hash over every result-affecting input; structs
+     *  are hashed through their field tables (sim/fields.hpp). */
     std::uint64_t key() const;
 
     /** label when set, else a generated "kind:workload:scheme" tag. */
@@ -151,25 +209,6 @@ struct SimResult
     std::shared_ptr<const ConcurrentResult> concurrent;
 };
 
-// ---- content hashing ---------------------------------------------------
-
-/**
- * Field-order-sensitive FNV-1a accumulator. Structs are hashed field
- * by field (never by memcpy — padding bytes are indeterminate).
- */
-class JobHasher
-{
-  public:
-    JobHasher &i(long long v);            ///< any integer/enum/bool
-    JobHasher &d(double v);               ///< by bit pattern
-    JobHasher &s(const std::string &v);
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 /**
  * Order-sensitive FNV-1a over the content hashes of a whole job
  * list: one value that identifies a campaign. The orchestrator and
@@ -178,11 +217,6 @@ class JobHasher
  * fingerprint's merged table.
  */
 std::uint64_t campaignFingerprint(const std::vector<SimJob> &jobs);
-
-void hashInto(JobHasher &h, const GpuConfig &cfg);
-void hashInto(JobHasher &h, const SchemeSpec &spec);
-void hashInto(JobHasher &h, const KernelProfile &prof);
-void hashInto(JobHasher &h, const Workload &workload);
 
 } // namespace ckesim
 

@@ -1,6 +1,7 @@
 #include "sim/config.hpp"
 
-#include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "sim/check.hpp"
 
@@ -17,23 +18,27 @@ configFail(const std::string &field, const std::string &why)
     raiseSimError("ConfigError", ctx, field + ": " + why);
 }
 
-void
-requirePositive(int value, const char *field)
+/** Enforces each table entry's lower bound, naming the field by
+ *  its dotted path ("sm.alu_latency"). */
+struct BoundCheck
 {
-    if (value < 1) {
-        configFail(field, "must be >= 1, got " +
-                              std::to_string(value));
-    }
-}
+    std::string prefix;
 
-void
-requireNonNegative(int value, const char *field)
-{
-    if (value < 0) {
-        configFail(field, "must be >= 0, got " +
-                              std::to_string(value));
+    template <class M>
+    void
+    operator()(const Field &f, const M &m)
+    {
+        if constexpr (HasFields<const M>) {
+            BoundCheck nested{prefix + f.name + "."};
+            fields(nested, m);
+        } else if constexpr (std::is_same_v<M, int>) {
+            if (m < f.min)
+                configFail(prefix + f.name,
+                           "must be >= " + std::to_string(f.min) +
+                               ", got " + std::to_string(m));
+        }
     }
-}
+};
 
 bool
 isPowerOfTwo(int v)
@@ -41,13 +46,12 @@ isPowerOfTwo(int v)
     return v > 0 && (v & (v - 1)) == 0;
 }
 
-/** Shared geometry checks for the L1D and L2 tag arrays. */
+/** Shared geometry checks for the L1D and L2 tag arrays (sizes and
+ *  associativity are already known to be positive). */
 void
 validateCacheGeometry(const char *name, int size_bytes, int line_bytes,
                       int assoc)
 {
-    requirePositive(size_bytes, name);
-    requirePositive(assoc, name);
     if (!isPowerOfTwo(line_bytes))
         configFail(name, "line_bytes must be a power of two, got " +
                              std::to_string(line_bytes));
@@ -71,58 +75,24 @@ validateCacheGeometry(const char *name, int size_bytes, int line_bytes,
 void
 GpuConfig::validate() const
 {
-    requirePositive(num_sms, "num_sms");
+    BoundCheck bounds;
+    fields(bounds, *this);
 
-    // SM pipeline.
-    requirePositive(sm.simd_width, "sm.simd_width");
-    requirePositive(sm.num_schedulers, "sm.num_schedulers");
-    requirePositive(sm.max_threads, "sm.max_threads");
-    requirePositive(sm.max_warps, "sm.max_warps");
-    requirePositive(sm.max_tbs, "sm.max_tbs");
-    requirePositive(sm.register_file, "sm.register_file");
-    requirePositive(sm.smem_bytes, "sm.smem_bytes");
-    requirePositive(sm.alu_latency, "sm.alu_latency");
-    requirePositive(sm.sfu_latency, "sm.sfu_latency");
-    requirePositive(sm.smem_latency, "sm.smem_latency");
-    requirePositive(sm.lsu_queue_depth, "sm.lsu_queue_depth");
+    // Cross-field rules.
     if (sm.max_threads < sm.simd_width)
         configFail("sm.max_threads",
                    "must hold at least one warp (simd_width)");
-
-    // L1D miss resources.
     validateCacheGeometry("l1d", l1d.size_bytes, l1d.line_bytes,
                           l1d.assoc);
-    requirePositive(l1d.num_mshrs, "l1d.num_mshrs");
-    requirePositive(l1d.mshr_merge, "l1d.mshr_merge");
-    requirePositive(l1d.miss_queue_depth, "l1d.miss_queue_depth");
-    requireNonNegative(l1d.hit_latency, "l1d.hit_latency");
-
-    // L2 partitions.
     validateCacheGeometry("l2", l2.partition_bytes, l2.line_bytes,
                           l2.assoc);
-    requirePositive(l2.num_mshrs, "l2.num_mshrs");
-    requirePositive(l2.miss_queue_depth, "l2.miss_queue_depth");
-    requireNonNegative(l2.latency, "l2.latency");
     if (l2.line_bytes != l1d.line_bytes)
         configFail("l2.line_bytes",
                    "must match l1d.line_bytes (" +
                        std::to_string(l1d.line_bytes) + "), got " +
                        std::to_string(l2.line_bytes));
-
-    // Crossbar.
-    requirePositive(icnt.flit_bytes, "icnt.flit_bytes");
-    requireNonNegative(icnt.latency, "icnt.latency");
-    requirePositive(icnt.input_queue_depth, "icnt.input_queue_depth");
-
-    // DRAM. A dirty L2 eviction needs two queue slots in one cycle
+    // A dirty L2 eviction needs two DRAM queue slots in one cycle
     // (writeback + fetch), so a 1-deep queue deadlocks the partition.
-    requirePositive(dram.num_channels, "dram.num_channels");
-    requirePositive(dram.banks_per_channel, "dram.banks_per_channel");
-    requirePositive(dram.row_bytes, "dram.row_bytes");
-    requireNonNegative(dram.access_latency, "dram.access_latency");
-    requirePositive(dram.row_hit_service, "dram.row_hit_service");
-    requireNonNegative(dram.row_miss_penalty, "dram.row_miss_penalty");
-    requirePositive(dram.frfcfs_window, "dram.frfcfs_window");
     if (dram.queue_depth < 2)
         configFail("dram.queue_depth",
                    "must be >= 2 (dirty eviction enqueues a "
@@ -133,34 +103,10 @@ GpuConfig::validate() const
                    "must be a multiple of the line size " +
                        std::to_string(l2.line_bytes) + ", got " +
                        std::to_string(dram.row_bytes));
-
-    // Integrity layer.
-    requirePositive(integrity.check_interval,
-                    "integrity.check_interval");
-    requireNonNegative(integrity.watchdog_timeout,
-                       "integrity.watchdog_timeout");
-    requirePositive(integrity.audit_drain_limit,
-                    "integrity.audit_drain_limit");
-    requireNonNegative(integrity.checkpoint_interval,
-                       "integrity.checkpoint_interval");
     if (integrity.watchdog_timeout > 0 &&
         integrity.watchdog_timeout < integrity.check_interval)
         configFail("integrity.watchdog_timeout",
                    "must be >= check_interval or 0 (disabled)");
-}
-
-std::string
-GpuConfig::digest() const
-{
-    std::ostringstream os;
-    os << "sms" << num_sms
-       << "_sch" << sm.num_schedulers
-       << (sm.sched_policy == SchedPolicy::GTO ? "gto" : "lrr")
-       << "_l1d" << l1d.size_bytes / 1024 << "k" << l1d.assoc << "w"
-       << "m" << l1d.num_mshrs << "q" << l1d.miss_queue_depth
-       << "_l2p" << numL2Partitions()
-       << "_seed" << seed;
-    return os.str();
 }
 
 GpuConfig

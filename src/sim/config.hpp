@@ -8,8 +8,8 @@
 #define CKESIM_SIM_CONFIG_HPP
 
 #include <cstdint>
-#include <string>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -43,6 +43,27 @@ struct SmConfig
     int lsu_queue_depth = 8;
 };
 
+/** Field tables (sim/fields.hpp), in job-key order; `min` is the
+ *  bound GpuConfig::validate() enforces. */
+template <class V, ObjectOf<SmConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"simd_width", 1}, s.simd_width...);
+    v(Field{"num_schedulers", 1}, s.num_schedulers...);
+    v(Field{"max_threads", 1}, s.max_threads...);
+    v(Field{"max_warps", 1}, s.max_warps...);
+    v(Field{"max_tbs", 1}, s.max_tbs...);
+    v(Field{"register_file", 1}, s.register_file...);
+    v(Field{"smem_bytes", 1}, s.smem_bytes...);
+    v(Field{"sched_policy"}, s.sched_policy...);
+    v(Field{"alu_latency", 1}, s.alu_latency...);
+    v(Field{"sfu_latency", 1}, s.sfu_latency...);
+    v(Field{"smem_latency", 1}, s.smem_latency...);
+    v(Field{"lsu_queue_depth", 1}, s.lsu_queue_depth...);
+}
+static_assert(tableCovers<SmConfig>());
+
 /** L1 data cache configuration (per SM). */
 struct L1dConfig
 {
@@ -58,6 +79,20 @@ struct L1dConfig
 
     int numSets() const { return size_bytes / (line_bytes * assoc); }
 };
+
+template <class V, ObjectOf<L1dConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"size_bytes", 1}, s.size_bytes...);
+    v(Field{"line_bytes", 1}, s.line_bytes...);
+    v(Field{"assoc", 1}, s.assoc...);
+    v(Field{"num_mshrs", 1}, s.num_mshrs...);
+    v(Field{"mshr_merge", 1}, s.mshr_merge...);
+    v(Field{"miss_queue_depth", 1}, s.miss_queue_depth...);
+    v(Field{"hit_latency", 0}, s.hit_latency...);
+}
+static_assert(tableCovers<L1dConfig>());
 
 /** Unified, address-partitioned L2 cache. */
 struct L2Config
@@ -75,6 +110,19 @@ struct L2Config
     }
 };
 
+template <class V, ObjectOf<L2Config>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"partition_bytes", 1}, s.partition_bytes...);
+    v(Field{"line_bytes", 1}, s.line_bytes...);
+    v(Field{"assoc", 1}, s.assoc...);
+    v(Field{"num_mshrs", 1}, s.num_mshrs...);
+    v(Field{"miss_queue_depth", 1}, s.miss_queue_depth...);
+    v(Field{"latency", 0}, s.latency...);
+}
+static_assert(tableCovers<L2Config>());
+
 /** Crossbar interconnect between SMs and L2 partitions. */
 struct IcntConfig
 {
@@ -82,6 +130,16 @@ struct IcntConfig
     int latency = 4;            ///< zero-load one-way latency (cycles)
     int input_queue_depth = 32; ///< per destination-port queue depth
 };
+
+template <class V, ObjectOf<IcntConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"flit_bytes", 1}, s.flit_bytes...);
+    v(Field{"latency", 0}, s.latency...);
+    v(Field{"input_queue_depth", 1}, s.input_queue_depth...);
+}
+static_assert(tableCovers<IcntConfig>());
 
 /** Per-channel GDDR model with row-buffer locality. */
 struct DramConfig
@@ -103,6 +161,21 @@ struct DramConfig
     int queue_depth = 128;
 };
 
+template <class V, ObjectOf<DramConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"num_channels", 1}, s.num_channels...);
+    v(Field{"banks_per_channel", 1}, s.banks_per_channel...);
+    v(Field{"row_bytes", 1}, s.row_bytes...);
+    v(Field{"access_latency", 0}, s.access_latency...);
+    v(Field{"row_hit_service", 1}, s.row_hit_service...);
+    v(Field{"row_miss_penalty", 0}, s.row_miss_penalty...);
+    v(Field{"frfcfs_window", 1}, s.frfcfs_window...);
+    v(Field{"queue_depth"}, s.queue_depth...);
+}
+static_assert(tableCovers<DramConfig>());
+
 /**
  * Simulation integrity layer knobs: periodic invariant sweeps and the
  * forward-progress watchdog. All checks stay active in release builds;
@@ -123,10 +196,23 @@ struct IntegrityConfig
     int audit_drain_limit = 100000;
     /** Cycles between automatic checkpoints taken by the run loop
      *  (sim/snapshot.hpp); 0 disables auto-checkpointing. Does not
-     *  affect simulated state or results, so it is deliberately
-     *  excluded from SimJob content hashes. */
+     *  affect simulated state or results, so it is the one unkeyed
+     *  field: SimJob content hashes and the config pin skip it. */
     int checkpoint_interval = 0;
 };
+
+template <class V, ObjectOf<IntegrityConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"periodic_checks"}, s.periodic_checks...);
+    v(Field{"check_interval", 1}, s.check_interval...);
+    v(Field{"watchdog_timeout", 0}, s.watchdog_timeout...);
+    v(Field{"audit_drain_limit", 1}, s.audit_drain_limit...);
+    v(Field{.name = "checkpoint_interval", .min = 0, .keyed = false},
+      s.checkpoint_interval...);
+}
+static_assert(tableCovers<IntegrityConfig>());
 
 /**
  * Complete GPU configuration. Defaults reproduce the paper's Table 1
@@ -150,9 +236,6 @@ struct GpuConfig
     /** Global RNG seed for procedural workloads. */
     std::uint64_t seed = 0xc0ffee;
 
-    /** A short human-readable digest for cache keys / logs. */
-    std::string digest() const;
-
     /**
      * Reject nonsensical configurations with a structured SimError
      * (kind "ConfigError") naming the offending field, instead of
@@ -162,6 +245,21 @@ struct GpuConfig
      */
     void validate() const;
 };
+
+template <class V, ObjectOf<GpuConfig>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"num_sms", 1}, s.num_sms...);
+    v(Field{"seed"}, s.seed...);
+    v(Field{"sm"}, s.sm...);
+    v(Field{"l1d"}, s.l1d...);
+    v(Field{"l2"}, s.l2...);
+    v(Field{"icnt"}, s.icnt...);
+    v(Field{"dram"}, s.dram...);
+    v(Field{"integrity"}, s.integrity...);
+}
+static_assert(tableCovers<GpuConfig>());
 
 /**
  * Smaller configuration for fast unit tests and bench "quick" mode:

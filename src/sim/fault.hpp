@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -66,6 +67,20 @@ struct FaultSpec
     /** Added fill latency (DelayFill only). */
     Cycle delay{};
 };
+
+/** Field table (sim/fields.hpp), in job-key order. */
+template <class V, ObjectOf<FaultSpec>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"kind"}, s.kind...);
+    v(Field{"begin"}, s.begin...);
+    v(Field{"end"}, s.end...);
+    v(Field{"target"}, s.target...);
+    v(Field{"budget"}, s.budget...);
+    v(Field{"delay"}, s.delay...);
+}
+static_assert(tableCovers<FaultSpec>());
 
 /** Deterministic fault oracle polled by pipeline components. */
 class FaultInjector

@@ -1,5 +1,7 @@
 #include "sim/snapshot.hpp"
 
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "sim/check.hpp"
@@ -13,8 +15,7 @@ SnapshotWriter::raw(const void *p, std::size_t n)
 {
     const auto *b = static_cast<const std::uint8_t *>(p);
     buf_.insert(buf_.end(), b, b + n);
-    for (std::size_t i = 0; i < n; ++i)
-        fp_ = (fp_ ^ b[i]) * 0x100000001b3ULL;
+    fp_.bytes(b, n);
 }
 
 void
@@ -32,34 +33,33 @@ SnapshotWriter::u8(std::uint8_t v)
 }
 
 void
+SnapshotWriter::le(std::uint64_t v, std::size_t n)
+{
+    std::uint8_t b[8];
+    for (std::size_t i = 0; i < n; ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    raw(b, n);
+}
+
+void
 SnapshotWriter::u32(std::uint32_t v)
 {
     tag(SnapTag::U32);
-    std::uint8_t b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    raw(b, 4);
+    le(v, 4);
 }
 
 void
 SnapshotWriter::u64(std::uint64_t v)
 {
     tag(SnapTag::U64);
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    raw(b, 8);
+    le(v, 8);
 }
 
 void
 SnapshotWriter::i64(std::int64_t v)
 {
     tag(SnapTag::I64);
-    const auto u = static_cast<std::uint64_t>(v);
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(u >> (8 * i));
-    raw(b, 8);
+    le(static_cast<std::uint64_t>(v), 8);
 }
 
 void
@@ -76,24 +76,14 @@ SnapshotWriter::f64(double v)
     // Bit pattern, never text: restore must be exact for every value
     // including -0.0, subnormals, and NaN payloads.
     tag(SnapTag::F64);
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(u >> (8 * i));
-    raw(b, 8);
+    le(std::bit_cast<std::uint64_t>(v), 8);
 }
 
 void
 SnapshotWriter::str(const std::string &v)
 {
     tag(SnapTag::Str);
-    std::uint8_t b[4];
-    const auto n = static_cast<std::uint32_t>(v.size());
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(n >> (8 * i));
-    raw(b, 4);
+    le(v.size(), 4);
     raw(v.data(), v.size());
 }
 
@@ -101,21 +91,9 @@ void
 SnapshotWriter::section(const char *name)
 {
     tag(SnapTag::Section);
-    const std::string s(name);
-    std::uint8_t b[4];
-    const auto n = static_cast<std::uint32_t>(s.size());
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(n >> (8 * i));
-    raw(b, 4);
-    raw(s.data(), s.size());
-}
-
-void
-SnapshotWriter::vecU64(const std::vector<std::uint64_t> &v)
-{
-    u64(v.size());
-    for (std::uint64_t x : v)
-        u64(x);
+    const std::size_t n = std::strlen(name);
+    le(n, 4);
+    raw(name, n);
 }
 
 void
@@ -168,37 +146,35 @@ SnapshotReader::u8()
     return *take(1);
 }
 
+std::uint64_t
+SnapshotReader::le(std::size_t n)
+{
+    const std::uint8_t *b = take(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    return v;
+}
+
 std::uint32_t
 SnapshotReader::u32()
 {
     expect(SnapTag::U32);
-    const std::uint8_t *b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
+    return static_cast<std::uint32_t>(le(4));
 }
 
 std::uint64_t
 SnapshotReader::u64()
 {
     expect(SnapTag::U64);
-    const std::uint8_t *b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
+    return le(8);
 }
 
 std::int64_t
 SnapshotReader::i64()
 {
     expect(SnapTag::I64);
-    const std::uint8_t *b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return static_cast<std::int64_t>(v);
+    return static_cast<std::int64_t>(le(8));
 }
 
 bool
@@ -215,65 +191,43 @@ double
 SnapshotReader::f64()
 {
     expect(SnapTag::F64);
-    const std::uint8_t *b = take(8);
-    std::uint64_t u = 0;
-    for (int i = 0; i < 8; ++i)
-        u |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    double v = 0.0;
-    std::memcpy(&v, &u, sizeof(v));
-    return v;
+    return std::bit_cast<double>(le(8));
 }
 
 std::string
 SnapshotReader::str()
 {
     expect(SnapTag::Str);
-    const std::uint8_t *lb = take(4);
-    std::uint32_t n = 0;
-    for (int i = 0; i < 4; ++i)
-        n |= static_cast<std::uint32_t>(lb[i]) << (8 * i);
-    const std::uint8_t *b = take(n);
-    return std::string(reinterpret_cast<const char *>(b), n);
+    const auto n = static_cast<std::size_t>(le(4));
+    return std::string(reinterpret_cast<const char *>(take(n)), n);
 }
 
 void
 SnapshotReader::section(const char *name)
 {
     expect(SnapTag::Section);
-    const std::uint8_t *lb = take(4);
-    std::uint32_t n = 0;
-    for (int i = 0; i < 4; ++i)
-        n |= static_cast<std::uint32_t>(lb[i]) << (8 * i);
-    const std::uint8_t *b = take(n);
-    const std::string got(reinterpret_cast<const char *>(b), n);
+    const auto n = static_cast<std::size_t>(le(4));
+    const std::string got(reinterpret_cast<const char *>(take(n)), n);
     if (got != name)
         fail("section mismatch: expected '" + std::string(name) +
              "', found '" + got + "'");
 }
 
-std::vector<std::uint64_t>
-SnapshotReader::vecU64()
+std::size_t
+SnapshotReader::length()
 {
     const std::uint64_t n = u64();
-    if (n > bytes_->size()) // each element needs >= 1 byte
+    if (n > bytes_->size() - pos_)
         fail("vector length implausibly large");
-    std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u64());
-    return v;
+    return static_cast<std::size_t>(n);
 }
 
 std::vector<bool>
 SnapshotReader::vecBool()
 {
-    const std::uint64_t n = u64();
-    if (n > bytes_->size())
-        fail("vector length implausibly large");
-    std::vector<bool> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(boolean());
+    std::vector<bool> v(length());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = boolean();
     return v;
 }
 

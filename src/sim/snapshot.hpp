@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -87,14 +88,11 @@ class SnapshotWriter
         u64(static_cast<std::uint64_t>(v.get()));
     }
 
-    /** Length-prefixed vector of u64 (stats arrays, series bins). */
-    void vecU64(const std::vector<std::uint64_t> &v);
-
     /** Length-prefixed vector<bool> (bypass masks). */
     void vecBool(const std::vector<bool> &v);
 
     /** FNV-1a over every byte appended so far. */
-    std::uint64_t fingerprint() const { return fp_; }
+    std::uint64_t fingerprint() const { return fp_.value(); }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
@@ -103,9 +101,11 @@ class SnapshotWriter
   private:
     void tag(SnapTag t);
     void raw(const void *p, std::size_t n);
+    /** The low @p n bytes of @p v, little-endian. */
+    void le(std::uint64_t v, std::size_t n);
 
     std::vector<std::uint8_t> buf_;
-    std::uint64_t fp_ = 0xcbf29ce484222325ULL;
+    Fnv1a fp_;
 };
 
 /**
@@ -146,8 +146,11 @@ class SnapshotReader
         return UnitT(static_cast<typename UnitT::rep_type>(u64()));
     }
 
-    std::vector<std::uint64_t> vecU64();
     std::vector<bool> vecBool();
+
+    /** A u64 element count, rejected when the rest of the payload
+     *  cannot hold that many elements (each takes >= 1 byte). */
+    std::size_t length();
 
     /** Entire payload consumed? restore() asserts this at the end. */
     bool atEnd() const { return pos_ == bytes_->size(); }
@@ -157,10 +160,55 @@ class SnapshotReader
   private:
     void expect(SnapTag t);
     const std::uint8_t *take(std::size_t n);
+    /** Inverse of SnapshotWriter::le. */
+    std::uint64_t le(std::size_t n);
     [[noreturn]] void fail(const std::string &detail) const;
 
     const std::vector<std::uint8_t> *bytes_;
     std::size_t pos_ = 0;
+};
+
+/** Reads what FieldWriter<SnapshotWriter> wrote (sim/fields.hpp). */
+class FieldReader
+{
+  public:
+    explicit FieldReader(SnapshotReader &r) : r_(r) {}
+
+    template <class M>
+    void
+    operator()(const Field &f, M &m)
+    {
+        if (f.keyed)
+            get(m);
+    }
+
+    template <class M>
+    void
+    get(M &m)
+    {
+        if constexpr (HasFields<M>) {
+            fields(*this, m);
+        } else if constexpr (std::is_same_v<M, std::string>) {
+            m = r_.str();
+        } else if constexpr (std::is_same_v<M, double>) {
+            m = r_.f64();
+        } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+            m = r_.u64();
+        } else if constexpr (std::is_integral_v<M> || std::is_enum_v<M>) {
+            m = static_cast<M>(r_.i64());
+        } else if constexpr (requires { m.get(); }) {
+            m = r_.unit<M>();
+        } else if constexpr (TupleLike<M>) {
+            std::apply([this](auto &...e) { (get(e), ...); }, m);
+        } else {
+            m = M(r_.length());
+            for (auto &e : m)
+                get(e);
+        }
+    }
+
+  private:
+    SnapshotReader &r_;
 };
 
 /**
@@ -175,7 +223,8 @@ struct GpuSnapshot
     Cycle cycle{};
     /** FNV-1a fingerprint of @ref bytes. */
     std::uint64_t fingerprint = 0;
-    /** GpuConfig::digest() of the owning simulation. */
+    /** Config pin: hash of the owning simulation's keyed GpuConfig
+     *  fields (the same set SimJob::key() covers). */
     std::uint64_t config_digest = 0;
     /** The encoded state. */
     std::vector<std::uint8_t> bytes;

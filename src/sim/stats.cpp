@@ -2,146 +2,34 @@
 
 #include <cmath>
 
-#include "sim/snapshot.hpp"
-
 namespace ckesim {
+
+namespace {
+/** Two-object table walk: a += b for every counter. */
+struct AddCounters
+{
+    constexpr void
+    operator()(const Field &, std::uint64_t &a, const std::uint64_t &b)
+    {
+        a += b;
+    }
+};
+} // namespace
 
 KernelStats &
 KernelStats::operator+=(const KernelStats &o)
 {
-    issued_instructions += o.issued_instructions;
-    alu_instructions += o.alu_instructions;
-    sfu_instructions += o.sfu_instructions;
-    smem_instructions += o.smem_instructions;
-    mem_instructions += o.mem_instructions;
-    mem_requests += o.mem_requests;
-    l1d_accesses += o.l1d_accesses;
-    l1d_hits += o.l1d_hits;
-    l1d_misses += o.l1d_misses;
-    l1d_rsfails += o.l1d_rsfails;
-    l1d_rsfail_line += o.l1d_rsfail_line;
-    l1d_rsfail_mshr += o.l1d_rsfail_mshr;
-    l1d_rsfail_missq += o.l1d_rsfail_missq;
-    tbs_completed += o.tbs_completed;
+    AddCounters add;
+    fields(add, *this, o);
     return *this;
 }
 
 SmStats &
 SmStats::operator+=(const SmStats &o)
 {
-    cycles += o.cycles;
-    lsu_stall_cycles += o.lsu_stall_cycles;
-    alu_issue_slots += o.alu_issue_slots;
-    sfu_issue_slots += o.sfu_issue_slots;
-    issue_slots_used += o.issue_slots_used;
+    AddCounters add;
+    fields(add, *this, o);
     return *this;
-}
-
-namespace {
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (value >> (i * 8)) & 0xffULL;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-} // namespace
-
-std::uint64_t
-fingerprint(const KernelStats &s, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    h = fnv1a(h, s.issued_instructions);
-    h = fnv1a(h, s.alu_instructions);
-    h = fnv1a(h, s.sfu_instructions);
-    h = fnv1a(h, s.smem_instructions);
-    h = fnv1a(h, s.mem_instructions);
-    h = fnv1a(h, s.mem_requests);
-    h = fnv1a(h, s.l1d_accesses);
-    h = fnv1a(h, s.l1d_hits);
-    h = fnv1a(h, s.l1d_misses);
-    h = fnv1a(h, s.l1d_rsfails);
-    h = fnv1a(h, s.l1d_rsfail_line);
-    h = fnv1a(h, s.l1d_rsfail_mshr);
-    h = fnv1a(h, s.l1d_rsfail_missq);
-    h = fnv1a(h, s.tbs_completed);
-    return h;
-}
-
-std::uint64_t
-fingerprint(const SmStats &s, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    h = fnv1a(h, s.cycles);
-    h = fnv1a(h, s.lsu_stall_cycles);
-    h = fnv1a(h, s.alu_issue_slots);
-    h = fnv1a(h, s.sfu_issue_slots);
-    h = fnv1a(h, s.issue_slots_used);
-    return h;
-}
-
-void
-snapshotKernelStats(SnapshotWriter &w, const KernelStats &s)
-{
-    w.u64(s.issued_instructions);
-    w.u64(s.alu_instructions);
-    w.u64(s.sfu_instructions);
-    w.u64(s.smem_instructions);
-    w.u64(s.mem_instructions);
-    w.u64(s.mem_requests);
-    w.u64(s.l1d_accesses);
-    w.u64(s.l1d_hits);
-    w.u64(s.l1d_misses);
-    w.u64(s.l1d_rsfails);
-    w.u64(s.l1d_rsfail_line);
-    w.u64(s.l1d_rsfail_mshr);
-    w.u64(s.l1d_rsfail_missq);
-    w.u64(s.tbs_completed);
-}
-
-KernelStats
-restoreKernelStats(SnapshotReader &r)
-{
-    KernelStats s;
-    s.issued_instructions = r.u64();
-    s.alu_instructions = r.u64();
-    s.sfu_instructions = r.u64();
-    s.smem_instructions = r.u64();
-    s.mem_instructions = r.u64();
-    s.mem_requests = r.u64();
-    s.l1d_accesses = r.u64();
-    s.l1d_hits = r.u64();
-    s.l1d_misses = r.u64();
-    s.l1d_rsfails = r.u64();
-    s.l1d_rsfail_line = r.u64();
-    s.l1d_rsfail_mshr = r.u64();
-    s.l1d_rsfail_missq = r.u64();
-    s.tbs_completed = r.u64();
-    return s;
-}
-
-void
-snapshotSmStats(SnapshotWriter &w, const SmStats &s)
-{
-    w.u64(s.cycles);
-    w.u64(s.lsu_stall_cycles);
-    w.u64(s.alu_issue_slots);
-    w.u64(s.sfu_issue_slots);
-    w.u64(s.issue_slots_used);
-}
-
-SmStats
-restoreSmStats(SnapshotReader &r)
-{
-    SmStats s;
-    s.cycles = r.u64();
-    s.lsu_stall_cycles = r.u64();
-    s.alu_issue_slots = r.u64();
-    s.sfu_issue_slots = r.u64();
-    s.issue_slots_used = r.u64();
-    return s;
 }
 
 double

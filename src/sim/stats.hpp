@@ -14,12 +14,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Why an L1D access could not be serviced this cycle. */
 enum class RsFailReason {
@@ -93,6 +91,29 @@ struct KernelStats
     KernelStats &operator+=(const KernelStats &o);
 };
 
+/** Field table (sim/fields.hpp): sums, fingerprints, snapshots and
+ *  journal records all walk it in this order. */
+template <class V, ObjectOf<KernelStats>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"issued_instructions"}, s.issued_instructions...);
+    v(Field{"alu_instructions"}, s.alu_instructions...);
+    v(Field{"sfu_instructions"}, s.sfu_instructions...);
+    v(Field{"smem_instructions"}, s.smem_instructions...);
+    v(Field{"mem_instructions"}, s.mem_instructions...);
+    v(Field{"mem_requests"}, s.mem_requests...);
+    v(Field{"l1d_accesses"}, s.l1d_accesses...);
+    v(Field{"l1d_hits"}, s.l1d_hits...);
+    v(Field{"l1d_misses"}, s.l1d_misses...);
+    v(Field{"l1d_rsfails"}, s.l1d_rsfails...);
+    v(Field{"l1d_rsfail_line"}, s.l1d_rsfail_line...);
+    v(Field{"l1d_rsfail_mshr"}, s.l1d_rsfail_mshr...);
+    v(Field{"l1d_rsfail_missq"}, s.l1d_rsfail_missq...);
+    v(Field{"tbs_completed"}, s.tbs_completed...);
+}
+static_assert(tableCovers<KernelStats>());
+
 /** Counters accumulated per SM, independent of kernel. */
 struct SmStats
 {
@@ -118,6 +139,19 @@ struct SmStats
     SmStats &operator+=(const SmStats &o);
 };
 
+/** Field table (sim/fields.hpp). */
+template <class V, ObjectOf<SmStats>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"cycles"}, s.cycles...);
+    v(Field{"lsu_stall_cycles"}, s.lsu_stall_cycles...);
+    v(Field{"alu_issue_slots"}, s.alu_issue_slots...);
+    v(Field{"sfu_issue_slots"}, s.sfu_issue_slots...);
+    v(Field{"issue_slots_used"}, s.issue_slots_used...);
+}
+static_assert(tableCovers<SmStats>());
+
 /** Geometric mean of a non-empty vector of positive values. */
 double geomean(const std::vector<double> &xs);
 
@@ -126,16 +160,17 @@ double geomean(const std::vector<double> &xs);
  * checks: two runs with the same config and seed must produce the
  * same fingerprint.
  */
-std::uint64_t fingerprint(const KernelStats &s,
-                          std::uint64_t seed = 0xcbf29ce484222325ULL);
-std::uint64_t fingerprint(const SmStats &s,
-                          std::uint64_t seed = 0xcbf29ce484222325ULL);
+inline std::uint64_t
+fingerprint(const KernelStats &s, std::uint64_t seed = Fnv1a::kBasis)
+{
+    return fieldHash(s, seed);
+}
 
-/** Serialize/restore every counter (checkpoints + results journal). */
-void snapshotKernelStats(SnapshotWriter &w, const KernelStats &s);
-KernelStats restoreKernelStats(SnapshotReader &r);
-void snapshotSmStats(SnapshotWriter &w, const SmStats &s);
-SmStats restoreSmStats(SnapshotReader &r);
+inline std::uint64_t
+fingerprint(const SmStats &s, std::uint64_t seed = Fnv1a::kBasis)
+{
+    return fieldHash(s, seed);
+}
 
 } // namespace ckesim
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -53,8 +54,14 @@ class TimeSeries
 
     void clear() { bins_.clear(); }
 
-    /** Replace all bins verbatim (checkpoint restore, journal load). */
-    void setBins(std::vector<std::uint64_t> bins) { bins_ = std::move(bins); }
+    /** Field table (sim/fields.hpp): interval, then bins. */
+    template <class V, ObjectOf<TimeSeries>... S>
+    friend constexpr void
+    fields(V &v, S &...s)
+    {
+        v(Field{"interval"}, s.interval_...);
+        v(Field{"bins"}, s.bins_...);
+    }
 
   private:
     Cycle interval_;

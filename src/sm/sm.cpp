@@ -765,7 +765,7 @@ Sm::snapshot(SnapshotWriter &w) const
         w.i64(c.quota);
         w.i64(c.resident);
         w.u64(c.tb_seq);
-        snapshotKernelStats(w, c.stats);
+        FieldWriter(w).put(c.stats);
     }
 
     w.u64(warps_.size());
@@ -786,7 +786,7 @@ Sm::snapshot(SnapshotWriter &w) const
     w.i64(used_.threads);
     w.i64(used_.tbs);
     w.i64(used_.warps);
-    snapshotSmStats(w, sm_stats_);
+    FieldWriter(w).put(sm_stats_);
     w.u64(age_counter_);
     w.i64(dispatch_rr_);
     w.unit(now_);
@@ -824,7 +824,7 @@ Sm::restore(SnapshotReader &r)
         c.quota = static_cast<int>(r.i64());
         c.resident = static_cast<int>(r.i64());
         c.tb_seq = r.u64();
-        c.stats = restoreKernelStats(r);
+        FieldReader(r).get(c.stats);
     }
 
     const std::uint64_t nw = r.u64();
@@ -865,7 +865,7 @@ Sm::restore(SnapshotReader &r)
     used_.threads = static_cast<int>(r.i64());
     used_.tbs = static_cast<int>(r.i64());
     used_.warps = static_cast<int>(r.i64());
-    sm_stats_ = restoreSmStats(r);
+    FieldReader(r).get(sm_stats_);
     age_counter_ = r.u64();
     dispatch_rr_ = static_cast<int>(r.i64());
     now_ = r.unit<Cycle>();

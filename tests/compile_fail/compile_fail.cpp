@@ -1,7 +1,8 @@
 /**
  * @file
- * Negative-compilation probes for the strong types: each CKESIM_CF_*
- * macro selects one ill-formed snippet that MUST fail to compile.
+ * Negative-compilation probes for the strong types and the field
+ * tables: each CKESIM_CF_* macro selects one ill-formed snippet that
+ * MUST fail to compile.
  * CMake builds one target per macro, excluded from ALL, and ctest
  * asserts the build fails (WILL_FAIL). With no macro defined this
  * file is a well-formed control that must compile — it proves a
@@ -9,9 +10,28 @@
  */
 
 #include "mem/address.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
+
+struct TwoFields
+{
+    int a = 0;
+    double b = 0.0;
+};
+
+template <class V, ObjectOf<TwoFields>... S>
+constexpr void
+fields(V &v, S &...s)
+{
+    v(Field{"a"}, s.a...);
+#if !defined(CKESIM_CF_UNVISITED_FIELD)
+    // A table that skips a member trips its completeness check.
+    v(Field{"b"}, s.b...);
+#endif
+}
+static_assert(tableCovers<TwoFields>());
 
 // A signature mirroring L1Dcache::access / IssueController calls.
 inline int

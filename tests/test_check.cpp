@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gpu.hpp"
@@ -94,6 +95,42 @@ struct BadConfig
     std::function<void(GpuConfig &)> corrupt;
 };
 
+/** One bounded int entry of the GpuConfig field tables. */
+struct Bound
+{
+    std::string path; ///< dotted, e.g. "sm.alu_latency"
+    int *value;
+    int min;
+};
+
+struct CollectBounds
+{
+    std::vector<Bound> &out;
+    std::string prefix;
+
+    template <class M>
+    void
+    operator()(const Field &f, M &m)
+    {
+        if constexpr (HasFields<M>) {
+            CollectBounds nested{out, prefix + f.name + "."};
+            fields(nested, m);
+        } else if constexpr (std::is_same_v<M, int>) {
+            if (f.min != kNoMin)
+                out.push_back({prefix + f.name, &m, f.min});
+        }
+    }
+};
+
+std::vector<Bound>
+boundedFields(GpuConfig &cfg)
+{
+    std::vector<Bound> out;
+    CollectBounds collect{out, ""};
+    fields(collect, cfg);
+    return out;
+}
+
 TEST(ConfigValidate, AcceptsTable1AndSmallConfigs)
 {
     EXPECT_NO_THROW(GpuConfig{}.validate());
@@ -143,6 +180,26 @@ TEST(ConfigValidate, RejectsMalformedConfigsByName)
             EXPECT_NE(e.detail().find(bad.name), std::string::npos)
                 << "error for " << bad.name
                 << " does not name the field: " << e.detail();
+        }
+    }
+
+    // Every bounded field-table entry, set to its bound minus 1.
+    GpuConfig probe;
+    const std::size_t bounded = boundedFields(probe).size();
+    EXPECT_EQ(bounded, 39u);
+    for (std::size_t i = 0; i < bounded; ++i) {
+        GpuConfig cfg;
+        const Bound b = boundedFields(cfg)[i];
+        *b.value = b.min - 1;
+        try {
+            cfg.validate();
+            ADD_FAILURE() << "validate accepted " << b.path << " = "
+                          << b.min - 1;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), "ConfigError") << b.path;
+            EXPECT_EQ(e.detail(), b.path + ": must be >= " +
+                                      std::to_string(b.min) + ", got " +
+                                      std::to_string(b.min - 1));
         }
     }
 }

@@ -50,7 +50,8 @@ makeIsolated(double ipc)
     iso->mem.l2_miss_rate = 0.25;
     iso->mem.dram_row_hit_rate = 0.75;
     TimeSeries ts(Cycle{500});
-    ts.setBins({1, 2, 3, 4});
+    for (std::uint64_t bin = 0; bin < 4; ++bin)
+        ts.record(Cycle{500 * bin}, bin + 1); // bins {1, 2, 3, 4}
     iso->issue_series.push_back(ts);
     SimResult r;
     r.isolated = std::move(iso);

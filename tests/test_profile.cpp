@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "kernels/profile.hpp"
+#include "kernels/workload.hpp"
+#include "sim/check.hpp"
 
 namespace ckesim {
 namespace {
@@ -123,9 +127,17 @@ TEST(Profile, Table2DynamicColumns)
     EXPECT_EQ(findProfile("sv").req_per_minst, 3);
 }
 
-TEST(ProfileDeathTest, UnknownNameAborts)
+TEST(Profile, UnknownNameThrowsConfigError)
 {
-    EXPECT_DEATH(findProfile("nope"), "unknown kernel profile");
+    try {
+        findProfile("nope");
+        FAIL() << "findProfile accepted an unknown name";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), "ConfigError");
+        EXPECT_NE(e.detail().find("'nope'"), std::string::npos)
+            << e.detail();
+    }
+    EXPECT_THROW(makeWorkload({"bp", "nope"}), SimError);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "gpu.hpp"
@@ -38,7 +39,7 @@ TEST(SnapshotCodec, RoundTripsEveryScalarType)
     w.id(KernelId{2});
     w.id(kInvalidKernel);
     w.unit(Cycle{12345});
-    w.vecU64({1, 2, 3});
+    FieldWriter(w).put(std::vector<std::uint64_t>{1, 2, 3});
     w.vecBool({true, false, true});
 
     SnapshotReader r(w.bytes());
@@ -54,7 +55,9 @@ TEST(SnapshotCodec, RoundTripsEveryScalarType)
     EXPECT_EQ(r.id<KernelId>(), KernelId{2});
     EXPECT_EQ(r.id<KernelId>(), kInvalidKernel);
     EXPECT_EQ(r.unit<Cycle>(), Cycle{12345});
-    EXPECT_EQ(r.vecU64(), (std::vector<std::uint64_t>{1, 2, 3}));
+    std::vector<std::uint64_t> u64s;
+    FieldReader(r).get(u64s);
+    EXPECT_EQ(u64s, (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(r.vecBool(), (std::vector<bool>{true, false, true}));
     EXPECT_TRUE(r.atEnd());
 }
@@ -210,10 +213,46 @@ TEST(GpuSnapshot, RestoreRejectsForeignConfig)
     gpu.run(Cycle{500});
     const GpuSnapshot snap = gpu.snapshot();
 
-    GpuConfig other = snapCfg();
-    other.seed += 1; // different machine identity
-    Gpu target(other, mixedPair(), spec);
-    EXPECT_THROW(target.restore(snap), SimError);
+    // The pin covers every keyed field: the old string digest missed
+    // the last three, so those restores used to be accepted.
+    const std::pair<const char *, void (*)(GpuConfig &)> foreign[] = {
+        {"seed", [](GpuConfig &c) { c.seed += 1; }},
+        {"sm.alu_latency", [](GpuConfig &c) { c.sm.alu_latency += 1; }},
+        {"dram.access_latency",
+         [](GpuConfig &c) { c.dram.access_latency += 1; }},
+        {"l1d.hit_latency", [](GpuConfig &c) { c.l1d.hit_latency += 1; }},
+    };
+    for (const auto &[name, change] : foreign) {
+        GpuConfig other = snapCfg();
+        change(other);
+        Gpu target(other, mixedPair(), spec);
+        try {
+            target.restore(snap);
+            ADD_FAILURE() << "restore accepted a foreign " << name;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), "Snapshot") << name;
+        }
+    }
+}
+
+TEST(GpuSnapshot, RestoreAcceptsOtherCheckpointInterval)
+{
+    // checkpoint_interval is the one unkeyed config field: a snapshot
+    // moves between cadences and the run continues bit-identically.
+    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
+                                       BmiMode::QBMI, MilMode::Dynamic);
+    Gpu straight(snapCfg(), mixedPair(), spec);
+    straight.run(Cycle{2000});
+    const GpuSnapshot ckpt = straight.snapshot();
+    straight.run(Cycle{2000});
+
+    GpuConfig cadenced = snapCfg();
+    cadenced.integrity.checkpoint_interval = 700;
+    Gpu resumed(cadenced, mixedPair(), spec);
+    ASSERT_NO_THROW(resumed.restore(ckpt));
+    resumed.run(Cycle{2000});
+    ASSERT_NE(resumed.lastCheckpoint(), nullptr);
+    expectIdentical(straight, resumed);
 }
 
 TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
