@@ -4,7 +4,7 @@
  * (stable key order) so successive PRs can diff orchestration
  * overhead and simulator speed.
  *
- * Three sections:
+ * Two sections:
  *
  *  - campaign_throughput: jobs/sec of the smoke campaign run (a)
  *    in-process through a SweepEngine and (b) through the
@@ -22,27 +22,19 @@
  *    row is an overhead measurement, not a speedup measurement
  *    (host_cores is recorded so readers can tell which).
  *
- *  - sim_speed: simulated cycles per wall second of a single Gpu,
- *    strict stepping vs the event-driven fast path (--fast /
- *    Gpu::setFastForward), per scheme x workload pair. Every case
- *    asserts the two runs end bit-identical (snapshot fingerprints)
- *    before reporting a speedup — a fast number from a divergent run
- *    would be meaningless.
- *
- *  - strict_busy: the perf-regression gate for the strict stepping
- *    loop itself. A busy machine (sms=4, compute-bound bp+hs co-run)
- *    leaves the fast path nothing to skip, so cycles/sec here is a
- *    direct measure of per-cycle cost. Each scheme runs --busy-repeats
- *    times and reports the median (single runs on a shared host are
- *    ±20-40% noisy). With --prev FILE the previous artifact's numbers
- *    are embedded alongside as prev_cycles_per_sec / improvement;
- *    with --prof the first run of each scheme attaches the cycle-cost
- *    profiler (sim/profiler.hpp) and reports the component breakdown.
+ *  - strict_busy: the perf-regression gate for the stepping loop
+ *    itself. On a busy machine (sms=4, compute-bound bp+hs co-run)
+ *    cycles/sec is a direct measure of per-cycle cost. Each scheme
+ *    runs --busy-repeats times and reports the median (single runs
+ *    on a shared host are ±20-40% noisy). With --prev FILE the
+ *    previous artifact's numbers are embedded alongside as
+ *    prev_cycles_per_sec / improvement; with --prof the first run of
+ *    each scheme attaches the cycle-cost profiler (sim/profiler.hpp)
+ *    and reports the component breakdown.
  *
  * Usage: bench_perf [--out BENCH_perf.json] [--cycles N]
- *                   [--cycles-large N] [--sim-cycles N]
- *                   [--busy-cycles N] [--busy-repeats R]
- *                   [--prev FILE] [--prof]
+ *                   [--cycles-large N] [--busy-cycles N]
+ *                   [--busy-repeats R] [--prev FILE] [--prof]
  */
 
 #include <algorithm>
@@ -168,7 +160,7 @@ measureWidePoint(long long cycles)
     return measureJobs("wide", cycles, jobs);
 }
 
-// ---- scheme list shared by sim_speed and strict_busy ------------------
+// ---- scheme list for strict_busy --------------------------------------
 
 struct SchemeCase
 {
@@ -198,8 +190,7 @@ benchSchemes()
     }
     {
         // Tight static SMIL: with one outstanding miss per kernel
-        // the SMs spend most cycles waiting on DRAM horizons — the
-        // fast path's best case on a memory-bound pair.
+        // the SMs spend most cycles waiting on DRAM.
         SchemeCase s{"ws-smil1",
                      makeScheme(PartitionScheme::WarpedSlicer,
                                 BmiMode::None, MilMode::Static)};
@@ -209,91 +200,6 @@ benchSchemes()
         schemes.push_back(s);
     }
     return schemes;
-}
-
-// ---- simulator speed (strict vs fast path) ----------------------------
-
-struct SimSpeedCase
-{
-    int sms = 0;
-    std::string workload;
-    std::string scheme;
-    double strict_ms = 0.0;
-    double fast_ms = 0.0;
-    double strict_cps = 0.0; ///< simulated cycles per wall second
-    double fast_cps = 0.0;
-    double speedup = 0.0;
-    double skip_pct = 0.0; ///< % of cycles the fast path warped over
-    bool bit_identical = false;
-};
-
-std::uint64_t
-timedRun(const GpuConfig &cfg, const Workload &wl,
-         const SchemeSpec &spec, Cycle cycles, bool fast,
-         double &wall_ms, std::uint64_t &skipped)
-{
-    Gpu gpu(cfg, wl, spec);
-    gpu.setFastForward(fast);
-    const auto start = Clock::now();
-    gpu.run(cycles);
-    wall_ms = msSince(start);
-    skipped = gpu.fastSkippedCycles();
-    return gpu.snapshot().fingerprint;
-}
-
-SimSpeedCase
-measureSimSpeed(const GpuConfig &cfg, const std::string &wl_name,
-                const Workload &wl, const std::string &scheme_name,
-                const SchemeSpec &spec, Cycle cycles)
-{
-    SimSpeedCase c;
-    c.sms = cfg.num_sms;
-    c.workload = wl_name;
-    c.scheme = scheme_name;
-    std::uint64_t skipped = 0;
-    const std::uint64_t fp_strict = timedRun(
-        cfg, wl, spec, cycles, false, c.strict_ms, skipped);
-    const std::uint64_t fp_fast =
-        timedRun(cfg, wl, spec, cycles, true, c.fast_ms, skipped);
-    c.bit_identical = fp_strict == fp_fast;
-    const double cyc = static_cast<double>(cycles.get());
-    c.skip_pct = 100.0 * static_cast<double>(skipped) / cyc;
-    c.strict_cps =
-        cyc * 1000.0 / (c.strict_ms > 0.0 ? c.strict_ms : 1.0);
-    c.fast_cps = cyc * 1000.0 / (c.fast_ms > 0.0 ? c.fast_ms : 1.0);
-    c.speedup = c.fast_cps / (c.strict_cps > 0.0 ? c.strict_cps : 1.0);
-    return c;
-}
-
-std::vector<SimSpeedCase>
-runSimSpeed(Cycle cycles)
-{
-    struct WorkloadCase
-    {
-        std::string name;
-        Workload wl;
-    };
-    const std::vector<WorkloadCase> workloads = {
-        {"sv+ks", makeWorkload({"sv", "ks"})}, // memory-bound
-        {"bp+hs", makeWorkload({"bp", "hs"})}, // compute-bound
-    };
-    const std::vector<SchemeCase> schemes = benchSchemes();
-
-    // Two machine scales. On 1 SM the skip condition ("every
-    // component's horizon in the future") is the SM's own idleness
-    // and memory-bound cases skip most of their cycles; on 4 SMs the
-    // global-idle intersection across independently phased SMs is
-    // far smaller, so this row tracks how much the conservative
-    // whole-machine skip leaves on the table.
-    std::vector<SimSpeedCase> cases;
-    for (const int sms : {1, 4}) {
-        const GpuConfig cfg = makeSmallConfig(sms, sms == 1 ? 2 : 4);
-        for (const WorkloadCase &w : workloads)
-            for (const SchemeCase &s : schemes)
-                cases.push_back(measureSimSpeed(
-                    cfg, w.name, w.wl, s.name, s.spec, cycles));
-    }
-    return cases;
 }
 
 // ---- strict busy-machine microbench (perf-regression gate) ------------
@@ -349,10 +255,8 @@ runStrictBusy(Cycle cycles, int repeats, bool prof_on)
 
 /**
  * Pull the previous artifact's strict-busy cycles/sec per scheme.
- * Prefers a strict_busy section; falls back to the sim_speed
- * sms=4/bp+hs strict rows for artifacts written before the section
- * existed. Hand-rolled scan — both formats are emitted by this very
- * program, so the key order is known.
+ * Hand-rolled scan — the format is emitted by this very program, so
+ * the key order is known.
  */
 std::map<std::string, double>
 loadPrevBusy(const std::string &path)
@@ -368,49 +272,16 @@ loadPrevBusy(const std::string &path)
     ss << in.rdbuf();
     const std::string text = ss.str();
 
-    const auto scanFrom = [&text, &prev](std::size_t pos,
-                                         const char *value_key) {
-        const std::string skey = "\"scheme\": \"";
-        const std::string vkey =
-            std::string("\"") + value_key + "\": ";
-        while (true) {
-            pos = text.find(skey, pos);
-            if (pos == std::string::npos)
-                return;
-            pos += skey.size();
-            const std::size_t end = text.find('"', pos);
-            if (end == std::string::npos)
-                return;
-            const std::string name = text.substr(pos, end - pos);
-            const std::size_t vp = text.find(vkey, end);
-            if (vp == std::string::npos)
-                return;
-            prev[name] = std::strtod(
-                text.c_str() + vp + vkey.size(), nullptr);
-            pos = vp;
-        }
-    };
-
-    const std::size_t sb = text.find("\"strict_busy\"");
-    if (sb != std::string::npos) {
-        scanFrom(sb, "cycles_per_sec");
-        if (!prev.empty())
-            return prev;
-    }
-    // Legacy fallback: the sim_speed strict rows at sms=4 / bp+hs
-    // (artifacts written before the strict_busy section existed).
-    // Row-by-row so the interleaved sv+ks rows are not swallowed.
-    const std::string row = "\"sms\": 4, \"workload\": \"bp+hs\", ";
-    std::size_t pos = 0;
-    while ((pos = text.find(row, pos)) != std::string::npos) {
-        const std::string skey = "\"scheme\": \"";
-        std::size_t sp = text.find(skey, pos);
-        if (sp == std::string::npos)
+    const std::string skey = "\"scheme\": \"";
+    const std::string vkey = "\"cycles_per_sec\": ";
+    std::size_t pos = text.find("\"strict_busy\"");
+    while (pos != std::string::npos &&
+           (pos = text.find(skey, pos)) != std::string::npos) {
+        pos += skey.size();
+        const std::size_t end = text.find('"', pos);
+        if (end == std::string::npos)
             break;
-        sp += skey.size();
-        const std::size_t end = text.find('"', sp);
-        const std::string name = text.substr(sp, end - sp);
-        const std::string vkey = "\"strict_cycles_per_sec\": ";
+        const std::string name = text.substr(pos, end - pos);
         const std::size_t vp = text.find(vkey, end);
         if (vp == std::string::npos)
             break;
@@ -431,7 +302,6 @@ main(int argc, char **argv)
     bool prof_on = false;
     long long cycles = 2000;
     long long cycles_large = 20000;
-    long long sim_cycles = 60000;
     long long busy_cycles = 40000;
     long long busy_repeats = 3;
     for (int i = 1; i < argc; ++i) {
@@ -450,8 +320,6 @@ main(int argc, char **argv)
             slot = &cycles;
         } else if (arg == "--cycles-large" && i + 1 < argc) {
             slot = &cycles_large;
-        } else if (arg == "--sim-cycles" && i + 1 < argc) {
-            slot = &sim_cycles;
         } else if (arg == "--busy-cycles" && i + 1 < argc) {
             slot = &busy_cycles;
         } else if (arg == "--busy-repeats" && i + 1 < argc) {
@@ -460,9 +328,8 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: bench_perf [--out FILE] "
                          "[--cycles N] [--cycles-large N] "
-                         "[--sim-cycles N] [--busy-cycles N] "
-                         "[--busy-repeats R] [--prev FILE] "
-                         "[--prof]\n");
+                         "[--busy-cycles N] [--busy-repeats R] "
+                         "[--prev FILE] [--prof]\n");
             return 2;
         }
         *slot = std::strtoll(argv[++i], nullptr, 10);
@@ -477,9 +344,6 @@ main(int argc, char **argv)
         points.push_back(measurePoint("small", cycles));
         points.push_back(measurePoint("large", cycles_large));
         points.push_back(measureWidePoint(cycles_large));
-
-        const std::vector<SimSpeedCase> speed =
-            runSimSpeed(Cycle{static_cast<std::uint64_t>(sim_cycles)});
 
         std::vector<BusyCase> busy = runStrictBusy(
             Cycle{static_cast<std::uint64_t>(busy_cycles)},
@@ -537,30 +401,6 @@ main(int argc, char **argv)
         std::fprintf(f,
                      "    ]\n"
                      "  },\n"
-                     "  \"sim_speed\": {\n"
-                     "    \"cycles\": %lld,\n"
-                     "    \"cases\": [\n",
-                     sim_cycles);
-        for (std::size_t i = 0; i < speed.size(); ++i) {
-            const SimSpeedCase &c = speed[i];
-            std::fprintf(
-                f,
-                "      {\"sms\": %d, \"workload\": \"%s\", "
-                "\"scheme\": \"%s\", "
-                "\"strict_ms\": %.3f, \"fast_ms\": %.3f, "
-                "\"strict_cycles_per_sec\": %.0f, "
-                "\"fast_cycles_per_sec\": %.0f, "
-                "\"speedup\": %.3f, \"skip_pct\": %.1f, "
-                "\"bit_identical\": %s}%s\n",
-                c.sms, c.workload.c_str(), c.scheme.c_str(),
-                c.strict_ms, c.fast_ms, c.strict_cps, c.fast_cps,
-                c.speedup, c.skip_pct,
-                c.bit_identical ? "true" : "false",
-                i + 1 < speed.size() ? "," : "");
-        }
-        std::fprintf(f,
-                     "    ]\n"
-                     "  },\n"
                      "  \"strict_busy\": {\n"
                      "    \"cycles\": %lld,\n"
                      "    \"sms\": 4,\n"
@@ -599,13 +439,6 @@ main(int argc, char **argv)
                             sp.point.c_str(), m.mode.c_str(),
                             m.workers, m.wall_ms, m.jobs_per_sec,
                             m.all_completed ? "" : "  INCOMPLETE");
-        for (const SimSpeedCase &c : speed)
-            std::printf("sim sms=%d %-6s %-13s strict %8.0f cyc/s  "
-                        "fast %8.0f cyc/s  %.2fx  skip %.1f%%%s\n",
-                        c.sms, c.workload.c_str(), c.scheme.c_str(),
-                        c.strict_cps, c.fast_cps, c.speedup,
-                        c.skip_pct,
-                        c.bit_identical ? "" : "  DIVERGED");
         for (const BusyCase &c : busy) {
             std::printf("busy sms=4 bp+hs %-13s strict %8.0f cyc/s",
                         c.scheme.c_str(), c.cps);
@@ -622,9 +455,6 @@ main(int argc, char **argv)
             for (const ModeResult &m : sp.modes)
                 if (!m.all_completed)
                     rc = 1;
-        for (const SimSpeedCase &c : speed)
-            if (!c.bit_identical)
-                rc = 1;
         return rc;
     } catch (const SimError &e) {
         std::fprintf(stderr, "bench_perf: [%s] %s\n",

@@ -4,10 +4,10 @@
  * experiments themselves live in the shared ExperimentRegistry
  * (src/metrics/experiment.hpp) and know nothing about the benchmark
  * framework; this header wires the registry into benchmark cases and
- * handles the shared --jobs/--list/--filter/--tables/--fast CLI
- * knobs, so
- * every bench runs standalone, supports parallel sweeps, and also
- * reports wall time + headline counters through the framework.
+ * handles the shared --jobs/--list/--filter/--tables/--resume CLI
+ * knobs, so every bench runs standalone, supports parallel sweeps,
+ * and also reports wall time + headline counters through the
+ * framework.
  */
 
 #ifndef CKESIM_BENCH_BENCH_UTIL_HPP
@@ -35,14 +35,25 @@ registerExperiment(const std::string &name, ExperimentFn body)
  * Standard main body: parse shared flags, register experiments via
  * @p setup, then run — through google-benchmark by default, or
  * directly in --tables mode (stable stdout for diffing; engine stats
- * go to stderr).
+ * go to stderr). An argument neither parser knows exits 2.
  */
 inline int
 benchMain(int argc, char **argv, const std::function<void()> &setup)
 {
     BenchOptions opts = parseBenchArgs(argc, argv);
+    // --tables and --list never reach google-benchmark, so nothing
+    // else would look at a leftover argument.
+    if ((opts.tables_only || opts.list) && argc > 1) {
+        std::fprintf(stderr,
+                     "unknown argument '%s'\n"
+                     "usage: %s [--jobs N] [--filter S] "
+                     "[--resume PATH]\n"
+                     "       [--tables | --list | "
+                     "google-benchmark flags]\n",
+                     argv[1], argv[0]);
+        return 2;
+    }
     setBenchJobs(opts.jobs);
-    benchEngine().setFastForward(opts.fast);
     if (!opts.resume.empty()) {
         const std::size_t recovered =
             attachBenchJournal(opts.resume);
@@ -89,6 +100,8 @@ benchMain(int argc, char **argv, const std::function<void()> &setup)
     }
 
     benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 2;
     benchmark::RunSpecifiedBenchmarks();
     printSweepStats(stderr);
     benchmark::Shutdown();

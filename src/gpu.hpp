@@ -132,26 +132,10 @@ class Gpu
      */
     void run(Cycle cycles);
 
-    /**
-     * Event-driven fast path (sim/clockable.hpp). When enabled,
-     * run() warps now_ forward whenever every component's
-     * nextEventCycle() horizon lies in the future — capped at the
-     * next cadenced-event boundary (integrity poll, checkpoint, UCP,
-     * global-DMIL, profiling end) so cadenced events inside a
-     * skipped span still fire in order, and disabled outright while
-     * fault injection is armed (fault predicates consult per-cycle
-     * budgets). Results — stats, TimeSeries, snapshot fingerprints —
-     * are bit-identical to strict stepping; see DESIGN.md section 13.
-     */
-    void setFastForward(bool enabled) { fast_forward_ = enabled; }
-    bool fastForward() const { return fast_forward_; }
-
-    /** Cycles the fast path warped over (diagnostics: the skip
-     *  fraction is fastSkippedCycles() / total cycles run). */
-    std::uint64_t fastSkippedCycles() const
-    {
-        return fast_skipped_cycles_;
-    }
+    /** No-op, kept because ckebench/harness.cpp still calls it. */
+    void setFastForward(bool /*enabled*/) {}
+    /** Always 0, kept because ckebench/harness.cpp still reads it. */
+    std::uint64_t fastSkippedCycles() const { return 0; }
 
     /**
      * End-of-run conservation audit: drains all in-flight memory
@@ -259,11 +243,9 @@ class Gpu
     void ucpRepartition();
     static void accessTap(void *opaque, KernelId k, LineAddr line);
 
-    // Clockable stepping (shared by strict/fast run and audit drain).
+    // Cycle stepping (shared by run and the audit drain).
     void tickComponents(Cycle at, bool drain);
     void stepCycle();
-    Cycle skipTarget(Cycle end) const;
-    void skipTo(Cycle target);
 
     // Integrity layer.
     std::uint64_t progressSignature() const;
@@ -307,10 +289,6 @@ class Gpu
     // Crash-safety state.
     RunControl *run_control_ = nullptr; // SNAPSHOT-SKIP(owned by the supervising caller)
     std::optional<GpuSnapshot> last_checkpoint_; // SNAPSHOT-SKIP(checkpoint artifact, not machine state)
-
-    // Fast-path state.
-    bool fast_forward_ = false; // SNAPSHOT-SKIP(execution strategy, not machine state)
-    std::uint64_t fast_skipped_cycles_ = 0; // SNAPSHOT-SKIP(diagnostic counter, not machine state)
 
     // Cycle-cost profiling (observation only, never machine state).
     Profiler *cost_prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the owner)

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -95,19 +94,6 @@ DramChannel::tick(Cycle now)
         const Cycle ready = busy_until_ + cfg_.access_latency;
         fills_.push_back(Fill{ready, txn.req});
     }
-}
-
-Cycle
-DramChannel::nextEventCycle(Cycle now) const
-{
-    Cycle horizon = kNeverCycle;
-    if (!queue_.empty())
-        horizon = earliestEvent(horizon,
-                                clampHorizon(busy_until_, now));
-    if (!fills_.empty())
-        horizon = earliestEvent(
-            horizon, clampHorizon(fills_.front().ready, now));
-    return horizon;
 }
 
 void

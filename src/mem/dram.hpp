@@ -63,14 +63,6 @@ class DramChannel
     /** No queued transaction and no fill awaiting pickup. */
     bool idle() const { return queue_.empty() && fills_.empty(); }
 
-    /**
-     * Clockable horizon (sim/clockable.hpp): a queued transaction
-     * starts as soon as the data bus frees (busy_until_); a completed
-     * fill surfaces at its ready time (monotone: busy_until_ only
-     * grows). An idle channel never acts unaided.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     /** Completed reads awaiting drainFills() pickup. */
     int fillsPending() const
     {

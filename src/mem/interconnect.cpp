@@ -1,7 +1,6 @@
 #include "mem/interconnect.hpp"
 
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -40,19 +39,6 @@ Crossbar::drain(int dest, Cycle now, int max_count,
         port.queue.pop_front();
         ++popped;
     }
-}
-
-Cycle
-Crossbar::nextEventCycle(Cycle now) const
-{
-    Cycle horizon = kNeverCycle;
-    for (const Port &port : ports_) {
-        if (port.queue.empty())
-            continue;
-        horizon = earliestEvent(
-            horizon, clampHorizon(port.queue.front().ready, now));
-    }
-    return horizon;
 }
 
 void

@@ -172,18 +172,6 @@ class L1Dcache
         return static_cast<int>(miss_queue_.size());
     }
 
-    /**
-     * Clockable horizon (sim/clockable.hpp). The L1D has no tick of
-     * its own — the LSU drives accesses and the SM drains the miss
-     * queue — but a queued miss is same-cycle work for its SM, and
-     * MSHRs alone are passive (released by reply-crossbar fills,
-     * covered by the memory system's horizon).
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        return miss_queue_.empty() ? kNeverCycle : now;
-    }
-
     // ---- integrity layer ------------------------------------------------
     /** Lifetime MSHR allocations (conservation ledger). */
     std::uint64_t mshrAllocated() const

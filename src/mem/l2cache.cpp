@@ -1,7 +1,6 @@
 #include "mem/l2cache.hpp"
 
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -156,16 +155,6 @@ L2Partition::onDramFill(const MemRequest &fill, Cycle now)
             replies_.push_back(Reply{now + cfg_.latency, t});
         }
     }
-}
-
-Cycle
-L2Partition::nextEventCycle(Cycle now) const
-{
-    if (!input_.empty())
-        return now;
-    if (!replies_.empty())
-        return clampHorizon(replies_.front().ready, now);
-    return kNeverCycle;
 }
 
 void

@@ -74,16 +74,6 @@ class L2Partition
         return input_.empty() && mshrs_.empty() && replies_.empty();
     }
 
-    /**
-     * Clockable horizon (sim/clockable.hpp). Any queued input means
-     * same-cycle work: even a stalled head re-arbitrates its victim
-     * way every tick, so `now` is the only safe answer. Replies
-     * surface at their ready time (monotone: pushed at now+latency).
-     * Outstanding MSHRs alone are passive — they release only on a
-     * DRAM fill, which the channel's own horizon covers.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     const CacheArray &tags() const { return tags_; }
     int inputSize() const { return static_cast<int>(input_.size()); }
     int mshrsInUse() const { return mshrs_.size(); }

@@ -45,14 +45,6 @@ class MemorySystem
     void tick(Cycle now);
 
     /**
-     * Clockable horizon (sim/clockable.hpp): minimum over both
-     * crossbars, every partition and every channel, with refused
-     * reply retries and fault-delayed fills forcing `now` (both are
-     * re-examined each cycle). kNeverCycle iff quiescent().
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
      * Pop read fills delivered to SM @p sm_id by cycle @p now into
      * @p out (cleared first). Allocation-free; each SM calls this
      * every cycle with a reused scratch vector.

@@ -90,7 +90,6 @@ parseBenchArgs(int &argc, char **argv)
 {
     BenchOptions opts;
     opts.jobs = jobsFromEnv();
-    opts.fast = fastFromEnv();
 
     int out = 1;
     for (int i = 1; i < argc; ++i) {
@@ -99,8 +98,6 @@ parseBenchArgs(int &argc, char **argv)
             opts.list = true;
         } else if (std::strcmp(argv[i], "--tables") == 0) {
             opts.tables_only = true;
-        } else if (std::strcmp(argv[i], "--fast") == 0) {
-            opts.fast = true;
         } else if (takeValueFlag("--jobs", argc, argv, i, value)) {
             const long v = std::atol(value.c_str());
             if (v > 0)

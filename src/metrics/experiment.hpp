@@ -56,16 +56,13 @@ struct BenchOptions
      *  already-journaled results instead of re-simulating, so a killed
      *  sweep picks up where it died. */
     std::string resume;
-    /** --fast: event-driven cycle skipping (bit-identical results;
-     *  see DESIGN.md section 13). Defaults from CKESIM_FAST. */
-    bool fast = false;
 
     bool matches(const std::string &name) const;
 };
 
 /**
- * Extract --jobs N / --list / --filter S / --tables / --resume P /
- * --fast from argv (both "--flag value" and "--flag=value" forms),
+ * Extract --jobs N / --list / --filter S / --tables / --resume P
+ * from argv (both "--flag value" and "--flag=value" forms),
  * compacting argv so the remaining flags can go to the benchmark
  * library untouched.
  */

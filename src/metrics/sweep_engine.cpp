@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <utility>
 
@@ -11,13 +10,6 @@
 #include "sim/check.hpp"
 
 namespace ckesim {
-
-bool
-fastFromEnv()
-{
-    const char *env = std::getenv("CKESIM_FAST");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 // ---- WorkStealingPool --------------------------------------------------
 
@@ -45,10 +37,12 @@ WorkStealingPool::~WorkStealingPool()
 void
 WorkStealingPool::finish(Task &task)
 {
-    if (task.batch->remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lk(task.batch->m);
+    // The batch is a local of run(), which returns as soon as it reads
+    // remaining == 0 under batch->m. Decrementing under that mutex
+    // keeps run() from returning while this thread still touches it.
+    std::lock_guard<std::mutex> lk(task.batch->m);
+    if (task.batch->remaining.fetch_sub(1) == 1)
         task.batch->done.notify_all();
-    }
 }
 
 bool
@@ -174,8 +168,7 @@ retryBackoffMs(const RetryPolicy &policy, std::uint64_t key,
 }
 
 SweepEngine::SweepEngine(int jobs)
-    : jobs_(resolveJobCount(jobs)), pool_(jobs_ - 1),
-      fast_forward_(fastFromEnv())
+    : jobs_(resolveJobCount(jobs)), pool_(jobs_ - 1)
 {
     // Touch the lazily-built profile suite before any worker can race
     // on its magic-static initialization (the init is thread-safe per
@@ -553,7 +546,6 @@ SweepEngine::computeIsolated(const SimJob &job, RunControl *rc)
     const SchemeSpec spec = makeScheme(PartitionScheme::Leftover,
                                        BmiMode::None, MilMode::None);
     Gpu gpu(job.cfg, wl, spec);
-    gpu.setFastForward(fast_forward_);
     gpu.setRunControl(rc);
     const int quota = job.tb_limit > 0
                           ? job.tb_limit
@@ -592,7 +584,6 @@ SweepEngine::computeConcurrent(const SimJob &job, RunControl *rc)
         total += spec.ws_profile_window;
 
     Gpu gpu(job.cfg, job.workload, spec);
-    gpu.setFastForward(fast_forward_);
     gpu.setRunControl(rc);
     auto res = std::make_shared<ConcurrentResult>();
     attachRequestedSeries(job, gpu, res->issue_series,

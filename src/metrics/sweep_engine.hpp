@@ -32,12 +32,6 @@ namespace ckesim {
 
 class ResultJournal;
 
-/**
- * Is CKESIM_FAST set? Default fast-forward mode for every engine
- * (and, via fork inheritance, every campaign worker).
- */
-bool fastFromEnv();
-
 /** Memo-cache and execution accounting for one engine. */
 struct SweepStats
 {
@@ -159,18 +153,6 @@ class SweepEngine
     /** Worker count (including the participating caller). */
     int jobs() const { return jobs_; }
 
-    /**
-     * Run every subsequent simulation with the event-driven fast
-     * path (Gpu::setFastForward). An execution strategy, not part of
-     * any job: results are bit-identical, so the flag deliberately
-     * stays out of SimJob content hashes and journal keys — strict
-     * and fast runs share memoized/journaled results freely. The
-     * constructor default honours the CKESIM_FAST environment
-     * variable (campaign workers inherit it across fork).
-     */
-    void setFastForward(bool enabled) { fast_forward_ = enabled; }
-    bool fastForward() const { return fast_forward_; }
-
     /** Run a batch; results come back in submission order. */
     std::vector<SimResult> sweep(const std::vector<SimJob> &jobs);
 
@@ -252,7 +234,6 @@ class SweepEngine
 
     int jobs_;
     WorkStealingPool pool_;
-    bool fast_forward_;
 
     std::mutex cache_mu_;
     std::unordered_map<std::uint64_t, std::shared_future<SimResult>>

@@ -2,7 +2,7 @@
  * @file
  * Fixed-capacity ring buffer for per-cycle simulator queues.
  *
- * The strict path walks every queue every cycle, so the hot queues
+ * The run loop walks every queue every cycle, so the hot queues
  * (LSU, L1 miss queue, crossbar ports, L2 input/replies, DRAM
  * queue/fills) must not pay std::deque's chunked allocation on the
  * push/pop steady state. RingBuf stores its elements in one flat
@@ -18,8 +18,6 @@
  *  - snapshot()/restore() serialize as (u64 count, elements in FIFO
  *    order) — byte-identical to the std::deque loops they replaced,
  *    so pre-existing snapshot fingerprints are preserved.
- *  - Clockable-horizon friendly: front() is O(1), so
- *    nextEventCycle() implementations can peek the head cheaply.
  */
 
 #ifndef CKESIM_SIM_RINGBUF_HPP

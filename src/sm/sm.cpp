@@ -5,7 +5,6 @@
 
 #include "mem/coalescer.hpp"
 #include "sim/check.hpp"
-#include "sim/clockable.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -32,8 +31,7 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
       l1d_(cfg.l1d, sm_id),
       lsu_(cfg.sm.lsu_queue_depth, cfg.l1d.hit_latency, sm_id),
       warps_(static_cast<std::size_t>(cfg.sm.max_warps)),
-      scan_meta_(warps_.size()), scan_ready_(warps_.size()),
-      scan_age_(warps_.size()),
+      scan_meta_(warps_.size()), scan_age_(warps_.size()),
       tbs_(static_cast<std::size_t>(cfg.sm.max_tbs))
 {
     SIM_CHECK(!kernels.empty() &&
@@ -498,64 +496,6 @@ Sm::drainTick(Cycle now)
         if (mem_.injectFromSm(*head, now))
             l1d_.popMissQueue();
     }
-}
-
-Cycle
-Sm::nextEventCycle(Cycle now) const
-{
-    // Same-cycle work: the LSU services its head and the miss queue
-    // injects downstream every cycle they hold anything.
-    if (!lsu_.empty() || l1d_.missQueueSize() > 0)
-        return now;
-    // SMK epoch counters / depleted QBMI quotas mutate in beginCycle.
-    if (controller_.hasPerCycleWork())
-        return now;
-    // tryDispatch launches a TB whenever quota and resources allow.
-    for (const KernelCtx &c : ctx_)
-        if (c.resident < c.quota && resourcesFit(*c.prof))
-            return now;
-
-    // An issuable Ready warp. Issue-blocked (MIL-frozen /
-    // BMI-deprioritized) ones are passive: every unblocking cause is
-    // an event some other horizon reports.
-    const IssueGates gates = issueGates();
-    for (std::size_t k = 0; k < ctx_.size(); ++k) {
-        if ((gates[k].nonmem && anyReady(k, false)) || gates[k].mem)
-            return now;
-    }
-    // beginCycle latches the demand vector (snapshotted state): with
-    // no Busy warp due, the current Ready set IS the post-preScan
-    // set, so a latched copy differing from it needs one strict tick
-    // to sync before any skip is bit-exact.
-    if (readyMemDemand() != controller_.memDemand())
-        return now;
-
-    Cycle horizon = kNeverCycle;
-    for (std::size_t s = 0; s < scan_meta_.size(); ++s) {
-        if ((scan_meta_[s] & kScanStateMask) !=
-            static_cast<std::uint8_t>(WarpState::Busy))
-            continue;
-        // A due warp transitions in preScan this very cycle.
-        if (scan_ready_[s] <= now)
-            return now;
-        horizon = earliestEvent(horizon, scan_ready_[s]);
-    }
-    if (!wakes_.empty())
-        horizon = earliestEvent(
-            horizon, clampHorizon(wakes_.top().first, now));
-    return horizon;
-}
-
-void
-Sm::skipIdleCycles(Cycle target, std::uint64_t delta)
-{
-    // The only state an idle tick mutates: the clock and the cycle
-    // counter (beginCycle re-latches an identical demand vector).
-    // Land on target - 1 so the strict tick at target is the first
-    // cycle that actually executes — exactly as if every skipped
-    // cycle had ticked.
-    sm_stats_.cycles += delta;
-    now_ = target - 1;
 }
 
 bool

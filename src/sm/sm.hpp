@@ -49,28 +49,6 @@ class Sm : public LsuHost
     void tick(Cycle now);
 
     /**
-     * Clockable horizon (sim/clockable.hpp): earliest future cycle a
-     * tick could change any snapshotted state beyond the idle-tick
-     * bookkeeping skipIdleCycles() replicates. `now` while any
-     * same-cycle work exists (LSU/miss-queue occupancy, an issuable
-     * warp, a dispatchable TB, controller per-cycle work, or a stale
-     * latched demand vector); otherwise the nearest latency-FU
-     * retire (Busy ready_at) or pending hit-return wake; kNeverCycle
-     * when nothing is resident or in flight. The memory system's own
-     * horizon covers fills still travelling toward this SM.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Replicate the effect of ticking every cycle in [now_ + 1,
-     * target) while nextEventCycle() > each of them: the SM's clock
-     * and cycle counter advance, nothing else moves. @p delta is the
-     * number of skipped cycles; afterwards a strict tick(target)
-     * resumes bit-identically to never having skipped.
-     */
-    void skipIdleCycles(Cycle target, std::uint64_t delta);
-
-    /**
      * Audit-drain cycle: deliver fills, process wakes, service the
      * LSU and inject queued misses, but dispatch no TB and issue no
      * instruction. Used by Gpu::audit() to retire outstanding state
@@ -223,11 +201,11 @@ class Sm : public LsuHost
     // ---- dense scan block (DESIGN.md §14) ---------------------------
     // Reading the ~176-byte Warp records costs one cache line per slot
     // per scan, so the per-cycle paths read L1-resident mirrors that
-    // pack the only fields they need: scan_meta_ for transitions, the
-    // Busy horizon and ages for GTO, and per-scheduler Ready bitsets
-    // so a pick costs a few word operations instead of one gate check
-    // per Ready slot. Derived from warps_ — resynced by syncScan() on
-    // every transition, rebuilt on restore, never serialized.
+    // pack the only fields they need: scan_meta_ for transitions, ages
+    // for GTO, and per-scheduler Ready bitsets so a pick costs a few
+    // word operations instead of one gate check per Ready slot.
+    // Derived from warps_ — resynced by syncScan() on every
+    // transition, rebuilt on restore, never serialized.
     static constexpr std::uint8_t kScanStateMask = 0x07;
     static constexpr std::uint8_t kScanMemBit = 0x08;
     static constexpr int kScanKernelShift = 4;
@@ -278,7 +256,6 @@ class Sm : public LsuHost
         if ((neu & kScanStateMask) == ready)
             word(neu) |= mask;
         scan_meta_[s] = neu;
-        scan_ready_[s] = w.ready_at;
         scan_age_[s] = w.age;
     }
 
@@ -303,14 +280,12 @@ class Sm : public LsuHost
     // Dense scan mirrors, all SNAPSHOT-SKIP(derived; rebuilt from
     // warps_ on restore):
     std::vector<std::uint8_t> scan_meta_; // SNAPSHOT-SKIP(derived) state|mem|kernel
-    std::vector<Cycle> scan_ready_;       // SNAPSHOT-SKIP(derived) ready_at mirror
     std::vector<std::uint64_t> scan_age_; // SNAPSHOT-SKIP(derived) age mirror (GTO)
     /** Due-wheel: Busy warps are filed under their ready_at bucket at
      *  issue, so preScan visits only the warps due this cycle instead
      *  of scanning every slot. No bucket aliasing: the wheel spans
      *  more cycles than the longest issue latency, a Busy warp never
-     *  changes ready_at, and the strict loop ticks every due cycle
-     *  (the fast path cannot skip past a Busy horizon).
+     *  changes ready_at, and the run loop ticks every cycle.
      *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
     std::vector<std::vector<WarpSlot>> due_wheel_;
     std::size_t due_mask_ = 0; // SNAPSHOT-SKIP(fixed at construction)

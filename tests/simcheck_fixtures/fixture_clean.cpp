@@ -1,5 +1,5 @@
 // simcheck golden fixture: clean control.
-// Exercises every construct the five rules look at, written the way
+// Exercises every construct the four rules look at, written the way
 // the contracts demand — a full-rule simcheck run over this file
 // must report zero findings (including zero unused-waiver findings:
 // the one SIMCHECK-ALLOW below genuinely suppresses a hit).
@@ -26,7 +26,6 @@ class Pipeline
 {
   public:
     void tick(Cycle now);
-    Cycle nextEventCycle(Cycle now) const;
 
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);

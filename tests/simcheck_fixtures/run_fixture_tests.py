@@ -8,10 +8,9 @@ exact: a missed planted violation fails, and so does any extra
 finding (over-fire). The clean fixture runs with every rule enabled
 and must come back empty.
 
-Two mutation checks then prove the analyzer sees what the regex lint
-cannot: deleting one snapshot field write from the clean fixture must
-produce a snapshot-coverage-v2 finding, and stripping `const` from
-its nextEventCycle must produce a clockable-contract finding.
+A mutation check then proves the analyzer sees through helpers:
+deleting one snapshot field write from the clean fixture must
+produce a snapshot-coverage-v2 finding.
 
 Exits 77 (ctest SKIP_RETURN_CODE) when no simcheck frontend can run
 in this environment.
@@ -33,7 +32,6 @@ FIXTURES = [
     ("fixture_determinism.cpp", "determinism-hazard"),
     ("fixture_uninit.cpp", "uninit-member"),
     ("fixture_snapshot.cpp", "snapshot-coverage-v2"),
-    ("fixture_clockable.cpp", "clockable-contract"),
     ("fixture_simerror.cpp", "simerror-discipline"),
 ]
 
@@ -130,9 +128,6 @@ def main():
     mutations = [
         ("drop snapshot-side field write", "snapshot-coverage-v2",
          clean_src.replace("    w.u64(head_);\n", "", 1)),
-        ("strip const from nextEventCycle", "clockable-contract",
-         clean_src.replace("Cycle nextEventCycle(Cycle now) const",
-                           "Cycle nextEventCycle(Cycle now)", 1)),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         # simcheck resolves paths under --root; give the tmp root the

@@ -189,6 +189,33 @@ TEST(GpuSnapshot, AutoCheckpointFollowsTheConfiguredCadence)
     EXPECT_EQ(gpu.lastCheckpoint()->version, kSnapshotFormatVersion);
 }
 
+TEST(GpuSnapshot, SplitRunsAndCheckpointing)
+{
+    // run(4000); run(6000) must land exactly where one run(10000)
+    // does, and the auto-checkpoint cadence must not notice the split.
+    GpuConfig cfg = makeSmallConfig(4, 4);
+    cfg.integrity.checkpoint_interval = 3000;
+    const Workload wl = makeWorkload({"sv", "ks"});
+    const SchemeSpec spec = makeScheme(PartitionScheme::SmkDrf,
+                                       BmiMode::None, MilMode::None);
+
+    Gpu straight(cfg, wl, spec);
+    straight.run(Cycle{10000});
+    ASSERT_NE(straight.lastCheckpoint(), nullptr);
+
+    Gpu split(cfg, wl, spec);
+    split.run(Cycle{4000});
+    split.run(Cycle{6000});
+    ASSERT_NE(split.lastCheckpoint(), nullptr);
+
+    EXPECT_EQ(straight.snapshot().fingerprint,
+              split.snapshot().fingerprint);
+    EXPECT_EQ(straight.lastCheckpoint()->cycle,
+              split.lastCheckpoint()->cycle);
+    EXPECT_EQ(straight.lastCheckpoint()->fingerprint,
+              split.lastCheckpoint()->fingerprint);
+}
+
 TEST(GpuSnapshot, RestoreRejectsWrongVersion)
 {
     const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,

@@ -22,24 +22,6 @@ Enforces repo rules that clang-tidy cannot express:
                   for (KernelId, SmId, WarpSlot).
   nolint-reason   Every NOLINT must name a check and carry a reason:
                   `NOLINT(check-name): why`. Bare suppressions rot.
-  snapshot-coverage
-                  In any header declaring both snapshot(SnapshotWriter&)
-                  and restore(SnapshotReader&) (or the Gpu-level
-                  GpuSnapshot pair), every `name_` data member must be
-                  mentioned in the snapshot/restore bodies (header or
-                  sibling .cpp) or carry an explicit
-                  `// SNAPSHOT-SKIP(reason)` waiver on its declaration
-                  line. A silently-forgotten field is the snapshot
-                  layer's worst failure mode: replay diverges with no
-                  error.
-  fastpath-coverage
-                  Any class declaring a `tick(Cycle ...)` member must
-                  also declare `nextEventCycle(` (the Clockable
-                  horizon, sim/clockable.hpp) or carry a
-                  `// FASTPATH-SKIP(reason)` waiver inside the class
-                  body. A ticked component invisible to the fast
-                  path's skip decision silently breaks strict-vs-fast
-                  bit-identity.
   hotpath         No std::deque/std::map/std::unordered_map in the
                   per-cycle simulation paths (src/mem/, src/sm/,
                   src/gpu.*). The strict path walks these structures
@@ -57,15 +39,15 @@ Enforces repo rules that clang-tidy cannot express:
                   actually suppressed a finding this run.
                   SNAPSHOT-SKIP must sit on (or within three lines
                   above) a data-member declaration in a header that
-                  declares the snapshot pair; FASTPATH-SKIP must sit
-                  in the body of a class that declares tick(Cycle ...)
-                  and lacks nextEventCycle(). The literal placeholder
-                  spelling `(reason)` is documentation, not a waiver.
+                  declares the snapshot pair. That marker is the
+                  waiver of simcheck's snapshot-coverage-v2 rule
+                  (tools/simcheck), which checks that every member is
+                  serialized; simcheck does not track unused markers,
+                  so this rule does. The literal placeholder spelling
+                  `(reason)` is documentation, not a waiver.
 
 Any rule can be waived on a specific line with
-`// LINT-ALLOW(<rule>): <reason>`; the reason is mandatory
-(snapshot-coverage uses `// SNAPSHOT-SKIP(reason)` instead, so the
-waiver doubles as documentation of why the field is not state).
+`// LINT-ALLOW(<rule>): <reason>`; the reason is mandatory.
 
 Usage: python3 tools/lint_sim.py [--root DIR]
 Exit status 0 if clean, 1 with findings on stderr otherwise.
@@ -124,19 +106,13 @@ NOLINT_OK = re.compile(
 
 LINT_ALLOW = re.compile(r"LINT-ALLOW\((?P<rule>[\w-]+)\)\s*:\s*\S")
 
-# ---- snapshot-coverage rule ------------------------------------------
+# ---- SNAPSHOT-SKIP placement ------------------------------------------
 # A header participates when it declares the member-function pair.
 SNAPSHOT_DECL = re.compile(
     r"\bsnapshot\s*\(\s*SnapshotWriter|\bGpuSnapshot\s+snapshot\s*\(")
 RESTORE_DECL = re.compile(
     r"\brestore\s*\(\s*SnapshotReader|"
     r"\brestore\s*\(\s*const\s+GpuSnapshot")
-# Any function whose name mentions snapshot/restore (members, free
-# helpers like snapshotWarp) with a following body; `;` excluded so
-# pure declarations never match.
-SNAPSHOT_FN_OPEN = re.compile(
-    r"\b\w*(?:snapshot|restore|Snapshot|Restore)\w*"
-    r"\s*\([^)]*\)[^{};]*\{")
 # A data-member declaration: type tokens, then a `name_` identifier,
 # then ;/=/{ (optionally through an array extent). Assignments like
 # `cursor_ = 0;` do not match (no preceding type token).
@@ -160,28 +136,6 @@ HOTPATH_FILES = {
 HOTPATH_CONTAINER = re.compile(
     r"\bstd::(?:deque|map|unordered_map)\b")
 HOTPATH_ALLOW = re.compile(r"HOTPATH-ALLOW\([^)]*\S[^)]*\)")
-
-# ---- fastpath-coverage rule ------------------------------------------
-CLASS_OPEN = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{)]*\{")
-TICK_DECL = re.compile(r"\btick\s*\(\s*Cycle\b")
-NEXT_EVENT_DECL = re.compile(r"\bnextEventCycle\s*\(")
-FASTPATH_SKIP = re.compile(r"FASTPATH-SKIP\([^)]*\S[^)]*\)")
-
-
-def extract_snapshot_bodies(text):
-    """Concatenate the bodies of every snapshot/restore-ish function."""
-    bodies = []
-    for m in SNAPSHOT_FN_OPEN.finditer(text):
-        depth = 1
-        i = m.end()
-        while i < len(text) and depth > 0:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        bodies.append(text[m.end():i])
-    return "\n".join(bodies)
 
 LINE_COMMENT = re.compile(r"//.*$")
 STRING_LIT = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -207,7 +161,6 @@ def guard_name(rel):
 WAIVER_KINDS = (
     ("HOTPATH-ALLOW", HOTPATH_ALLOW),
     ("SNAPSHOT-SKIP", SNAPSHOT_SKIP),
-    ("FASTPATH-SKIP", FASTPATH_SKIP),
 )
 
 
@@ -348,76 +301,24 @@ class Linter:
 
         if is_header:
             self.lint_guard(rel, lines)
-            self.lint_snapshot_coverage(rel, lines)
-            self.lint_fastpath_coverage(rel, lines)
+            self.mark_snapshot_skips(rel, lines)
 
-    def lint_fastpath_coverage(self, rel, lines):
-        text = "\n".join(
-            strip_code_noise(l) if "FASTPATH-SKIP" not in l else l
-            for l in lines)
-        for m in CLASS_OPEN.finditer(text):
-            depth = 1
-            i = m.end()
-            while i < len(text) and depth > 0:
-                if text[i] == "{":
-                    depth += 1
-                elif text[i] == "}":
-                    depth -= 1
-                i += 1
-            body = text[m.end():i]
-            tick = TICK_DECL.search(body)
-            if not tick:
-                continue
-            if NEXT_EVENT_DECL.search(body):
-                continue
-            skip = FASTPATH_SKIP.search(body)
-            if skip:
-                skip_line = text.count(
-                    "\n", 0, m.end() + skip.start()) + 1
-                self.use_waiver(rel, skip_line, "FASTPATH-SKIP")
-                continue
-            lineno = text.count("\n", 0, m.end() + tick.start()) + 1
-            self.report(
-                rel, lineno, "fastpath-coverage",
-                f"class '{m.group(1)}' declares tick(Cycle ...) but "
-                "no nextEventCycle() horizon — implement the "
-                "Clockable contract (sim/clockable.hpp) or waive "
-                "with `// FASTPATH-SKIP(reason)` in the class body")
-
-    def lint_snapshot_coverage(self, rel, lines):
+    def mark_snapshot_skips(self, rel, lines):
+        """Mark each SNAPSHOT-SKIP that annotates a data member of a
+        snapshotted header as used; the rest are unused waivers."""
         text = "\n".join(lines)
         if not (SNAPSHOT_DECL.search(text)
                 and RESTORE_DECL.search(text)):
             return
-        combined = text
-        cpp_path = os.path.join(self.root, rel[:-len(".hpp")] + ".cpp")
-        if os.path.exists(cpp_path):
-            with open(cpp_path, encoding="utf-8",
-                      errors="replace") as f:
-                combined += "\n" + f.read()
-        bodies = extract_snapshot_bodies(combined)
         for i, raw in enumerate(lines, 1):
-            if SNAPSHOT_SKIP.search(raw):
-                # The marker is live when it annotates a data member:
-                # on its own declaration line, or a comment within
-                # the three lines above one (doc-block style).
-                for j in range(i, min(i + 3, len(lines)) + 1):
-                    if MEMBER_DECL.search(
-                            strip_code_noise(lines[j - 1])):
-                        self.use_waiver(rel, i, "SNAPSHOT-SKIP")
-                        break
+            if not SNAPSHOT_SKIP.search(raw):
                 continue
-            m = MEMBER_DECL.search(strip_code_noise(raw))
-            if not m:
-                continue
-            name = m.group(1)
-            if not re.search(rf"\b{re.escape(name)}\b", bodies):
-                self.report(
-                    rel, i, "snapshot-coverage",
-                    f"member '{name}' of a snapshotted class is "
-                    "never serialized — add it to snapshot()/"
-                    "restore() (and bump kSnapshotFormatVersion) or "
-                    "waive it with `// SNAPSHOT-SKIP(reason)`")
+            # On its own declaration line, or a comment within the
+            # three lines above one (doc-block style).
+            for j in range(i, min(i + 3, len(lines)) + 1):
+                if MEMBER_DECL.search(strip_code_noise(lines[j - 1])):
+                    self.use_waiver(rel, i, "SNAPSHOT-SKIP")
+                    break
 
     def lint_guard(self, rel, lines):
         want = guard_name(rel)

@@ -6,24 +6,14 @@ then diff the fresh artifact against the committed baseline:
 
     python3 tools/perf_diff.py BENCH_perf.json fresh.json
 
-Comparisons (ratio = fresh / baseline; higher is faster):
-
-  strict_busy   cycles_per_sec per scheme — the strict per-cycle cost
-                gate (DESIGN.md §14).
-  sim_speed     strict_cycles_per_sec and fast_cycles_per_sec per
-                (sms, workload, scheme) case. A fresh case with
-                bit_identical=false is always an error: a fast number
-                from a divergent run is meaningless.
-
---only restricts the comparison to one section, so CI can gate the
-sections differently: strict_busy measures a tight, repeat-averaged
-single-process loop that is stable enough on shared runners to be a
-HARD error gate at --tolerance 0.90 (a >10% cycles/sec regression
-fails the job), while sim_speed stays warn-only (wall-clock of full
-sweeps is far noisier).
+It compares strict_busy's cycles_per_sec per scheme (ratio = fresh /
+baseline; higher is faster), the per-cycle cost gate (DESIGN.md §14).
+strict_busy measures a tight, repeat-averaged single-process loop
+that is stable enough on shared runners to be a HARD error gate at
+--tolerance 0.90 (a >10% cycles/sec regression fails the job).
 
 Exit status: 0 clean, 1 if any ratio falls below --tolerance or a
-fresh case diverged, 2 on unreadable/mismatched artifacts.
+case is missing from the fresh artifact, 2 on unreadable artifacts.
 """
 
 import argparse
@@ -47,13 +37,6 @@ def busy_cases(doc):
     return out
 
 
-def speed_cases(doc):
-    out = {}
-    for c in doc.get("sim_speed", {}).get("cases", []):
-        out[(c["sms"], c["workload"], c["scheme"])] = c
-    return out
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", help="committed BENCH_perf.json")
@@ -63,10 +46,6 @@ def main():
         help="minimum fresh/baseline throughput ratio before a case "
              "counts as a regression (default %(default)s — shared "
              "CI runners are noisy)")
-    ap.add_argument(
-        "--only", choices=("strict_busy", "sim_speed"),
-        help="compare just this section (lets CI gate strict_busy "
-             "as a hard error while sim_speed stays warn-only)")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -75,10 +54,8 @@ def main():
     findings = []
     compared = 0
 
-    fb = busy_cases(fresh) if args.only != "sim_speed" else {}
-    base_busy = (busy_cases(base)
-                 if args.only != "sim_speed" else {})
-    for scheme, bc in sorted(base_busy.items()):
+    fb = busy_cases(fresh)
+    for scheme, bc in sorted(busy_cases(base).items()):
         fc = fb.get(scheme)
         if fc is None:
             findings.append(
@@ -97,39 +74,18 @@ def main():
                 f"strict_busy {scheme}: {ratio:.2f}x of baseline "
                 f"(tolerance {args.tolerance:.2f})")
 
-    fs = speed_cases(fresh) if args.only != "strict_busy" else {}
-    base_speed = (speed_cases(base)
-                  if args.only != "strict_busy" else {})
-    for key, bc in sorted(base_speed.items()):
-        fc = fs.get(key)
-        if fc is None:
-            findings.append(
-                f"sim_speed {key}: case missing from fresh artifact")
-            continue
-        compared += 1
-        if not fc.get("bit_identical", True):
-            findings.append(
-                f"sim_speed {key}: fast path DIVERGED in fresh run")
-        for field in ("strict_cycles_per_sec", "fast_cycles_per_sec"):
-            ratio = fc[field] / bc[field]
-            if ratio < args.tolerance:
-                findings.append(
-                    f"sim_speed {key} {field}: {ratio:.2f}x of "
-                    f"baseline (tolerance {args.tolerance:.2f})")
-
-    if compared == 0:
-        # Legacy baseline without comparable sections: nothing to
-        # gate, but say so instead of printing a silently-empty diff.
-        print("perf_diff: no comparable cases between the artifacts "
-              "(legacy baseline format?)")
-        return 0
-
     if findings:
         print(f"perf_diff: {len(findings)} finding(s):",
               file=sys.stderr)
         for f in findings:
             print(f"  {f}", file=sys.stderr)
         return 1
+    if compared == 0:
+        # Baseline without a strict_busy section: nothing to gate,
+        # but say so instead of printing a silently-empty diff.
+        print("perf_diff: no comparable cases between the artifacts "
+              "(baseline has no strict_busy section?)")
+        return 0
     print(f"perf_diff: {compared} case(s) within tolerance "
           f"{args.tolerance:.2f}")
     return 0

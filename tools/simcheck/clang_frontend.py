@@ -194,7 +194,6 @@ class _TuVisitor:
             name=cursor.spelling,
             file=rel,
             line=cursor.location.line,
-            end_line=cursor.extent.end.line,
         )
         for child in cursor.get_children():
             if child.kind == ck.CXX_BASE_SPECIFIER:
@@ -261,8 +260,6 @@ class _TuVisitor:
             line=cursor.location.line,
             params=params,
             return_type=ret,
-            is_const=bool(getattr(cursor, "is_const_method",
-                                  lambda: False)()),
             is_ctor=is_ctor,
             is_static=bool(
                 getattr(cursor, "is_static_method", lambda: False)()

@@ -27,7 +27,7 @@ def main(argv=None):
         prog="simcheck",
         description=(
             "AST-grounded semantic analyzer for the simulator's "
-            "determinism, snapshot and Clockable contracts "
+            "determinism, snapshot and error contracts "
             "(DESIGN.md section 15)."
         ),
     )

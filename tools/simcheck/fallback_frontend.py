@@ -331,9 +331,6 @@ class _Parser:
             name=name,
             file=self.fm.path,
             line=toks[i].line,
-            end_line=toks[body_end - 1].line
-            if body_end - 1 < len(toks)
-            else toks[i].line,
             bases=bases,
         )
         self._parse_class_body(j + 1, body_end - 1, cls)
@@ -597,14 +594,10 @@ class _Parser:
         the body or ';'."""
         toks = self.toks
         i = after_paren
-        is_const = False
         while i < end:
             s = toks[i].spelling
-            if s == "const":
-                is_const = True
-                i += 1
-            elif s in ("noexcept", "override", "final", "volatile",
-                       "&", "&&", "mutable"):
+            if s in ("const", "noexcept", "override", "final",
+                     "volatile", "&", "&&", "mutable"):
                 if (
                     s == "noexcept"
                     and i + 1 < end
@@ -677,7 +670,6 @@ class _Parser:
                     if t.spelling not in DECL_SPECIFIERS
                 ]
             ),
-            is_const=is_const,
             is_ctor=is_ctor,
             is_static="static" in specifiers,
             is_virtual="virtual" in specifiers,

@@ -62,8 +62,6 @@ def attach_out_of_line(model):
                 target.body = fn.body
                 if fn.init_list:
                     target.init_list = fn.init_list
-                if fn.is_const:
-                    target.is_const = True
             else:
                 # Definition with no visible declaration (declared
                 # via macro or unparsed region): add it.

@@ -28,7 +28,6 @@ class Method:
     line: int
     params: list  # [Param]
     return_type: str  # best effort; "" when unknown (ctor/dtor)
-    is_const: bool = False
     is_ctor: bool = False
     is_static: bool = False
     is_virtual: bool = False
@@ -54,7 +53,6 @@ class ClassInfo:
     name: str
     file: str
     line: int
-    end_line: int = 0  # line of the closing brace (0 = unknown)
     bases: list = field(default_factory=list)  # base-class names
     fields: list = field(default_factory=list)  # [Field]
     methods: list = field(default_factory=list)  # [Method]

@@ -51,7 +51,6 @@ class RuleContext:
 
 def all_rules():
     from . import (
-        clockable_contract,
         determinism,
         simerror,
         snapshot_coverage,
@@ -62,6 +61,5 @@ def all_rules():
         determinism,
         uninit_member,
         snapshot_coverage,
-        clockable_contract,
         simerror,
     ]
