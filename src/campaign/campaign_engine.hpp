@@ -1,26 +1,26 @@
 /**
  * @file
- * Fault-tolerant multi-process campaign orchestrator.
+ * Batch front end of the fault-tolerant campaign fleet.
  *
- * A CampaignEngine turns a job list into a fleet: it forks N worker
- * processes (each inheriting the job list, so dispatch is by index +
- * content hash over the CRC-framed wire in campaign/wire.hpp), and a
- * single-threaded poll() loop dispatches jobs, collects results and
- * supervises liveness. Robustness is the point:
+ * A CampaignEngine runs a job list as one in-process submission on
+ * the campaign service's poll loop (campaign/service.hpp), with no
+ * socket: the loop forks N stateless workers, dispatches each job by
+ * value (encodeSimJob over the CRC-framed wire in campaign/wire.hpp),
+ * collects results and supervises liveness, and drains once every
+ * job is terminal. Robustness is the point, and a daemon's clients
+ * get the same:
  *
  *  - worker heartbeats ride the simulator's run-control poll cadence;
  *    a worker whose heartbeats stop past the liveness deadline is
  *    SIGKILLed and its job re-dispatched;
  *  - a worker that dies (crash, OOM, injected SIGKILL) surfaces as a
- *    closed socket; its job is re-dispatched with bounded attempts
- *    and deterministic jittered backoff (reusing the SweepEngine's
- *    retryBackoffMs);
- *  - a corrupt frame marks the worker compromised: killed, respawned,
- *    job re-dispatched;
+ *    closed socket; its job is re-dispatched with bounded attempts;
+ *  - an unexpected or corrupt frame marks the worker compromised:
+ *    killed, respawned, job re-dispatched;
  *  - a poison job — one that kills K workers — is quarantined as a
  *    structured error instead of being retried forever;
- *  - when workers cannot be spawned at all the campaign degrades to
- *    in-process SweepEngine execution;
+ *  - when no worker is alive and none can be respawned, jobs run
+ *    in-process, one per loop turn;
  *  - SIGTERM (via requestDrain()) finishes in-flight jobs, marks the
  *    rest Drained, and shuts the fleet down cleanly.
  *
@@ -45,14 +45,16 @@
 
 namespace ckesim {
 
-/** Fleet shape, liveness policy and durability of one campaign. */
-struct CampaignOptions
+/** What both front ends of the fleet share: its shape, liveness
+ *  policy, failure bounds, durability and fault plan. */
+struct FleetOptions
 {
     /** Worker processes to fork; values < 1 are clamped to 1. */
     int workers = 1;
 
-    /** Journal base path; shards land at <base>.shard<N> and the
-     *  merged journal at <base>.merged. Empty = in-memory only. */
+    /** Journal base path; shards land at <base>.shard<N>, and a batch
+     *  run writes the merged journal at <base>.merged. Empty =
+     *  in-memory only. */
     std::string journal_base;
 
     /** Minimum gap between worker heartbeats. */
@@ -62,27 +64,21 @@ struct CampaignOptions
      *  SIGKILL and re-dispatch. */
     std::uint64_t liveness_deadline_ms = 5000;
 
-    /** Max dispatch attempts per job across worker deaths/hangs. */
+    /** Max dispatch attempts per job across worker losses; then the
+     *  job ends Exhausted. */
     int max_dispatch_attempts = 4;
 
     /** Worker deaths a single job may cause before it is quarantined
      *  as poisoned. */
     int poison_worker_deaths = 2;
 
-    /** Base for the jittered re-dispatch backoff (0 = immediate). */
-    std::uint64_t backoff_base_ms = 0;
-
-    /** Jitter percentage for the re-dispatch backoff. */
-    std::uint32_t backoff_jitter_pct = 50;
-
-    /** Total worker respawns allowed before the campaign stops
-     *  replacing dead workers (it finishes with the survivors, or
-     *  degrades to in-process execution if none remain). */
-    int max_worker_respawns = 64;
-
     /** Fleet-fault injection plan (kill/stall/corrupt/drop/spawn). */
     ProcFaultPlan faults;
+};
 
+/** One batch campaign. */
+struct CampaignOptions : FleetOptions
+{
     /** Skip the fleet entirely and run in-process (degraded mode). */
     bool force_in_process = false;
 };
@@ -157,7 +153,7 @@ std::string formatCampaignTable(
     const std::vector<SimJob> &jobs,
     const std::vector<CampaignJobOutcome> &outcomes);
 
-/** Orchestrates one campaign at a time over a forked worker fleet. */
+/** Runs one campaign at a time as an in-process submission. */
 class CampaignEngine
 {
   public:
@@ -166,8 +162,10 @@ class CampaignEngine
     const CampaignOptions &options() const { return opts_; }
 
     /**
-     * Run @p jobs to terminal states (fork fleet, dispatch, recover,
-     * merge). Not reentrant; one campaign per call.
+     * Run @p jobs to terminal states on the service loop (fork fleet,
+     * dispatch, recover), then merge. Results already in the journal
+     * are served from it. Not reentrant; one campaign per call.
+     * Defined in service.cpp, beside the loop.
      */
     CampaignOutcome run(const std::vector<SimJob> &jobs);
 
@@ -188,9 +186,11 @@ class CampaignEngine
     /** Merged (canonical) journal path. */
     static std::string mergedPath(const std::string &base);
 
-  private:
-    class Run; // all per-campaign state lives in campaign_engine.cpp
+    /** Delete the shards and the merged journal under @p base, so a
+     *  fresh run cannot be satisfied by an earlier one's results. */
+    static void removeJournal(const std::string &base);
 
+  private:
     CampaignOptions opts_;
     std::atomic<bool> drain_{false};
 };

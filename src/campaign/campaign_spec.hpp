@@ -3,8 +3,8 @@
  * Named campaign job lists, shared by the ckesim-campaignd daemon,
  * the bench_perf harness and the tests, so every consumer of "the
  * smoke campaign" means the exact same content-hashed jobs — the
- * precondition for index-based dispatch and fingerprint-compared
- * soaks.
+ * precondition for submitting a campaign by name and for
+ * fingerprint-compared soaks.
  */
 
 #ifndef CKESIM_CAMPAIGN_CAMPAIGN_SPEC_HPP

@@ -16,13 +16,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
-#include "campaign/campaign_engine.hpp"
 #include "campaign/campaign_spec.hpp"
 #include "campaign/wire.hpp"
 #include "campaign/worker.hpp"
 #include "metrics/journal.hpp"
+#include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
 
 namespace ckesim {
@@ -32,6 +33,20 @@ namespace {
 using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): host-side liveness/idle timing, never simulated state
 using Millis = std::chrono::milliseconds;
 
+/** Worker respawns per loop lifetime. Once they are spent a dead
+ *  worker stays dead, and with none left jobs run in-process. */
+constexpr int kMaxWorkerRespawns = 64;
+
+/** Retry-after hint attached to overload Rejects. */
+constexpr std::uint64_t kRejectRetryMs = 200;
+
+/** Largest shard slot replayed beyond the current worker count, so
+ *  shrinking the fleet never hides a durable result. */
+constexpr int kMaxShards = 256;
+
+/** How long Shutdown waits for workers to exit before SIGKILL. */
+constexpr Millis kShutdownGrace{2000};
+
 [[noreturn]] void
 raiseService(const std::string &detail)
 {
@@ -40,12 +55,11 @@ raiseService(const std::string &detail)
     raiseSimError("Service", ctx, detail);
 }
 
-/** Terminal phase of one deduped job. */
+/** Where one deduped job stands. */
 enum class JobPhase : std::uint8_t {
-    Queued = 0, ///< waiting for a worker
-    Dispatched, ///< running on owner_slot
-    Done,       ///< result is valid
-    Failed,     ///< error_kind/error_detail are valid
+    Queued = 0, ///< waiting for a worker or an in-process turn
+    Dispatched, ///< running on a worker
+    Done,       ///< outcome is terminal
 };
 
 /** One (campaign, job index) waiting on a job's terminal state. */
@@ -58,30 +72,28 @@ struct Subscriber
 /**
  * One content-hash-deduped job. Every submission naming this key —
  * from any client, in any campaign — subscribes here; the job runs
- * at most once per service lifetime and at most once per journal
+ * at most once per loop lifetime and at most once per journal
  * history.
  */
 struct JobEntry
 {
     JobPhase phase = JobPhase::Queued;
-    CampaignRef ref;              ///< campaign that first named it
-    std::uint32_t ref_index = 0;  ///< index within ref's job list
-    int attempts = 0;             ///< dispatch attempts consumed
-    int owner_slot = -1;          ///< worker running it (Dispatched)
-    bool from_journal = false;    ///< Done without dispatching
-    SimResult result;             ///< Done
-    std::string error_kind;       ///< Failed
-    std::string error_detail;     ///< Failed
-    std::vector<Subscriber> subs; ///< live subscriptions
+    int deaths = 0;             ///< workers lost while running it
+    CampaignJobOutcome outcome; ///< attempts so far; the rest at Done
+    /** Live subscriptions. Until Done the first is the submission
+     *  that named the key first: the job is read from it, and fault
+     *  plans address its index. */
+    std::vector<Subscriber> subs;
 };
 
 /** One admitted submission. */
 struct Campaign
 {
-    int client_fd = -1; ///< -1 = orphaned (client disconnected)
-    CampaignRef ref;
+    int client_fd = -1; ///< -1 = orphaned, or the in-process one
     std::vector<SimJob> jobs;
-    std::vector<std::uint8_t> ref_payload; ///< cached encodeCampaignRef
+    /** The in-process submission's per-index outcomes; null for a
+     *  client, which is sent frames instead. */
+    std::vector<CampaignJobOutcome> *outcomes = nullptr;
     std::uint64_t resolved = 0;  ///< jobs at a terminal state
     std::uint64_t completed = 0; ///< jobs that produced a result
 };
@@ -95,61 +107,73 @@ struct Client
     std::vector<std::uint64_t> campaigns; ///< in-flight submissions
 };
 
-/** One worker slot of the persistent fleet. */
+/** One worker slot of the fleet. */
 struct WorkerSlot
 {
     pid_t pid = -1;
     int fd = -1;
     bool alive = false;
-    bool hello_seen = false;
     bool busy = false;
     std::uint64_t busy_key = 0;
     FrameParser parser;
     Clock::time_point last_beat{};
 };
 
-} // namespace
-
-/** All serving state; one instance per serve() call. */
-class CampaignService::Loop
+/**
+ * The one fleet supervisor, for both front ends: the daemon's socket
+ * clients and CampaignEngine's in-process submission. One instance
+ * per serve() or run() call; the destructor shuts the fleet down and
+ * closes every socket.
+ */
+class Fleet
 {
   public:
-    Loop(const ServiceOptions &opts, const std::atomic<bool> &drain)
-        : opts_(opts), drain_flag_(drain)
-    {
-        if (opts_.workers < 1)
-            opts_.workers = 1;
-    }
+    Fleet(const ServiceOptions &opts, const std::atomic<bool> &drain);
+    ~Fleet();
 
-    ServiceReport run();
+    Fleet(const Fleet &) = delete;
+    Fleet &operator=(const Fleet &) = delete;
 
-  private:
-    // ---- setup / teardown ------------------------------------------------
     void bindSocket();
     void openJournals();
     void startFleet();
-    void shutdownFleet();
 
+    /** Admit @p jobs as the in-process submission, whose per-index
+     *  outcomes land in @p outcomes. Admitted past every bound, even
+     *  while draining; the loop drains once it is done. */
+    void submitInProcess(const std::vector<SimJob> &jobs,
+                         std::vector<CampaignJobOutcome> &outcomes);
+
+    /** Jobs wait to run. */
+    bool queued() const { return !queue_.empty(); }
+
+    /** Run the poll loop until a drain completes. */
+    ServiceReport run();
+
+  private:
     // ---- fleet -----------------------------------------------------------
     bool spawnWorker(int slot, bool respawn);
-    void onWorkerDeath(int slot, const char *why);
-    void killWorker(int slot, const char *why);
-    void checkWorkerLiveness(Clock::time_point now);
+    void workerLost(int slot, const char *why);
+    void checkLiveness(Clock::time_point now);
     void handleWorkerInput(int slot);
     void handleWorkerFrame(int slot, const Frame &frame);
     void pumpDispatch();
+    bool fleetGone() const;
+    void runOneInProcess();
+    void shutdownFleet();
 
     // ---- jobs ------------------------------------------------------------
-    bool findInShards(std::uint64_t key, SimResult &out) const;
+    void admit(std::uint64_t campaign_id);
+    const SimJob &jobOf(const Subscriber &sub) const;
+    bool findInJournals(std::uint64_t key, SimResult &out) const;
     void reclaimJob(std::uint64_t key);
     void completeJob(std::uint64_t key, const SimResult &result,
                      int slot);
-    void failJob(std::uint64_t key, const std::string &kind,
-                 const std::string &detail);
-    void notifyResult(const Subscriber &sub, std::uint64_t key,
-                      const JobEntry &entry, bool replay);
-    void notifyFailure(const Subscriber &sub, std::uint64_t key,
-                       const JobEntry &entry);
+    void failJob(std::uint64_t key, CampaignJobState state,
+                 const std::string &kind, const std::string &detail);
+    void publish(std::uint64_t key, JobEntry &entry);
+    void notify(const Subscriber &sub, std::uint64_t key,
+                const JobEntry &entry, bool replay);
     void resolveOne(std::uint64_t campaign_id, bool completed);
 
     // ---- clients ---------------------------------------------------------
@@ -164,7 +188,8 @@ class CampaignService::Loop
     bool sendToCampaign(std::uint64_t campaign_id, const Frame &frame);
 
     // ---- drain -----------------------------------------------------------
-    void beginDrain();
+    bool submissionDone() const;
+    void drainQueue();
     bool drained() const;
 
     ServiceOptions opts_;
@@ -173,7 +198,9 @@ class CampaignService::Loop
 
     int listen_fd_ = -1;
     std::vector<WorkerSlot> slots_;
-    int respawns_left_ = 0;
+    int respawns_left_ = kMaxWorkerRespawns;
+    ProcFaultPlan spawn_faults_; ///< the loop's own FailSpawn budget
+    std::unique_ptr<SweepEngine> inproc_; ///< made once no worker is left
 
     // std::map keeps every fan-out and drain sweep in deterministic
     // order — the frame stream a client sees must not depend on hash
@@ -183,16 +210,40 @@ class CampaignService::Loop
     std::map<std::uint64_t, JobEntry> jobs_;
     std::deque<std::uint64_t> queue_; ///< Queued keys, FIFO
     std::uint64_t next_campaign_id_ = 1;
+    std::uint64_t inproc_id_ = 0; ///< the in-process submission, if any
 
-    std::vector<std::unique_ptr<ResultJournal>> shards_;
+    /** The first opts_.workers journals take appends, one per worker
+     *  slot; the rest are replayed only. */
+    std::vector<std::unique_ptr<ResultJournal>> journals_;
 
     ServiceReport report_;
 };
 
+Fleet::Fleet(const ServiceOptions &opts, const std::atomic<bool> &drain)
+    : opts_(opts), drain_flag_(drain), spawn_faults_(opts.faults)
+{
+    opts_.workers = std::max(opts_.workers, 1);
+    opts_.max_dispatch_attempts = std::max(opts_.max_dispatch_attempts, 1);
+    opts_.poison_worker_deaths = std::max(opts_.poison_worker_deaths, 1);
+    for (const ProcFaultSpec &spec : opts_.faults.specs())
+        validateProcFaultSpec(spec);
+}
+
+Fleet::~Fleet()
+{
+    shutdownFleet();
+    for (const auto &entry : clients_)
+        ::close(entry.first);
+    if (listen_fd_ >= 0) {
+        ::close(listen_fd_);
+        (void)::unlink(opts_.socket_path.c_str());
+    }
+}
+
 // ---- setup / teardown ----------------------------------------------------
 
 void
-CampaignService::Loop::bindSocket()
+Fleet::bindSocket()
 {
     struct sockaddr_un addr;
     if (opts_.socket_path.empty() ||
@@ -226,76 +277,67 @@ CampaignService::Loop::bindSocket()
 }
 
 void
-CampaignService::Loop::openJournals()
+Fleet::openJournals()
 {
-    if (opts_.journal_base.empty())
+    const std::string &base = opts_.journal_base;
+    if (base.empty())
         return;
-    if (!opts_.resume) {
-        // Fresh service: a journal recorded by a previous lifetime
-        // must not satisfy this one's submissions.
-        for (int slot = 0; slot < 256; ++slot) {
-            const std::string p = CampaignEngine::shardPath(
-                opts_.journal_base, slot);
-            if (::unlink(p.c_str()) != 0)
-                break;
-        }
+    if (!opts_.resume)
+        CampaignEngine::removeJournal(base);
+    // Every shard a previous (possibly larger) fleet left, and a
+    // merged journal, is replayed too, so no durable result is
+    // invisible.
+    std::vector<std::string> paths;
+    for (int slot = 0; slot < kMaxShards; ++slot) {
+        const std::string path = CampaignEngine::shardPath(base, slot);
+        if (slot >= opts_.workers && ::access(path.c_str(), F_OK) != 0)
+            break;
+        paths.push_back(path);
     }
-    // One shard per worker slot for appends; on resume, shards left
-    // by a previous (possibly larger) fleet are replayed too so no
-    // durable result is invisible.
-    for (int slot = 0; slot < opts_.workers; ++slot) {
-        auto j = std::make_unique<ResultJournal>();
-        j->open(CampaignEngine::shardPath(opts_.journal_base, slot));
-        shards_.push_back(std::move(j));
-    }
-    if (opts_.resume) {
-        for (int slot = opts_.workers; slot < 256; ++slot) {
-            const std::string p = CampaignEngine::shardPath(
-                opts_.journal_base, slot);
-            if (::access(p.c_str(), F_OK) != 0)
-                break;
-            auto j = std::make_unique<ResultJournal>();
-            j->open(p);
-            shards_.push_back(std::move(j));
-        }
+    const std::string merged = CampaignEngine::mergedPath(base);
+    if (::access(merged.c_str(), F_OK) == 0)
+        paths.push_back(merged);
+    for (const std::string &path : paths) {
+        journals_.push_back(std::make_unique<ResultJournal>());
+        journals_.back()->open(path);
     }
 }
 
 void
-CampaignService::Loop::startFleet()
+Fleet::startFleet()
 {
     slots_.resize(static_cast<std::size_t>(opts_.workers));
-    respawns_left_ = opts_.max_worker_respawns;
-    int alive = 0;
     for (int slot = 0; slot < opts_.workers; ++slot)
-        if (spawnWorker(slot, false))
-            ++alive;
-    if (alive == 0)
-        raiseService("could not spawn any of " +
-                     std::to_string(opts_.workers) + " workers");
+        (void)spawnWorker(slot, false);
 }
 
 void
-CampaignService::Loop::shutdownFleet()
+Fleet::shutdownFleet()
 {
     Frame bye;
     bye.type = FrameType::Shutdown;
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        WorkerSlot &ws = slots_[slot];
+    for (const WorkerSlot &ws : slots_)
+        if (ws.alive)
+            (void)writeFrame(ws.fd, bye);
+    // Grace period, then force.
+    const auto deadline = Clock::now() + kShutdownGrace;
+    for (WorkerSlot &ws : slots_) {
         if (!ws.alive)
             continue;
-        (void)writeFrame(ws.fd, bye);
-    }
-    for (WorkerSlot &ws : slots_) {
-        if (ws.pid > 0) {
+        for (;;) {
             int status = 0;
-            if (::waitpid(ws.pid, &status, WNOHANG) == 0) {
+            const pid_t got = ::waitpid(ws.pid, &status, WNOHANG);
+            if (got == ws.pid || got < 0)
+                break;
+            if (Clock::now() >= deadline) {
                 ::kill(ws.pid, SIGKILL);
                 (void)::waitpid(ws.pid, &status, 0);
+                break;
             }
+            struct timespec ts = {0, 5 * 1000 * 1000};
+            ::nanosleep(&ts, nullptr);
         }
-        if (ws.fd >= 0)
-            ::close(ws.fd);
+        ::close(ws.fd);
         ws = WorkerSlot{};
     }
 }
@@ -303,8 +345,11 @@ CampaignService::Loop::shutdownFleet()
 // ---- fleet ---------------------------------------------------------------
 
 bool
-CampaignService::Loop::spawnWorker(int slot, bool respawn)
+Fleet::spawnWorker(int slot, bool respawn)
 {
+    if (spawn_faults_.fire(ProcFaultKind::FailSpawn, slot, -1,
+                           respawn ? 1 : 0))
+        return false;
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
         return false;
@@ -315,10 +360,8 @@ CampaignService::Loop::spawnWorker(int slot, bool respawn)
         return false;
     }
     if (pid == 0) {
-        // Child: drop every service-side fd (listen socket, client
-        // connections, sibling workers), serve the socket with an
-        // EMPTY inherited job list — every Dispatch carries a
-        // campaign ref the worker rebuilds locally — and leave
+        // Child: drop every loop-side fd (listen socket, client
+        // connections, sibling workers), serve the socket, and leave
         // without running atexit machinery.
         ::close(sv[0]);
         if (listen_fd_ >= 0)
@@ -326,7 +369,7 @@ CampaignService::Loop::spawnWorker(int slot, bool respawn)
         for (const auto &entry : clients_)
             ::close(entry.first);
         for (const WorkerSlot &other : slots_)
-            if (other.alive && other.fd >= 0)
+            if (other.alive)
                 ::close(other.fd);
         ::signal(SIGTERM, SIG_DFL);
         ::signal(SIGINT, SIG_DFL);
@@ -337,7 +380,7 @@ CampaignService::Loop::spawnWorker(int slot, bool respawn)
         wc.faults = opts_.faults;
         int status = 1;
         try {
-            status = runCampaignWorker(wc, {});
+            status = runCampaignWorker(wc);
         } catch (...) {
             status = 1;
         }
@@ -359,59 +402,44 @@ CampaignService::Loop::spawnWorker(int slot, bool respawn)
 }
 
 void
-CampaignService::Loop::onWorkerDeath(int slot, const char *why)
+Fleet::workerLost(int slot, const char *why)
 {
     WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    ++report_.worker_deaths;
     std::fprintf(stderr, "campaignd: worker %d died (%s)\n", slot,
                  why);
-    if (ws.fd >= 0)
-        ::close(ws.fd);
-    if (ws.pid > 0) {
-        int status = 0;
-        if (::waitpid(ws.pid, &status, WNOHANG) == 0) {
-            ::kill(ws.pid, SIGKILL);
-            (void)::waitpid(ws.pid, &status, 0);
-        }
-    }
+    ++report_.worker_deaths;
+    ::kill(ws.pid, SIGKILL);
+    int status = 0;
+    (void)::waitpid(ws.pid, &status, 0);
+    ::close(ws.fd);
     const bool was_busy = ws.busy;
     const std::uint64_t key = ws.busy_key;
     ws = WorkerSlot{};
 
     if (was_busy)
         reclaimJob(key);
-    if (respawns_left_ > 0) {
+    // Nothing new runs while draining, so a lost worker stays lost.
+    if (!draining_ && respawns_left_ > 0) {
         --respawns_left_;
         (void)spawnWorker(slot, true);
     }
 }
 
 void
-CampaignService::Loop::killWorker(int slot, const char *why)
-{
-    WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    if (ws.pid > 0)
-        ::kill(ws.pid, SIGKILL);
-    onWorkerDeath(slot, why);
-}
-
-void
-CampaignService::Loop::checkWorkerLiveness(Clock::time_point now)
+Fleet::checkLiveness(Clock::time_point now)
 {
     for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        WorkerSlot &ws = slots_[slot];
-        if (!ws.alive || !ws.busy)
-            continue;
-        if (now - ws.last_beat >
-            Millis(opts_.liveness_deadline_ms)) {
+        const WorkerSlot &ws = slots_[slot];
+        if (ws.alive && ws.busy &&
+            now - ws.last_beat > Millis(opts_.liveness_deadline_ms)) {
             ++report_.hung_workers_killed;
-            killWorker(static_cast<int>(slot), "liveness deadline");
+            workerLost(static_cast<int>(slot), "liveness deadline");
         }
     }
 }
 
 void
-CampaignService::Loop::handleWorkerInput(int slot)
+Fleet::handleWorkerInput(int slot)
 {
     WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
     std::uint8_t buf[65536];
@@ -424,14 +452,14 @@ CampaignService::Loop::handleWorkerInput(int slot)
             continue;
         }
         if (n == 0) {
-            onWorkerDeath(slot, "socket closed");
+            workerLost(slot, "socket closed");
             return;
         }
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             break;
-        onWorkerDeath(slot, "read error");
+        workerLost(slot, "read error");
         return;
     }
     Frame frame;
@@ -440,144 +468,193 @@ CampaignService::Loop::handleWorkerInput(int slot)
     if (ws.alive && ws.parser.corrupt()) {
         // A worker whose stream misaligned cannot be trusted with
         // anything it sends afterwards: kill and re-dispatch.
-        killWorker(slot, ws.parser.corruptReason().c_str());
+        ++report_.corrupt_frames;
+        const std::string why = ws.parser.corruptReason();
+        workerLost(slot, why.c_str());
     }
 }
 
 void
-CampaignService::Loop::handleWorkerFrame(int slot, const Frame &frame)
+Fleet::handleWorkerFrame(int slot, const Frame &frame)
 {
     WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
     ws.last_beat = Clock::now(); // any frame proves liveness
-    switch (frame.type) {
-      case FrameType::Hello: {
-        // A service worker inherits no job list; its Hello must
-        // fingerprint the empty campaign or it was built wrong.
-        static const std::uint64_t kEmptyFingerprint =
-            campaignFingerprint({});
-        if (frame.key != kEmptyFingerprint) {
-            killWorker(slot, "hello fingerprint mismatch");
-            return;
-        }
-        ws.hello_seen = true;
+    if (frame.type == FrameType::Heartbeat) {
+        ++report_.heartbeats;
         return;
-      }
-      case FrameType::Heartbeat:
-        return;
-      case FrameType::Result: {
-        if (!ws.busy || frame.key != ws.busy_key)
-            return; // stale result from a reclaimed dispatch
-        SimResult result;
-        try {
-            result = decodeSimResult(frame.payload);
-        } catch (const SimError &) {
-            killWorker(slot, "undecodable result payload");
-            return;
-        }
-        ws.busy = false;
-        ws.busy_key = 0;
-        completeJob(frame.key, result, slot);
-        return;
-      }
-      case FrameType::JobError: {
-        if (!ws.busy || frame.key != ws.busy_key)
-            return;
-        std::string kind = "JobError";
-        std::string detail;
-        try {
-            decodeJobError(frame.payload, kind, detail);
-        } catch (const SimError &) {
-            killWorker(slot, "undecodable job-error payload");
-            return;
-        }
-        ws.busy = false;
-        ws.busy_key = 0;
-        failJob(frame.key, kind, detail);
-        return;
-      }
-      default:
-        return; // tolerate unknown-but-valid traffic
     }
+    // Anything else must answer the job this worker owns, in a
+    // payload that decodes.
+    const bool result = frame.type == FrameType::Result;
+    bool answers =
+        (result || frame.type == FrameType::JobError) && ws.busy &&
+        frame.key == ws.busy_key &&
+        frame.job_index == jobs_.at(ws.busy_key).subs.front().index;
+    SimResult value;
+    std::string kind;
+    std::string detail;
+    try {
+        if (answers && result)
+            value = decodeSimResult(frame.payload);
+        else if (answers)
+            decodeJobError(frame.payload, kind, detail);
+    } catch (const SimError &) {
+        answers = false;
+    }
+    if (!answers) {
+        ++report_.corrupt_frames;
+        workerLost(slot, "unexpected frame");
+        return;
+    }
+    const std::uint64_t key = ws.busy_key;
+    ws.busy = false;
+    ws.busy_key = 0;
+    if (result)
+        completeJob(key, value, slot);
+    else
+        failJob(key, CampaignJobState::Failed, kind, detail);
 }
 
 void
-CampaignService::Loop::pumpDispatch()
+Fleet::pumpDispatch()
 {
     for (std::size_t slot = 0;
          slot < slots_.size() && !queue_.empty(); ++slot) {
         WorkerSlot &ws = slots_[slot];
-        if (!ws.alive || !ws.hello_seen || ws.busy)
+        if (!ws.alive || ws.busy)
             continue;
         const std::uint64_t key = queue_.front();
-        auto it = jobs_.find(key);
-        if (it == jobs_.end() ||
-            it->second.phase != JobPhase::Queued) {
-            queue_.pop_front();
-            continue;
-        }
-        JobEntry &entry = it->second;
+        JobEntry &entry = jobs_.at(key);
+        const Subscriber &first = entry.subs.front();
 
         Frame dispatch;
         dispatch.type = FrameType::Dispatch;
-        dispatch.job_index = entry.ref_index;
-        dispatch.aux = static_cast<std::uint32_t>(entry.attempts);
+        dispatch.job_index = first.index;
+        dispatch.aux = static_cast<std::uint32_t>(entry.outcome.attempts);
         dispatch.key = key;
-        // The ref payload names the job list the index belongs to;
-        // the worker rebuilds it locally and verifies the hash.
-        auto cit = campaigns_.end();
-        for (const Subscriber &sub : entry.subs) {
-            cit = campaigns_.find(sub.campaign_id);
-            if (cit != campaigns_.end())
-                break;
-        }
-        if (cit != campaigns_.end() &&
-            cit->second.ref.name == entry.ref.name &&
-            cit->second.ref.cycles == entry.ref.cycles)
-            dispatch.payload = cit->second.ref_payload;
-        else
-            dispatch.payload = encodeCampaignRef(entry.ref);
-
+        dispatch.payload = encodeSimJob(jobOf(first));
         if (!writeFrame(ws.fd, dispatch)) {
-            onWorkerDeath(static_cast<int>(slot), "dispatch failed");
+            // It never reached the worker, so it stays queued.
+            workerLost(static_cast<int>(slot), "dispatch failed");
             continue;
         }
         queue_.pop_front();
         entry.phase = JobPhase::Dispatched;
-        entry.owner_slot = static_cast<int>(slot);
-        ++entry.attempts;
+        ++entry.outcome.attempts;
         ws.busy = true;
         ws.busy_key = key;
         ws.last_beat = Clock::now(); // dispatch restarts the clock
         ++report_.dispatched;
-        if (entry.attempts > 1)
+        if (entry.outcome.attempts > 1)
             ++report_.redispatched;
     }
 }
 
+bool
+Fleet::fleetGone() const
+{
+    return std::none_of(slots_.begin(), slots_.end(),
+                        [](const WorkerSlot &ws) { return ws.alive; });
+}
+
+void
+Fleet::runOneInProcess()
+{
+    // No worker is alive and none can be respawned: run the next job
+    // here, one per loop turn, so clients are still served between
+    // jobs.
+    if (!inproc_) {
+        inproc_ = std::make_unique<SweepEngine>(1);
+        report_.degraded_in_process = true;
+    }
+    const std::uint64_t key = queue_.front();
+    queue_.pop_front();
+    JobEntry &entry = jobs_.at(key);
+    ++entry.outcome.attempts;
+    SimResult result;
+    try {
+        result = inproc_->run(jobOf(entry.subs.front()));
+    } catch (const SimError &e) {
+        failJob(key, CampaignJobState::Failed, e.kind(), e.what());
+        return;
+    }
+    completeJob(key, result, 0);
+}
+
 // ---- jobs ----------------------------------------------------------------
 
-bool
-CampaignService::Loop::findInShards(std::uint64_t key,
-                                    SimResult &out) const
+void
+Fleet::admit(std::uint64_t campaign_id)
 {
-    for (const auto &shard : shards_)
-        if (shard->find(key, out))
+    // Resolve every index: replay what is known, subscribe to what is
+    // live, queue what is new. The count is taken once, because
+    // resolving the last index erases the campaign.
+    const std::size_t count = campaigns_.at(campaign_id).jobs.size();
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto me = campaigns_.find(campaign_id);
+        if (me == campaigns_.end())
+            return;
+        const std::uint64_t key = me->second.jobs[i].key();
+        const Subscriber sub{campaign_id, static_cast<std::uint32_t>(i)};
+        auto [it, fresh] = jobs_.try_emplace(key);
+        JobEntry &entry = it->second;
+        if (!fresh) {
+            ++report_.dedupe_hits;
+            if (entry.phase == JobPhase::Done)
+                notify(sub, key, entry, true);
+            else
+                entry.subs.push_back(sub);
+            continue;
+        }
+        SimResult replayed;
+        if (findInJournals(key, replayed)) {
+            entry.phase = JobPhase::Done;
+            entry.outcome.state = CampaignJobState::Completed;
+            entry.outcome.result = std::move(replayed);
+            entry.outcome.from_journal = true;
+            ++report_.journal_hits;
+            notify(sub, key, entry, true);
+            continue;
+        }
+        entry.subs.push_back(sub);
+        queue_.push_back(key);
+    }
+}
+
+const SimJob &
+Fleet::jobOf(const Subscriber &sub) const
+{
+    return campaigns_.at(sub.campaign_id).jobs[sub.index];
+}
+
+bool
+Fleet::findInJournals(std::uint64_t key, SimResult &out) const
+{
+    for (const auto &journal : journals_)
+        if (journal->find(key, out))
             return true;
     return false;
 }
 
 void
-CampaignService::Loop::reclaimJob(std::uint64_t key)
+Fleet::reclaimJob(std::uint64_t key)
 {
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase != JobPhase::Dispatched)
+    JobEntry &entry = jobs_.at(key);
+    const Subscriber &first = entry.subs.front();
+    const std::string job = "job " + std::to_string(first.index) +
+                            " (" + jobOf(first).describe() + ")";
+    const int deaths = ++entry.deaths;
+    if (deaths >= opts_.poison_worker_deaths) {
+        failJob(key, CampaignJobState::Poisoned, "Poisoned",
+                job + " killed " + std::to_string(deaths) +
+                    " worker(s); quarantined instead of re-dispatched");
         return;
-    JobEntry &entry = it->second;
-    entry.owner_slot = -1;
-    if (entry.attempts >= opts_.max_dispatch_attempts) {
-        failJob(key, "Exhausted",
-                "gave up after " + std::to_string(entry.attempts) +
-                    " dispatch attempts");
+    }
+    if (entry.outcome.attempts >= opts_.max_dispatch_attempts) {
+        failJob(key, CampaignJobState::Exhausted, "Exhausted",
+                job + " spent all " +
+                    std::to_string(opts_.max_dispatch_attempts) +
+                    " dispatch attempts without returning a result");
         return;
     }
     entry.phase = JobPhase::Queued;
@@ -585,88 +662,75 @@ CampaignService::Loop::reclaimJob(std::uint64_t key)
 }
 
 void
-CampaignService::Loop::completeJob(std::uint64_t key,
-                                   const SimResult &result, int slot)
+Fleet::completeJob(std::uint64_t key, const SimResult &result, int slot)
 {
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase == JobPhase::Done)
-        return;
-    JobEntry &entry = it->second;
+    JobEntry &entry = jobs_.at(key);
     entry.phase = JobPhase::Done;
-    entry.owner_slot = -1;
-    entry.result = result;
+    entry.outcome.state = CampaignJobState::Completed;
+    entry.outcome.result = result;
     // Durable before visible: a result is journaled (fsync'd) before
-    // any client hears about it, so a service crash between the two
+    // any subscriber hears about it, so a crash between the two
     // cannot strand a client with a result the resume cannot replay.
     // One append per key per journal history: only freshly computed
-    // results land here, and a key is dispatched at most once.
-    if (!shards_.empty()) {
-        const std::size_t shard =
-            std::min(static_cast<std::size_t>(slot),
-                     shards_.size() - 1);
-        shards_[shard]->append(key, result);
-    }
+    // results land here, and a key runs at most once.
+    if (!journals_.empty())
+        journals_[static_cast<std::size_t>(slot)]->append(key, result);
     ++report_.jobs_completed;
-    for (const Subscriber &sub : entry.subs) {
-        notifyResult(sub, key, entry, false);
-        resolveOne(sub.campaign_id, true);
-    }
-    entry.subs.clear();
+    publish(key, entry);
 }
 
 void
-CampaignService::Loop::failJob(std::uint64_t key,
-                               const std::string &kind,
-                               const std::string &detail)
+Fleet::failJob(std::uint64_t key, CampaignJobState state,
+               const std::string &kind, const std::string &detail)
 {
-    auto it = jobs_.find(key);
-    if (it == jobs_.end() || it->second.phase == JobPhase::Done ||
-        it->second.phase == JobPhase::Failed)
-        return;
-    JobEntry &entry = it->second;
-    entry.phase = JobPhase::Failed;
-    entry.owner_slot = -1;
-    entry.error_kind = kind;
-    entry.error_detail = detail;
+    JobEntry &entry = jobs_.at(key);
+    entry.phase = JobPhase::Done;
+    entry.outcome.state = state;
+    entry.outcome.error_kind = kind;
+    entry.outcome.error_detail = detail;
     ++report_.jobs_failed;
-    for (const Subscriber &sub : entry.subs) {
-        notifyFailure(sub, key, entry);
-        resolveOne(sub.campaign_id, false);
-    }
+    publish(key, entry);
+}
+
+void
+Fleet::publish(std::uint64_t key, JobEntry &entry)
+{
+    const std::vector<Subscriber> subs = std::move(entry.subs);
     entry.subs.clear();
+    for (const Subscriber &sub : subs)
+        notify(sub, key, entry, false);
 }
 
 void
-CampaignService::Loop::notifyResult(const Subscriber &sub,
-                                    std::uint64_t key,
-                                    const JobEntry &entry, bool replay)
+Fleet::notify(const Subscriber &sub, std::uint64_t key,
+              const JobEntry &entry, bool replay)
 {
-    Frame frame;
-    frame.type = FrameType::JobResult;
-    frame.job_index = sub.index;
-    frame.aux = replay ? 1u : 0u;
-    frame.key = key;
-    frame.payload = encodeSimResult(entry.result);
-    (void)sendToCampaign(sub.campaign_id, frame);
+    const auto it = campaigns_.find(sub.campaign_id);
+    if (it == campaigns_.end())
+        return;
+    const CampaignJobOutcome &outcome = entry.outcome;
+    if (it->second.outcomes != nullptr) {
+        (*it->second.outcomes)[sub.index] = outcome;
+    } else {
+        Frame frame;
+        frame.job_index = sub.index;
+        frame.key = key;
+        if (outcome.ok()) {
+            frame.type = FrameType::JobResult;
+            frame.aux = replay ? 1u : 0u;
+            frame.payload = encodeSimResult(outcome.result);
+        } else {
+            frame.type = FrameType::JobFailed;
+            frame.payload = encodeJobError(outcome.error_kind,
+                                           outcome.error_detail);
+        }
+        (void)sendToCampaign(sub.campaign_id, frame);
+    }
+    resolveOne(sub.campaign_id, outcome.ok());
 }
 
 void
-CampaignService::Loop::notifyFailure(const Subscriber &sub,
-                                     std::uint64_t key,
-                                     const JobEntry &entry)
-{
-    Frame frame;
-    frame.type = FrameType::JobFailed;
-    frame.job_index = sub.index;
-    frame.key = key;
-    frame.payload =
-        encodeJobError(entry.error_kind, entry.error_detail);
-    (void)sendToCampaign(sub.campaign_id, frame);
-}
-
-void
-CampaignService::Loop::resolveOne(std::uint64_t campaign_id,
-                                  bool completed)
+Fleet::resolveOne(std::uint64_t campaign_id, bool completed)
 {
     auto it = campaigns_.find(campaign_id);
     if (it == campaigns_.end())
@@ -695,10 +759,25 @@ CampaignService::Loop::resolveOne(std::uint64_t campaign_id,
     campaigns_.erase(it);
 }
 
+void
+Fleet::submitInProcess(const std::vector<SimJob> &jobs,
+                       std::vector<CampaignJobOutcome> &outcomes)
+{
+    outcomes.assign(jobs.size(), CampaignJobOutcome{});
+    inproc_id_ = next_campaign_id_++;
+    if (jobs.empty())
+        return; // nothing to wait for
+    Campaign &c = campaigns_[inproc_id_];
+    c.jobs = jobs;
+    c.outcomes = &outcomes;
+    ++report_.submissions;
+    admit(inproc_id_);
+}
+
 // ---- clients -------------------------------------------------------------
 
 void
-CampaignService::Loop::acceptClients()
+Fleet::acceptClients()
 {
     for (;;) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -717,7 +796,7 @@ CampaignService::Loop::acceptClients()
 }
 
 void
-CampaignService::Loop::handleClientInput(int fd)
+Fleet::handleClientInput(int fd)
 {
     auto it = clients_.find(fd);
     if (it == clients_.end())
@@ -760,7 +839,7 @@ CampaignService::Loop::handleClientInput(int fd)
 }
 
 void
-CampaignService::Loop::handleClientFrame(int fd, const Frame &frame)
+Fleet::handleClientFrame(int fd, const Frame &frame)
 {
     switch (frame.type) {
       case FrameType::SubmitCampaign:
@@ -785,7 +864,7 @@ CampaignService::Loop::handleClientFrame(int fd, const Frame &frame)
 }
 
 void
-CampaignService::Loop::rejectSubmit(int fd, const std::string &reason,
+Fleet::rejectSubmit(int fd, const std::string &reason,
                                     std::uint64_t retry_after_ms)
 {
     ++report_.rejected;
@@ -800,7 +879,7 @@ CampaignService::Loop::rejectSubmit(int fd, const std::string &reason,
 }
 
 void
-CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
+Fleet::handleSubmit(int fd, const Frame &frame)
 {
     if (draining_) {
         rejectSubmit(fd, "service is draining", 0);
@@ -830,7 +909,7 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
                          std::to_string(
                              cit->second.campaigns.size()) +
                          " campaigns in flight",
-                     opts_.reject_retry_ms);
+                     kRejectRetryMs);
         return;
     }
 
@@ -847,7 +926,7 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
             if (std::find(seen.begin(), seen.end(), key) !=
                 seen.end())
                 continue;
-            if (findInShards(key, scratch))
+            if (findInJournals(key, scratch))
                 continue;
             seen.push_back(key);
             ++new_jobs;
@@ -860,16 +939,14 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
                          " would exceed " +
                          std::to_string(opts_.max_pending_jobs) +
                          ")",
-                     opts_.reject_retry_ms);
+                     kRejectRetryMs);
         return;
     }
 
     const std::uint64_t id = next_campaign_id_++;
     Campaign &c = campaigns_[id];
     c.client_fd = fd;
-    c.ref = ref;
     c.jobs = std::move(built);
-    c.ref_payload = frame.payload;
     cit->second.campaigns.push_back(id);
     ++report_.submissions;
 
@@ -881,65 +958,11 @@ CampaignService::Loop::handleSubmit(int fd, const Frame &frame)
         dropClient(fd, "ack failed");
         return;
     }
-
-    // Resolve every index: replay what is known, subscribe to what
-    // is live, queue what is new. The campaign may finish inside
-    // this very loop (all jobs journal-served).
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(c.jobs.size()); ++i) {
-        // c may be invalidated by sends that drop the client; look
-        // the campaign up fresh each round.
-        auto me = campaigns_.find(id);
-        if (me == campaigns_.end())
-            return;
-        Campaign &campaign = me->second;
-        const std::uint64_t key = campaign.jobs[i].key();
-        auto jit = jobs_.find(key);
-        if (jit == jobs_.end()) {
-            SimResult replayed;
-            if (findInShards(key, replayed)) {
-                JobEntry &entry = jobs_[key];
-                entry.phase = JobPhase::Done;
-                entry.ref = campaign.ref;
-                entry.ref_index = i;
-                entry.from_journal = true;
-                entry.result = replayed;
-                ++report_.journal_hits;
-                notifyResult({id, i}, key, entry, true);
-                resolveOne(id, true);
-                continue;
-            }
-            JobEntry &entry = jobs_[key];
-            entry.phase = JobPhase::Queued;
-            entry.ref = campaign.ref;
-            entry.ref_index = i;
-            entry.subs.push_back({id, i});
-            queue_.push_back(key);
-            continue;
-        }
-        JobEntry &entry = jit->second;
-        switch (entry.phase) {
-          case JobPhase::Done:
-            ++report_.dedupe_hits;
-            notifyResult({id, i}, key, entry, true);
-            resolveOne(id, true);
-            break;
-          case JobPhase::Failed:
-            ++report_.dedupe_hits;
-            notifyFailure({id, i}, key, entry);
-            resolveOne(id, false);
-            break;
-          case JobPhase::Queued:
-          case JobPhase::Dispatched:
-            ++report_.dedupe_hits;
-            entry.subs.push_back({id, i});
-            break;
-        }
-    }
+    admit(id);
 }
 
 bool
-CampaignService::Loop::sendToCampaign(std::uint64_t campaign_id,
+Fleet::sendToCampaign(std::uint64_t campaign_id,
                                       const Frame &frame)
 {
     auto it = campaigns_.find(campaign_id);
@@ -956,7 +979,7 @@ CampaignService::Loop::sendToCampaign(std::uint64_t campaign_id,
 }
 
 void
-CampaignService::Loop::dropClient(int fd, const char *why)
+Fleet::dropClient(int fd, const char *why)
 {
     auto it = clients_.find(fd);
     if (it == clients_.end())
@@ -976,7 +999,7 @@ CampaignService::Loop::dropClient(int fd, const char *why)
 }
 
 void
-CampaignService::Loop::checkClientIdle(Clock::time_point now)
+Fleet::checkClientIdle(Clock::time_point now)
 {
     if (opts_.idle_timeout_ms == 0)
         return;
@@ -991,78 +1014,76 @@ CampaignService::Loop::checkClientIdle(Clock::time_point now)
 
 // ---- drain ---------------------------------------------------------------
 
-void
-CampaignService::Loop::beginDrain()
+bool
+Fleet::submissionDone() const
 {
-    draining_ = true;
-    report_.drain_requested = true;
-    // Everything still queued fails as Drained NOW — in-flight jobs
-    // finish under liveness supervision, nothing new is dispatched.
-    std::deque<std::uint64_t> pending;
-    pending.swap(queue_);
-    for (const std::uint64_t key : pending)
-        failJob(key, "Drained", "service drained before dispatch");
+    return inproc_id_ != 0 && campaigns_.count(inproc_id_) == 0;
+}
+
+void
+Fleet::drainQueue()
+{
+    // Nothing new runs while draining: queued jobs fail as Drained,
+    // and so does a job reclaimed from a worker that dies mid-drain.
+    while (!queue_.empty()) {
+        const std::uint64_t key = queue_.front();
+        queue_.pop_front();
+        failJob(key, CampaignJobState::Drained, "Drained",
+                "drained before the job ran");
+    }
 }
 
 bool
-CampaignService::Loop::drained() const
+Fleet::drained() const
 {
-    if (!draining_)
-        return false;
-    // A worker death mid-drain reclaims its job back to Queued so it
-    // can still finish — both live phases block the drain.
-    for (const auto &entry : jobs_)
-        if (entry.second.phase == JobPhase::Dispatched ||
-            entry.second.phase == JobPhase::Queued)
-            return false;
-    return true;
+    return draining_ &&
+           std::none_of(slots_.begin(), slots_.end(),
+                        [](const WorkerSlot &ws) { return ws.busy; });
 }
 
 // ---- the loop ------------------------------------------------------------
 
 ServiceReport
-CampaignService::Loop::run()
+Fleet::run()
 {
-    bindSocket();
-    openJournals();
-    try {
-        startFleet();
-    } catch (...) {
-        ::close(listen_fd_);
-        (void)::unlink(opts_.socket_path.c_str());
-        throw;
-    }
-
-    std::fprintf(stderr,
-                 "campaignd: serving on %s (workers=%d%s)\n",
-                 opts_.socket_path.c_str(), opts_.workers,
-                 shards_.empty() ? "" : ", journaled");
-
-    while (!drained()) {
-        if (drain_flag_.load(std::memory_order_relaxed) &&
-            !draining_)
-            beginDrain();
+    for (;;) {
+        if (!draining_ && drain_flag_.load(std::memory_order_relaxed)) {
+            draining_ = true;
+            report_.drain_requested = true;
+        }
+        if (submissionDone())
+            draining_ = true;
+        if (draining_)
+            drainQueue();
+        if (drained())
+            return report_;
 
         pumpDispatch();
+        const bool in_process = fleetGone() && !queue_.empty();
+        if (in_process)
+            runOneInProcess();
 
         std::vector<struct pollfd> fds;
-        fds.push_back({listen_fd_, POLLIN, 0});
-        std::vector<int> worker_of; // fds index -> slot, -1 = client
-        worker_of.push_back(-1);
+        std::vector<int> slot_of; // fds index -> worker slot, -1 = not
+        if (listen_fd_ >= 0) {
+            fds.push_back({listen_fd_, POLLIN, 0});
+            slot_of.push_back(-1);
+        }
         for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
             if (!slots_[slot].alive)
                 continue;
             fds.push_back({slots_[slot].fd, POLLIN, 0});
-            worker_of.push_back(static_cast<int>(slot));
+            slot_of.push_back(static_cast<int>(slot));
         }
-        const std::size_t first_client = fds.size();
         for (const auto &entry : clients_) {
             fds.push_back({entry.first, POLLIN, 0});
-            worker_of.push_back(-1);
+            slot_of.push_back(-1);
         }
 
+        // In-process work does not wait for traffic.
         const int rc = ::poll(fds.data(),
-                              static_cast<nfds_t>(fds.size()), 50);
+                              static_cast<nfds_t>(fds.size()),
+                              in_process ? 0 : 50);
         if (rc < 0) {
             if (errno == EINTR)
                 continue; // a drain signal landed; loop re-checks
@@ -1071,35 +1092,26 @@ CampaignService::Loop::run()
         }
 
         const Clock::time_point now = Clock::now(); // host timing
-        if (fds[0].revents & POLLIN)
-            acceptClients();
-        for (std::size_t i = 1; i < first_client; ++i) {
+        for (std::size_t i = 0; i < fds.size(); ++i) {
             if (fds[i].revents == 0)
                 continue;
-            const int slot = worker_of[i];
-            if (slots_[static_cast<std::size_t>(slot)].alive &&
-                slots_[static_cast<std::size_t>(slot)].fd ==
-                    fds[i].fd)
+            const int slot = slot_of[i];
+            if (fds[i].fd == listen_fd_)
+                acceptClients();
+            else if (slot < 0)
+                handleClientInput(fds[i].fd);
+            else if (slots_[static_cast<std::size_t>(slot)].alive &&
+                     slots_[static_cast<std::size_t>(slot)].fd ==
+                         fds[i].fd)
                 handleWorkerInput(slot);
         }
-        for (std::size_t i = first_client; i < fds.size(); ++i) {
-            if (fds[i].revents == 0)
-                continue;
-            handleClientInput(fds[i].fd);
-        }
 
-        checkWorkerLiveness(now);
+        checkLiveness(now);
         checkClientIdle(now);
     }
-
-    shutdownFleet();
-    for (const auto &entry : clients_)
-        ::close(entry.first);
-    clients_.clear();
-    ::close(listen_fd_);
-    (void)::unlink(opts_.socket_path.c_str());
-    return report_;
 }
+
+} // namespace
 
 // ---- public surface ------------------------------------------------------
 
@@ -1111,8 +1123,81 @@ CampaignService::CampaignService(ServiceOptions opts)
 ServiceReport
 CampaignService::serve()
 {
-    Loop loop(opts_, drain_);
-    return loop.run();
+    Fleet fleet(opts_, drain_);
+    fleet.bindSocket();
+    fleet.openJournals();
+    fleet.startFleet();
+    std::fprintf(stderr, "campaignd: serving on %s (workers=%d%s)\n",
+                 opts_.socket_path.c_str(), std::max(opts_.workers, 1),
+                 opts_.journal_base.empty() ? "" : ", journaled");
+    return fleet.run();
+}
+
+CampaignOutcome
+CampaignEngine::run(const std::vector<SimJob> &jobs)
+{
+    ServiceOptions sopts;
+    static_cast<FleetOptions &>(sopts) = opts_;
+    // A batch serves whatever its journal already holds; campaignd
+    // removes the journal first unless asked to resume.
+    sopts.resume = true;
+    CampaignOutcome outcome;
+    ServiceReport fleet_report;
+    {
+        Fleet fleet(sopts, drain_);
+        fleet.openJournals();
+        fleet.submitInProcess(jobs, outcome.jobs);
+        if (!opts_.force_in_process && fleet.queued())
+            fleet.startFleet();
+        fleet_report = fleet.run();
+    }
+
+    CampaignReport &r = outcome.report;
+    for (const CampaignJobOutcome &job : outcome.jobs) {
+        switch (job.state) {
+          case CampaignJobState::Completed:
+            ++r.completed;
+            break;
+          case CampaignJobState::Failed:
+            ++r.failed;
+            break;
+          case CampaignJobState::Poisoned:
+            ++r.poisoned;
+            break;
+          case CampaignJobState::Drained:
+            ++r.drained;
+            break;
+          case CampaignJobState::Exhausted:
+            break;
+        }
+        if (job.from_journal)
+            ++r.journal_hits;
+    }
+    r.dispatched = fleet_report.dispatched;
+    r.redispatched = fleet_report.redispatched;
+    r.worker_deaths = fleet_report.worker_deaths;
+    r.workers_respawned = fleet_report.workers_respawned;
+    r.hung_workers_killed = fleet_report.hung_workers_killed;
+    r.corrupt_frames = fleet_report.corrupt_frames;
+    r.heartbeats = fleet_report.heartbeats;
+    r.degraded_in_process = fleet_report.degraded_in_process;
+    r.drain_requested = fleet_report.drain_requested;
+
+    if (!opts_.journal_base.empty()) {
+        // Rebuilt from scratch every run so the merged journal is a
+        // pure function of (job list, results): submission order,
+        // duplicate keys collapsed to their first occurrence.
+        const std::string path = mergedPath(opts_.journal_base);
+        (void)::unlink(path.c_str());
+        ResultJournal merged;
+        merged.open(path);
+        std::unordered_set<std::uint64_t> written;
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            if (outcome.jobs[i].ok() &&
+                written.insert(jobs[i].key()).second)
+                merged.append(jobs[i].key(), outcome.jobs[i].result);
+    }
+    return outcome;
 }
 
 } // namespace ckesim

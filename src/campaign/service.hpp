@@ -1,17 +1,19 @@
 /**
  * @file
- * Long-lived campaign service: the orchestrator promoted from a
- * one-shot batch tool to a daemon that listens on an AF_UNIX stream
- * socket, accepts concurrent client connections, and runs submitted
- * campaigns over a persistent forked worker fleet.
+ * Long-lived campaign service: the one fleet supervisor. It listens on
+ * an AF_UNIX stream socket, accepts concurrent client connections,
+ * and runs submitted campaigns over a persistent forked worker fleet.
+ * A batch campaign (CampaignEngine::run) is the same poll loop with
+ * one in-process submission and no socket.
  *
  * Protocol: clients speak the CRC-framed campaign/wire format.
- * SubmitCampaign carries a named-campaign ref (name + cycles — never
- * serialized SimJobs; both sides rebuild the job list locally and
- * content hashes verify they agree). The service answers SubmitAck
- * (key = campaign fingerprint), streams JobResult / JobFailed frames
- * as jobs reach terminal states, and finishes with CampaignDone.
- * Ping/Pong probes refresh the idle timeout.
+ * SubmitCampaign carries a named-campaign ref (name + cycles); both
+ * sides rebuild the job list locally and the SubmitAck fingerprint
+ * verifies they agree. The service answers SubmitAck (key = campaign
+ * fingerprint), streams JobResult / JobFailed frames as jobs reach
+ * terminal states, and finishes with CampaignDone. Ping/Pong probes
+ * refresh the idle timeout. Workers get each job by value in its
+ * Dispatch frame, so they hold no campaign state.
  *
  * Robustness contract (the point of the exercise):
  *
@@ -27,6 +29,9 @@
  *  - cross-campaign dedupe: jobs are keyed by SimJob content hash; a
  *    job submitted by N clients (or N times by one client) runs once
  *    and fans its result out to every subscriber;
+ *  - worker failures are handled as CampaignEngine describes:
+ *    liveness deadline, bounded attempts, poison quarantine, and
+ *    in-process runs once no worker is left;
  *  - client disconnect mid-stream orphans nothing: the dead client's
  *    jobs keep running and their results land in the fsync'd journal
  *    shards, so an idempotent resubmission replays completed results
@@ -45,39 +50,19 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/procfault.hpp"
+#include "campaign/campaign_engine.hpp"
 
 namespace ckesim {
 
-/** Shape, limits and durability of one campaign service. */
-struct ServiceOptions
+/** The fleet plus the daemon's socket, resume and admission limits. */
+struct ServiceOptions : FleetOptions
 {
     /** AF_UNIX socket path to listen on (unlinked + rebound). */
     std::string socket_path;
 
-    /** Worker processes to fork; values < 1 are clamped to 1. */
-    int workers = 1;
-
-    /** Journal base; one shard per worker slot at <base>.shard<N>.
-     *  Empty = no durability (results live only in memory). */
-    std::string journal_base;
-
-    /** Replay existing journal shards instead of wiping them. */
+    /** Replay an existing journal (shards and merged) instead of
+     *  removing it. */
     bool resume = false;
-
-    /** Minimum gap between worker heartbeats. */
-    std::uint64_t heartbeat_ms = 25;
-
-    /** No heartbeat for this long while owning a job = hung worker:
-     *  SIGKILL and re-dispatch. */
-    std::uint64_t liveness_deadline_ms = 5000;
-
-    /** Max dispatch attempts per job across worker deaths. */
-    int max_dispatch_attempts = 4;
-
-    /** Total worker respawns before the fleet stops replacing dead
-     *  workers. */
-    int max_worker_respawns = 64;
 
     /** Admission control: queued-but-undispatched jobs beyond this
      *  Reject the submission with a retry-after hint. */
@@ -90,12 +75,6 @@ struct ServiceOptions
     /** Clients silent for longer than this are disconnected
      *  (Ping refreshes it). 0 disables the timeout. */
     std::uint64_t idle_timeout_ms = 30000;
-
-    /** Retry-after hint attached to overload Rejects. */
-    std::uint64_t reject_retry_ms = 200;
-
-    /** Fleet-fault injection plan inherited by forked workers. */
-    ProcFaultPlan faults;
 };
 
 /** Service-lifetime accounting (stderr diagnostics, tests). */
@@ -116,7 +95,10 @@ struct ServiceReport
     std::uint64_t worker_deaths = 0;
     std::uint64_t workers_respawned = 0;
     std::uint64_t hung_workers_killed = 0;
+    std::uint64_t corrupt_frames = 0;    ///< worker streams distrusted
+    std::uint64_t heartbeats = 0;        ///< heartbeat frames seen
     std::uint64_t pings = 0;
+    bool degraded_in_process = false;    ///< ran jobs without a fleet
     bool drain_requested = false;
 };
 
@@ -135,7 +117,7 @@ class CampaignService
     /**
      * Bind the socket and run the poll loop until a drain completes.
      * Returns the lifetime report. Throws SimError (kind "Service")
-     * when the socket cannot be bound or the fleet cannot start.
+     * when the socket cannot be bound.
      */
     ServiceReport serve();
 
@@ -150,8 +132,6 @@ class CampaignService
     }
 
   private:
-    class Loop; // all serving state lives in service.cpp
-
     ServiceOptions opts_;
     std::atomic<bool> drain_{false};
 };

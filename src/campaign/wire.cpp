@@ -50,7 +50,7 @@ getU64(const std::uint8_t *p)
 bool
 validFrameType(std::uint8_t t)
 {
-    return t >= static_cast<std::uint8_t>(FrameType::Hello) &&
+    return t >= static_cast<std::uint8_t>(FrameType::Dispatch) &&
            t <= static_cast<std::uint8_t>(FrameType::Pong);
 }
 

@@ -37,16 +37,14 @@ namespace ckesim {
 inline constexpr std::uint32_t kWireMagic = 0x46434b43u; // "CKCF"
 inline constexpr std::uint8_t kWireVersion = 1;
 
-/** Frame discriminator. Types 1-6 are the orchestrator<->worker
- *  protocol (PR 5); types 7-14 are the client<->service submission
- *  protocol layered on the same framing (DESIGN.md section 16). */
+/** Frame discriminator. Types 2-6 are the orchestrator<->worker
+ *  protocol; types 7-14 are the client<->service submission protocol
+ *  layered on the same framing (DESIGN.md section 16). Type 1, a
+ *  retired worker handshake, is not a valid frame. */
 enum class FrameType : std::uint8_t {
-    /** worker -> orchestrator at startup; key = campaign fingerprint
-     *  (refuses a worker built from a different job list). */
-    Hello = 1,
-    /** orchestrator -> worker: run jobs[job_index]; aux = attempt.
-     *  Service fleets attach an encodeCampaignRef payload naming the
-     *  campaign the index belongs to (the worker rebuilds the list). */
+    /** orchestrator -> worker: run the job in the payload
+     *  (encodeSimJob bytes); key = its content hash, job_index = its
+     *  index in the first submission that named it, aux = attempt. */
     Dispatch = 2,
     /** worker -> orchestrator: payload = encodeSimResult bytes. */
     Result = 3,
@@ -186,8 +184,8 @@ void decodeJobError(const std::vector<std::uint8_t> &bytes,
 /**
  * A named-campaign reference: everything a peer needs to rebuild the
  * exact job list locally (buildNamedCampaign(name, cycles)), so a
- * submission or a service-fleet dispatch never serializes SimJobs —
- * content hashes verify that both sides built the same thing.
+ * submission never serializes SimJobs — the SubmitAck fingerprint
+ * verifies that both sides built the same thing.
  */
 struct CampaignRef
 {
@@ -195,7 +193,7 @@ struct CampaignRef
     std::uint64_t cycles = 0;  ///< measurement cycles
 };
 
-/** Encode a CampaignRef for a SubmitCampaign / Dispatch payload. */
+/** Encode a CampaignRef for a SubmitCampaign payload. */
 std::vector<std::uint8_t> encodeCampaignRef(const CampaignRef &ref);
 
 /** Inverse of encodeCampaignRef; throws SimError kind "Snapshot" on

@@ -4,9 +4,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <thread>
 
-#include "campaign/campaign_spec.hpp"
 #include "campaign/wire.hpp"
 #include "metrics/journal.hpp"
 #include "metrics/sweep_engine.hpp"
@@ -15,43 +16,6 @@
 namespace ckesim {
 
 namespace {
-
-/**
- * Job lists a service worker has rebuilt from Dispatch campaign-ref
- * payloads, keyed by (name, cycles). Bounded: a service can field
- * many distinct refs over its lifetime, and an unbounded cache would
- * leak in a long-lived worker.
- */
-class RefJobCache
-{
-  public:
-    /** Build (or fetch) the job list of @p ref. Throws SimError for
-     *  an unknown campaign name. */
-    const std::vector<SimJob> &get(const CampaignRef &ref)
-    {
-        const std::string key =
-            ref.name + ":" + std::to_string(ref.cycles);
-        for (Entry &e : entries_)
-            if (e.key == key)
-                return e.jobs;
-        if (entries_.size() >= kMaxEntries)
-            entries_.erase(entries_.begin());
-        Entry e;
-        e.key = key;
-        e.jobs = buildNamedCampaign(ref.name, Cycle{ref.cycles});
-        entries_.push_back(std::move(e));
-        return entries_.back().jobs;
-    }
-
-  private:
-    static constexpr std::size_t kMaxEntries = 8;
-    struct Entry
-    {
-        std::string key;
-        std::vector<SimJob> jobs;
-    };
-    std::vector<Entry> entries_; ///< oldest first
-};
 
 using SteadyClock = std::chrono::steady_clock; // LINT-ALLOW(determinism): worker heartbeat pacing, never simulated state
 
@@ -109,8 +73,7 @@ onWorkerPoll(WorkerState &st)
 } // namespace
 
 int
-runCampaignWorker(const WorkerConfig &cfg,
-                  const std::vector<SimJob> &jobs)
+runCampaignWorker(const WorkerConfig &cfg)
 {
     ProcFaultPlan faults = cfg.faults;
     WorkerState st;
@@ -125,19 +88,11 @@ runCampaignWorker(const WorkerConfig &cfg,
     SweepEngine engine(1);
     engine.setPollHook([&st] { onWorkerPoll(st); });
 
-    Frame hello;
-    hello.type = FrameType::Hello;
-    hello.aux = static_cast<std::uint32_t>(cfg.worker_index);
-    hello.key = campaignFingerprint(jobs);
-    if (!writeFrame(cfg.fd, hello))
-        return 1;
-
-    RefJobCache ref_jobs;
     for (;;) {
         Frame frame;
         const WireStatus status = readFrameBlocking(cfg.fd, frame);
         if (status == WireStatus::Eof)
-            return 0; // orchestrator is gone; nothing left to serve
+            return 0; // the loop is gone; nothing left to serve
         if (status == WireStatus::Corrupt)
             return 1;
         if (frame.type == FrameType::Shutdown)
@@ -154,40 +109,33 @@ runCampaignWorker(const WorkerConfig &cfg,
         reply.aux = frame.aux;
         reply.key = frame.key;
 
-        // A Dispatch with a campaign-ref payload names the job list
-        // it indexes into (service fleets, where no list was
-        // inherited at fork); an empty payload means the inherited
-        // list (batch campaigns). Either way the content hash must
-        // match or the dispatch is refused.
-        const std::vector<SimJob> *list = &jobs;
-        std::string ref_error;
-        if (!frame.payload.empty()) {
-            try {
-                list = &ref_jobs.get(decodeCampaignRef(frame.payload));
-            } catch (const SimError &e) {
-                list = nullptr;
-                ref_error = std::string("[") + e.kind() + "] " +
-                            e.what();
+        // The payload is the job; it must hash to the frame's key.
+        // The decoded profiles live as long as this dispatch.
+        std::vector<KernelProfile> profiles;
+        SimJob job;
+        std::string refused;
+        try {
+            job = decodeSimJob(frame.payload, profiles);
+            if (job.key() != frame.key) {
+                char why[96];
+                std::snprintf(why, sizeof why,
+                              "payload decodes to key %016" PRIx64
+                              ", not the frame's %016" PRIx64,
+                              job.key(), frame.key);
+                refused = why;
             }
+        } catch (const SimError &e) {
+            refused = std::string("payload does not decode: ") +
+                      e.what();
         }
-        if (list == nullptr || frame.job_index >= list->size() ||
-            (*list)[frame.job_index].key() != frame.key) {
+        if (!refused.empty()) {
             reply.type = FrameType::JobError;
-            reply.payload = encodeJobError(
-                "Dispatch",
-                list == nullptr
-                    ? "dispatch names a campaign ref this worker "
-                      "cannot build: " +
-                          ref_error
-                    : "dispatch does not match this worker's job "
-                      "list (index " +
-                          std::to_string(frame.job_index) + ")");
+            reply.payload = encodeJobError("Dispatch", refused);
             if (!writeFrame(cfg.fd, reply))
                 return 1;
             continue;
         }
 
-        const SimJob &job = (*list)[frame.job_index];
         try {
             const SimResult result = engine.run(job);
             reply.type = FrameType::Result;

@@ -1,26 +1,24 @@
 /**
  * @file
  * Campaign worker: the child-process half of the campaign layer. A
- * worker is forked by the orchestrator (so it inherits the campaign's
- * job list by value — dispatch is by index + content hash, and the
- * hash is verified on every dispatch), runs one SimJob at a time on a
- * serial in-process SweepEngine, and reports results, structured
- * errors and heartbeats over its socket.
+ * worker is forked by the fleet loop (campaign/service.cpp) and is
+ * stateless: every Dispatch carries the job itself (encodeSimJob),
+ * which the worker decodes, checks against the frame's content hash,
+ * runs on a serial in-process SweepEngine, and answers with a result,
+ * a structured error, and heartbeats over its socket.
  *
  * Heartbeats ride the simulator's run-control poll cadence: the
  * worker proves liveness exactly as often as the simulation proves
  * forward progress, so a wedged simulation (or a worker stalled by
- * fault injection) goes silent and the orchestrator's liveness
- * deadline reclaims the job.
+ * fault injection) goes silent and the loop's liveness deadline
+ * reclaims the job.
  */
 
 #ifndef CKESIM_CAMPAIGN_WORKER_HPP
 #define CKESIM_CAMPAIGN_WORKER_HPP
 
 #include <cstdint>
-#include <vector>
 
-#include "metrics/sim_job.hpp"
 #include "sim/procfault.hpp"
 
 namespace ckesim {
@@ -35,13 +33,14 @@ struct WorkerConfig
 };
 
 /**
- * Serve dispatches from @p cfg.fd against @p jobs until Shutdown or
- * EOF. Returns the intended process exit status (0 = clean shutdown);
- * the caller must pass it to _exit() without running atexit handlers
- * — the worker shares the parent's forked address space.
+ * Serve dispatches from @p cfg.fd until Shutdown or EOF. A Dispatch
+ * whose payload does not decode, or decodes to a job whose key is
+ * not the frame's, is answered with a JobError of kind "Dispatch".
+ * Returns the intended process exit status (0 = clean shutdown); a
+ * forked caller must pass it to _exit() without running atexit
+ * handlers — the worker shares the parent's forked address space.
  */
-int runCampaignWorker(const WorkerConfig &cfg,
-                      const std::vector<SimJob> &jobs);
+int runCampaignWorker(const WorkerConfig &cfg);
 
 } // namespace ckesim
 

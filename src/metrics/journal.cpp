@@ -134,6 +134,66 @@ decodeSimResult(const std::vector<std::uint8_t> &bytes)
     return result;
 }
 
+std::vector<std::uint8_t>
+encodeSimJob(const SimJob &job)
+{
+    SnapshotWriter w;
+    w.section("sim_job");
+    JobWriter<SnapshotWriter> out{FieldWriter(w)};
+    walkJob(out, job);
+    return w.take();
+}
+
+namespace {
+
+/** walkJob visitor reading encodeSimJob's bytes back; the workload
+ *  is rebound to profiles the caller owns. */
+struct JobReader
+{
+    FieldReader in;
+    std::vector<KernelProfile> &profiles;
+
+    template <class M>
+    void
+    operator()(M &m)
+    {
+        in.get(m);
+    }
+
+    void
+    kernels(Workload &workload)
+    {
+        int n = 0;
+        in.get(n);
+        // Grown one decoded profile at a time, so a corrupt count
+        // runs out of bytes instead of allocating; pointers are taken
+        // once the vector stops moving.
+        profiles.clear();
+        for (int i = 0; i < n; ++i)
+            in.get(profiles.emplace_back());
+        workload.kernels.clear();
+        for (const KernelProfile &p : profiles)
+            workload.kernels.push_back(&p);
+    }
+};
+
+} // namespace
+
+SimJob
+decodeSimJob(const std::vector<std::uint8_t> &bytes,
+             std::vector<KernelProfile> &profiles)
+{
+    SnapshotReader r(bytes);
+    r.section("sim_job");
+    JobReader in{FieldReader(r), profiles};
+    SimJob job;
+    walkJob(in, job);
+    if (!r.atEnd())
+        raiseSimError("Snapshot", journalCtx(),
+                      "trailing bytes after SimJob payload");
+    return job;
+}
+
 // ---- offline integrity checking (journal_fsck) ---------------------------
 
 const char *

@@ -79,20 +79,8 @@ std::uint64_t
 SimJob::key() const
 {
     Fnv1a h;
-    FieldWriter out(h);
-    out.put(kind);
-    out.put(cfg);
-    out.put(cycles);
-    out.put(workload.numKernels());
-    for (const KernelProfile *k : workload.kernels)
-        out.put(*k);
-    out.put(tb_limit);
-    out.put(use_named);
-    if (use_named)
-        out.put(named);
-    else
-        out.put(spec);
-    out.put(series);
+    JobWriter<Fnv1a> out{FieldWriter(h)};
+    walkJob(out, *this);
     return h.value();
 }
 

@@ -190,12 +190,60 @@ struct SimJob
                              const Workload &workload,
                              const SchemeSpec &spec);
 
-    /** FNV-1a content hash over every result-affecting input; structs
-     *  are hashed through their field tables (sim/fields.hpp). */
+    /** FNV-1a content hash over every result-affecting input, in
+     *  walkJob order; structs are hashed through their field tables
+     *  (sim/fields.hpp). */
     std::uint64_t key() const;
 
     /** label when set, else a generated "kind:workload:scheme" tag. */
     std::string describe() const;
+};
+
+/**
+ * The one member walk behind SimJob::key() and the wire codec
+ * (encodeSimJob/decodeSimJob, metrics/journal.hpp), in key order:
+ * @p v(member) for each result-affecting member, except that the
+ * kernels go to v.kernels(workload) by value. The scheme is the named
+ * one or the spec, never both; the label is never walked.
+ */
+template <class V, ObjectOf<SimJob> J>
+void
+walkJob(V &v, J &job)
+{
+    v(job.kind);
+    v(job.cfg);
+    v(job.cycles);
+    v.kernels(job.workload);
+    v(job.tb_limit);
+    v(job.use_named);
+    if (job.use_named)
+        v(job.named);
+    else
+        v(job.spec);
+    v(job.series);
+}
+
+/** walkJob visitor writing through a FieldWriter: the job key and
+ *  encodeSimJob. Kernels are a count, then each profile's table. */
+template <class Sink>
+struct JobWriter
+{
+    FieldWriter<Sink> out;
+
+    template <class M>
+    void
+    operator()(const M &m)
+    {
+        out.put(m);
+    }
+
+    void
+    kernels(const Workload &workload)
+    {
+        out.put(workload.numKernels());
+        for (const KernelProfile *k : workload.kernels)
+            out.put(*k);
+    }
 };
 
 /**
@@ -211,10 +259,9 @@ struct SimResult
 
 /**
  * Order-sensitive FNV-1a over the content hashes of a whole job
- * list: one value that identifies a campaign. The orchestrator and
- * its workers must agree on it before any index-based dispatch, and
- * a resumed campaign refuses a journal recorded under a different
- * fingerprint's merged table.
+ * list: one value that identifies a campaign. Campaign tables print
+ * it, and a service's SubmitAck carries it so the client can check
+ * that both sides built the same list.
  */
 std::uint64_t campaignFingerprint(const std::vector<SimJob> &jobs);
 

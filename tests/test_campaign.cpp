@@ -6,21 +6,28 @@
  * SIGKILLs, stalls, dropped results and corrupted frames — produces
  * a result table byte-identical to an in-process SweepEngine run; a
  * poison job is quarantined instead of retried forever; spawn failure
- * degrades to in-process execution; drain is clean; and journal_fsck
- * tells benign torn tails from hard corruption.
+ * degrades to in-process execution; drain is clean; journal_fsck
+ * tells benign torn tails from hard corruption; and a worker runs the
+ * job its Dispatch carries, refusing one that does not decode to the
+ * frame's key.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign_engine.hpp"
 #include "campaign/campaign_spec.hpp"
 #include "campaign/wire.hpp"
+#include "campaign/worker.hpp"
 #include "metrics/journal.hpp"
 #include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
@@ -613,6 +620,75 @@ TEST(Fsck, DetectsTornTailAsBenignAndBitFlipAsHard)
     ASSERT_FALSE(report.records.empty());
     EXPECT_EQ(report.records[0].status,
               JournalRecordStatus::BadMagic);
+}
+
+// ---- stateless workers -------------------------------------------------
+
+/** The next frame a worker sends that is not a heartbeat. */
+Frame
+nextReply(int fd)
+{
+    Frame frame;
+    while (readFrameBlocking(fd, frame) == WireStatus::Ok)
+        if (frame.type != FrameType::Heartbeat)
+            return frame;
+    ADD_FAILURE() << "worker stream ended";
+    return Frame{};
+}
+
+TEST(CampaignWorker, RunsTheDispatchedJobAndRefusesMismatches)
+{
+    const GpuConfig cfg = makeSmallConfig(2, 2);
+    const SimJob a = SimJob::isolated(cfg, Cycle{2000}, findProfile("bp"));
+    const SimJob b = SimJob::isolated(cfg, Cycle{2000}, findProfile("sv"));
+    const std::vector<std::uint8_t> want =
+        encodeSimResult(SweepEngine(1).run(a));
+
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    WorkerConfig wc;
+    wc.fd = sv[1];
+    int status = -1;
+    std::thread worker([&] { status = runCampaignWorker(wc); });
+
+    const auto dispatch = [&](std::uint64_t key,
+                              std::vector<std::uint8_t> payload) {
+        Frame frame;
+        frame.type = FrameType::Dispatch;
+        frame.key = key;
+        frame.payload = std::move(payload);
+        EXPECT_TRUE(writeFrame(sv[0], frame));
+        return nextReply(sv[0]);
+    };
+    const auto errorKind = [](const Frame &reply) {
+        std::string kind;
+        std::string detail;
+        if (reply.type == FrameType::JobError)
+            decodeJobError(reply.payload, kind, detail);
+        return kind;
+    };
+
+    // Job A under job B's key is refused, not run.
+    EXPECT_EQ(errorKind(dispatch(b.key(), encodeSimJob(a))), "Dispatch");
+
+    // So is a payload that does not decode.
+    std::vector<std::uint8_t> truncated = encodeSimJob(a);
+    truncated.resize(truncated.size() / 2);
+    EXPECT_EQ(errorKind(dispatch(a.key(), truncated)), "Dispatch");
+
+    // A well-formed dispatch runs the job it carries.
+    const Frame result = dispatch(a.key(), encodeSimJob(a));
+    EXPECT_EQ(result.type, FrameType::Result);
+    EXPECT_EQ(result.key, a.key());
+    EXPECT_EQ(result.payload, want);
+
+    Frame shutdown;
+    shutdown.type = FrameType::Shutdown;
+    EXPECT_TRUE(writeFrame(sv[0], shutdown));
+    worker.join();
+    EXPECT_EQ(status, 0);
+    ::close(sv[0]);
+    ::close(sv[1]);
 }
 
 // ---- campaign specs ----------------------------------------------------

@@ -271,6 +271,12 @@ TEST(GoldenKeys, MatchRecordedValues)
         std::snprintf(hex, sizeof hex, "0x%016llx",
                       static_cast<unsigned long long>(got));
         EXPECT_EQ(got, c.key) << c.name << ": got " << hex;
+        // The Dispatch codec walks the key's members, so a job keeps
+        // its key across the wire.
+        std::vector<KernelProfile> profiles;
+        EXPECT_EQ(decodeSimJob(encodeSimJob(c.job), profiles).key(),
+                  c.job.key())
+            << c.name;
     }
 }
 

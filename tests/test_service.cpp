@@ -5,7 +5,8 @@
  * that dies mid-stream, corrupts its frames, gets rejected under
  * overload, or comes back after the server is SIGKILLed — a result
  * table byte-identical to the in-process SweepEngine ground truth,
- * while never running a job twice (journal record counts prove it).
+ * while never running a job twice (journal record counts prove it),
+ * and the batch front end must agree with it on failed jobs too.
  *
  * The service runs in a forked child of the test binary (the real
  * poll loop, the real forked worker fleet); clients run in-process
@@ -506,6 +507,75 @@ TEST(CampaignService, SigkillThenResumeReplaysInsteadOfRerunning)
     EXPECT_EQ(records_after, records_before)
         << "resume must not append duplicate records";
     EXPECT_EQ(distinct_after, distinct_before);
+}
+
+// ---- one failure matrix for both front ends ------------------------------
+
+TEST(CampaignService, BatchAndClientTablesAgreeOnFailedJobs)
+{
+    struct Case
+    {
+        const char *name;
+        int poison_worker_deaths;
+        int max_dispatch_attempts;
+        CampaignJobState state;
+        const char *kind;
+    };
+    const Case cases[] = {
+        {"poison", 2, 4, CampaignJobState::Poisoned, "Poisoned"},
+        {"exhausted", 1000, 2, CampaignJobState::Exhausted, "Exhausted"},
+    };
+    const std::vector<SimJob> jobs =
+        buildNamedCampaign(kCampaign, Cycle{kCycles});
+    std::vector<CampaignJobOutcome> truth;
+    {
+        SweepEngine engine(1);
+        for (const SimJob &job : jobs) {
+            CampaignJobOutcome o;
+            o.state = CampaignJobState::Completed;
+            o.result = engine.run(job);
+            truth.push_back(std::move(o));
+        }
+    }
+    // Every worker that runs job 2 dies, on every attempt.
+    ProcFaultSpec kill;
+    kill.kind = ProcFaultKind::KillWorkerMidJob;
+    kill.job_index = 2;
+    kill.attempts = 1000;
+
+    for (const Case &c : cases) {
+        std::vector<CampaignJobOutcome> want = truth;
+        want[2] = CampaignJobOutcome{};
+        want[2].state = c.state;
+        want[2].error_kind = c.kind;
+        const std::string want_table =
+            formatCampaignTable(kCampaign, kCycles, jobs, want);
+
+        CampaignOptions batch_opts;
+        batch_opts.workers = 2;
+        batch_opts.heartbeat_ms = 5;
+        batch_opts.poison_worker_deaths = c.poison_worker_deaths;
+        batch_opts.max_dispatch_attempts = c.max_dispatch_attempts;
+        batch_opts.faults = ProcFaultPlan({kill});
+        const CampaignOutcome batch = CampaignEngine(batch_opts).run(jobs);
+        EXPECT_EQ(formatCampaignTable(kCampaign, kCycles, jobs, batch.jobs),
+                  want_table)
+            << c.name;
+
+        TempBase tmp(std::string("matrix_") + c.name);
+        ServiceOptions sopts = fastService(tmp);
+        sopts.poison_worker_deaths = c.poison_worker_deaths;
+        sopts.max_dispatch_attempts = c.max_dispatch_attempts;
+        sopts.faults = ProcFaultPlan({kill});
+        ServiceProc service;
+        service.start(sopts);
+        const ClientOptions copts = fastClient(tmp);
+        const ClientOutcome client = runCampaignClient(copts);
+        EXPECT_EQ(client.status, ClientStatus::JobFailures)
+            << c.name << ": " << client.report.error;
+        EXPECT_EQ(clientTable(client, copts), want_table) << c.name;
+        EXPECT_EQ(service.stop(), 0);
+    }
 }
 
 // ---- drain ---------------------------------------------------------------

@@ -37,7 +37,7 @@ std::vector<Frame>
 makeFrames(Rng &rng, std::size_t count)
 {
     static const FrameType kTypes[] = {
-        FrameType::Hello,        FrameType::Dispatch,
+        FrameType::Dispatch,
         FrameType::Result,       FrameType::JobError,
         FrameType::Heartbeat,    FrameType::Shutdown,
         FrameType::SubmitCampaign, FrameType::SubmitAck,

@@ -27,16 +27,18 @@
  *   ckesim-campaignd --serve SOCKET [--workers N] [--journal BASE]
  *                    [--resume] [--max-pending-jobs N]
  *                    [--max-client-campaigns N] [--idle-timeout-ms N]
- *                    [--heartbeat-ms N] [--liveness-ms N]
- *                    [--max-attempts N]
+ *                    [--chaos kill-worker] [--heartbeat-ms N]
+ *                    [--liveness-ms N] [--max-attempts N]
+ *                    [--poison-deaths N]
  *
  *   --journal BASE   durable shard journals at BASE.shard<N>
  *   --resume         keep existing journals (default wipes them);
  *                    in service mode this is the SIGKILL-recovery
  *                    path — completed results replay instead of
  *                    re-running
- *   --chaos MODE     inject fleet faults; kill-worker = SIGKILL the
- *                    worker on every job's first dispatch attempt
+ *   --chaos MODE     inject fleet faults (either mode); kill-worker
+ *                    = SIGKILL the worker on every job's first
+ *                    dispatch attempt
  *
  * SIGTERM/SIGINT drain either mode: in-flight jobs finish, pending
  * jobs are marked drained, workers shut down cleanly; the service
@@ -48,7 +50,6 @@
  */
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <cinttypes>
 #include <cstdio>
@@ -98,8 +99,9 @@ usage()
         "                        [--max-pending-jobs N] "
         "[--max-client-campaigns N]\n"
         "                        [--idle-timeout-ms N] "
-        "[--heartbeat-ms N] [--liveness-ms N]\n"
-        "                        [--max-attempts N]\n");
+        "[--chaos kill-worker] [--heartbeat-ms N]\n"
+        "                        [--liveness-ms N] [--max-attempts N] "
+        "[--poison-deaths N]\n");
 }
 
 bool
@@ -150,13 +152,15 @@ runService(const ServiceOptions &opts)
             " dispatched=%" PRIu64 " redispatched=%" PRIu64 "\n"
             "client_corrupt=%" PRIu64 " client_disconnects=%" PRIu64
             " worker_deaths=%" PRIu64 " respawned=%" PRIu64
-            " hung_killed=%" PRIu64 " pings=%" PRIu64 "%s\n",
+            " hung_killed=%" PRIu64 " corrupt_frames=%" PRIu64
+            " pings=%" PRIu64 "%s%s\n",
             r.connections, r.submissions, r.rejected,
             r.campaigns_done, r.jobs_completed, r.jobs_failed,
             r.journal_hits, r.dedupe_hits, r.dispatched,
             r.redispatched, r.client_corrupt, r.client_disconnects,
             r.worker_deaths, r.workers_respawned,
-            r.hung_workers_killed, r.pings,
+            r.hung_workers_killed, r.corrupt_frames, r.pings,
+            r.degraded_in_process ? " degraded_in_process" : "",
             r.drain_requested ? " drain_requested" : "");
         return 0;
     } catch (const SimError &e) {
@@ -173,13 +177,11 @@ main(int argc, char **argv)
 {
     std::string campaign = "smoke";
     std::string chaos;
-    std::string serve_socket;
     bool serve = false;
     long long cycles = 20000;
-    CampaignOptions opts;
+    // Every flag lands here; batch mode copies the fleet half out.
     ServiceOptions sopts;
-
-    bool resume = false;
+    bool in_process = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
@@ -187,7 +189,7 @@ main(int argc, char **argv)
             campaign = argv[++i];
         } else if (arg == "--serve" && has_value) {
             serve = true;
-            serve_socket = argv[++i];
+            sopts.socket_path = argv[++i];
         } else if (arg == "--cycles" && has_value) {
             if (!parseLong(argv[++i], cycles) || cycles <= 0) {
                 std::fprintf(stderr,
@@ -204,16 +206,13 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            opts.workers = static_cast<int>(v);
             sopts.workers = static_cast<int>(v);
         } else if (arg == "--journal" && has_value) {
-            opts.journal_base = argv[++i];
-            sopts.journal_base = opts.journal_base;
+            sopts.journal_base = argv[++i];
         } else if (arg == "--resume") {
-            resume = true;
             sopts.resume = true;
         } else if (arg == "--in-process") {
-            opts.force_in_process = true;
+            in_process = true;
         } else if (arg == "--chaos" && has_value) {
             chaos = argv[++i];
         } else if (arg == "--heartbeat-ms" && has_value) {
@@ -225,8 +224,7 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            opts.heartbeat_ms = static_cast<std::uint64_t>(v);
-            sopts.heartbeat_ms = opts.heartbeat_ms;
+            sopts.heartbeat_ms = static_cast<std::uint64_t>(v);
         } else if (arg == "--liveness-ms" && has_value) {
             long long v = 0;
             if (!parseLong(argv[++i], v) || v < 1) {
@@ -236,9 +234,7 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            opts.liveness_deadline_ms =
-                static_cast<std::uint64_t>(v);
-            sopts.liveness_deadline_ms = opts.liveness_deadline_ms;
+            sopts.liveness_deadline_ms = static_cast<std::uint64_t>(v);
         } else if (arg == "--max-attempts" && has_value) {
             long long v = 0;
             if (!parseLong(argv[++i], v) || v < 1) {
@@ -248,7 +244,6 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            opts.max_dispatch_attempts = static_cast<int>(v);
             sopts.max_dispatch_attempts = static_cast<int>(v);
         } else if (arg == "--poison-deaths" && has_value) {
             long long v = 0;
@@ -259,7 +254,7 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            opts.poison_worker_deaths = static_cast<int>(v);
+            sopts.poison_worker_deaths = static_cast<int>(v);
         } else if (arg == "--max-pending-jobs" && has_value) {
             long long v = 0;
             if (!parseLong(argv[++i], v) || v < 1) {
@@ -317,13 +312,6 @@ main(int argc, char **argv)
     }
 
     if (!chaos.empty()) {
-        if (serve) {
-            std::fprintf(stderr,
-                         "--chaos applies to batch mode only "
-                         "(service chaos is client-driven)\n");
-            usage();
-            return 2;
-        }
         if (chaos == "kill-worker") {
             // SIGKILL the worker on every job's FIRST dispatch
             // attempt; re-dispatches (attempt >= 1) run clean. The
@@ -332,7 +320,7 @@ main(int argc, char **argv)
             ProcFaultSpec spec;
             spec.kind = ProcFaultKind::KillWorkerMidJob;
             spec.attempts = 1;
-            opts.faults = ProcFaultPlan({spec});
+            sopts.faults = ProcFaultPlan({spec});
         } else {
             std::fprintf(stderr,
                          "unknown chaos mode '%s' (try: "
@@ -342,29 +330,20 @@ main(int argc, char **argv)
         }
     }
 
-    if (serve) {
-        sopts.socket_path = serve_socket;
+    if (serve)
         return runService(sopts);
-    }
 
     if (!knownCampaign(campaign)) {
         usage();
         return 2;
     }
 
-    if (!resume && !opts.journal_base.empty()) {
-        // Fresh campaign: drop stale shards and the merged journal so
-        // the run cannot be satisfied by a previous campaign's
-        // results.
-        for (int slot = 0; slot < 256; ++slot) {
-            const std::string p =
-                CampaignEngine::shardPath(opts.journal_base, slot);
-            if (::unlink(p.c_str()) != 0)
-                break;
-        }
-        (void)::unlink(
-            CampaignEngine::mergedPath(opts.journal_base).c_str());
-    }
+    if (!sopts.resume && !sopts.journal_base.empty())
+        CampaignEngine::removeJournal(sopts.journal_base);
+
+    CampaignOptions opts;
+    static_cast<FleetOptions &>(opts) = sopts;
+    opts.force_in_process = in_process;
 
     try {
         const std::vector<SimJob> jobs =
