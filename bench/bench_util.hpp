@@ -20,7 +20,7 @@
 #include <string>
 
 #include "metrics/experiment.hpp"
-#include "metrics/runner.hpp"
+#include "sim/check.hpp"
 
 namespace ckesim::benchutil {
 
@@ -35,12 +35,21 @@ registerExperiment(const std::string &name, ExperimentFn body)
  * Standard main body: parse shared flags, register experiments via
  * @p setup, then run — through google-benchmark by default, or
  * directly in --tables mode (stable stdout for diffing; engine stats
- * go to stderr). An argument neither parser knows exits 2.
+ * go to stderr). An argument neither parser knows, or a malformed
+ * count (--jobs, CKESIM_JOBS, CKESIM_CYCLES), exits 2 before any
+ * simulation starts.
  */
 inline int
 benchMain(int argc, char **argv, const std::function<void()> &setup)
 {
-    BenchOptions opts = parseBenchArgs(argc, argv);
+    BenchOptions opts;
+    try {
+        opts = parseBenchArgs(argc, argv);
+        (void)benchCycles(); // experiments read it only once running
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
     // --tables and --list never reach google-benchmark, so nothing
     // else would look at a leftover argument.
     if ((opts.tables_only || opts.list) && argc > 1) {

@@ -17,23 +17,24 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "kernels/profile.hpp"
 #include "kernels/workload.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/sweep_engine.hpp"
+#include "sim/check.hpp"
 
 using namespace ckesim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "bp";
-    const Cycle cycles =
-        argc > 2 ? Cycle{std::atol(argv[2])} : Cycle{60000};
-    const int num_sms = argc > 3 ? std::atoi(argv[3]) : 8;
+    const Cycle cycles{argc > 2 ? parseCount("cycles", argv[2]) : 60000};
+    const int num_sms = argc > 3 ? parseCount("num_sms", argv[3]) : 8;
 
     GpuConfig cfg;
     cfg.num_sms = num_sms;
@@ -53,7 +54,7 @@ main(int argc, char **argv)
         wl.kernels = {&prof};
         SchemeSpec spec = makeScheme(PartitionScheme::Leftover,
                                      BmiMode::None, MilMode::Static);
-        spec.smil_limits[0] = std::atoi(argv[4]);
+        spec.smil_limits[0] = parseCount("mil-limit", argv[4]);
         const ConcurrentResult &r =
             *engine.concurrent(cfg, cycles, wl, spec);
         ipc = r.ipc[0];
@@ -105,4 +106,17 @@ main(int argc, char **argv)
     std::printf("TBs completed         %8llu\n",
                 (unsigned long long)k.tbs_completed);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

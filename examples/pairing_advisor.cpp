@@ -16,22 +16,23 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "kernels/workload.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/sweep_engine.hpp"
+#include "sim/check.hpp"
 
 using namespace ckesim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string base = argc > 1 ? argv[1] : "bp";
-    const Cycle cycles =
-        argc > 2 ? Cycle{std::atol(argv[2])} : Cycle{40000};
+    const Cycle cycles{argc > 2 ? parseCount("cycles", argv[2]) : 40000};
 
     GpuConfig cfg; // the paper's Table 1 machine
     SweepEngine engine(jobsFromEnv());
@@ -88,4 +89,17 @@ main(int argc, char **argv)
                 "(C+M) pairings share best once memory pipeline "
                 "stalls are controlled.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

@@ -16,24 +16,25 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "kernels/workload.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/sweep_engine.hpp"
+#include "sim/check.hpp"
 
 using namespace ckesim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string ka = argc > 1 ? argv[1] : "bp";
     const std::string kb = argc > 2 ? argv[2] : "sv";
-    const Cycle cycles =
-        argc > 3 ? Cycle{std::atol(argv[3])} : Cycle{60000};
-    const int num_sms = argc > 4 ? std::atoi(argv[4]) : 8;
+    const Cycle cycles{argc > 3 ? parseCount("cycles", argv[3]) : 60000};
+    const int num_sms = argc > 4 ? parseCount("num_sms", argv[4]) : 8;
 
     GpuConfig cfg;
     cfg.num_sms = num_sms;
@@ -81,4 +82,17 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

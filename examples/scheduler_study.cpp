@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,16 +20,18 @@
 #include "kernels/workload.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/sweep_engine.hpp"
+#include "sim/check.hpp"
 
 using namespace ckesim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string ka = argc > 1 ? argv[1] : "bp";
     const std::string kb = argc > 2 ? argv[2] : "ks";
-    const Cycle cycles =
-        argc > 3 ? Cycle{std::atol(argv[3])} : Cycle{40000};
+    const Cycle cycles{argc > 3 ? parseCount("cycles", argv[3]) : 40000};
     const Workload w = makeWorkload({ka, kb});
 
     std::printf("workload %s: WS vs WS-DMIL across sensitivity "
@@ -91,4 +92,17 @@ main(int argc, char **argv)
                 "under LRR and with bigger caches/MSHR files, with "
                 "gains shrinking as capacity removes contention.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

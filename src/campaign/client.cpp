@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -12,7 +13,6 @@
 
 #include "campaign/campaign_spec.hpp"
 #include "metrics/journal.hpp"
-#include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
 
 namespace ckesim {
@@ -349,6 +349,25 @@ clientStatusName(ClientStatus status)
     return "unknown";
 }
 
+std::uint64_t
+retryBackoffMs(std::uint64_t base_ms, std::uint64_t key, int attempt)
+{
+    const std::uint64_t base =
+        base_ms << static_cast<unsigned>(std::min(attempt, 32));
+    const std::uint64_t span = base / 2;
+    if (span == 0)
+        return base;
+    // splitmix64 over (key, attempt): high-quality, seedable, and —
+    // unlike wall-clock or RNG jitter — bit-reproducible per job.
+    std::uint64_t z = key ^
+                      (static_cast<std::uint64_t>(attempt) + 1) *
+                          0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return base + z % (span + 1);
+}
+
 ClientOutcome
 runCampaignClient(const ClientOptions &opts)
 {
@@ -364,10 +383,6 @@ runCampaignClient(const ClientOptions &opts)
         campaignFingerprint(outcome.jobs);
 
     ProcFaultPlan faults = opts.faults;
-    RetryPolicy backoff;
-    backoff.max_retries = opts.retries;
-    backoff.backoff_ms = opts.backoff_ms;
-    backoff.jitter_pct = opts.backoff_jitter_pct;
 
     for (int attempt = 0;; ++attempt) {
         ++outcome.report.attempts;
@@ -381,7 +396,7 @@ runCampaignClient(const ClientOptions &opts)
         // Deterministic jittered backoff, floored by the service's
         // retry-after hint when one was given.
         std::uint64_t wait_ms =
-            retryBackoffMs(backoff, fingerprint, attempt);
+            retryBackoffMs(opts.backoff_ms, fingerprint, attempt);
         if (res.end == AttemptEnd::RejectRetry &&
             res.retry_after_ms > wait_ms)
             wait_ms = res.retry_after_ms;

@@ -61,9 +61,6 @@ struct ClientOptions
     /** Base for the deterministic jittered retry backoff. */
     std::uint64_t backoff_ms = 50;
 
-    /** Jitter percentage on top of the doubled backoff base. */
-    std::uint32_t backoff_jitter_pct = 50;
-
     /** Client-side chaos plan (CorruptClientFrame /
      *  DropClientMidStream). */
     ProcFaultPlan faults;
@@ -102,6 +99,16 @@ struct ClientOutcome
 
     bool ok() const { return status == ClientStatus::Completed; }
 };
+
+/**
+ * Deterministic jittered backoff before retry @p attempt (0-based) of
+ * the submission whose campaign fingerprint is @p key: base_ms <<
+ * attempt, plus up to half of that, mixed from (key, attempt). Pure,
+ * so identical submissions back off identically across runs while
+ * distinct ones desynchronize instead of retrying in lockstep.
+ */
+std::uint64_t retryBackoffMs(std::uint64_t base_ms, std::uint64_t key,
+                             int attempt);
 
 /**
  * Submit opts.ref and stream results until CampaignDone (or a

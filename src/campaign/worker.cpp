@@ -19,7 +19,7 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock; // LINT-ALLOW(determinism): worker heartbeat pacing, never simulated state
 
-/** Mutable per-job state shared with the run-control poll hook. */
+/** Mutable per-job state shared with the poll hook. */
 struct WorkerState
 {
     int fd = -1;

@@ -324,11 +324,6 @@ Gpu::stepCycle()
 {
     {
         ProfScope prof_scheme(cost_prof_, ProfComp::Scheme);
-        // Checkpoint before cycle now_ executes: a restored snapshot
-        // resumes by ticking now_ exactly once, never twice.
-        const int ckpt = cfg_.integrity.checkpoint_interval;
-        if (ckpt > 0 && now_ > Cycle{} && now_ % ckpt == 0)
-            last_checkpoint_ = snapshot();
         if (profiling_ && now_ == profile_end_)
             finishProfiling();
         if (spec_.ucp && now_ > Cycle{} &&
@@ -354,8 +349,8 @@ Gpu::stepCycle()
         watchdogPoll();
         if (cfg_.integrity.periodic_checks)
             checkInvariants();
-        if (run_control_)
-            pollRunControl();
+        if (poll_hook_)
+            poll_hook_();
     }
 }
 
@@ -370,33 +365,6 @@ Gpu::run(Cycle cycles)
     while (now_ < end) {
         stepCycle();
         ++now_;
-    }
-}
-
-void
-Gpu::pollRunControl()
-{
-    // Liveness hook first: heartbeats must flow even when no budget
-    // or cancellation is configured.
-    run_control_->onPoll();
-    if (run_control_->cancelRequested()) {
-        raiseSimError("Cancelled", gpuCtx(now_),
-                      "cooperative cancellation requested at cycle " +
-                          std::to_string(now_.get()));
-    }
-    const std::uint64_t budget = run_control_->cycleBudget();
-    if (budget > 0 && now_.get() >= budget) {
-        raiseSimError("Timeout", gpuCtx(now_),
-                      "cycle budget of " + std::to_string(budget) +
-                          " cycles exhausted");
-    }
-    if (run_control_->wallExpired()) {
-        raiseSimError("Timeout", gpuCtx(now_),
-                      "wall-clock budget of " +
-                          std::to_string(
-                              run_control_->wallBudgetMs()) +
-                          " ms exhausted at cycle " +
-                          std::to_string(now_.get()));
     }
 }
 
@@ -599,7 +567,7 @@ Gpu::restore(const GpuSnapshot &snap)
     if (snap.config_digest != fieldHash(cfg_))
         raiseSimError("Snapshot", ctx,
                       "snapshot was taken under a different GpuConfig "
-                      "(a keyed field differs)");
+                      "(a field differs)");
     Fnv1a payload;
     payload.bytes(snap.bytes.data(), snap.bytes.size());
     if (snap.fingerprint != payload.value())

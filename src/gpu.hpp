@@ -9,9 +9,10 @@
 #define CKESIM_GPU_HPP
 
 #include <array>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/issue_policy.hpp"
@@ -23,7 +24,6 @@
 #include "mem/memsys.hpp"
 #include "sim/config.hpp"
 #include "sim/profiler.hpp"
-#include "sim/run_control.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time_series.hpp"
 #include "sm/sm.hpp"
@@ -208,17 +208,16 @@ class Gpu
      */
     void restore(const GpuSnapshot &snap);
 
-    /** Most recent automatic checkpoint taken by run() every
-     *  cfg.integrity.checkpoint_interval cycles (nullptr if none). */
-    const GpuSnapshot *lastCheckpoint() const
+    /**
+     * Install a hook run() calls at every integrity check (an empty
+     * function detaches). The campaign worker emits heartbeats from
+     * it, so a wedged simulation stops heartbeating. The hook must
+     * not touch simulated state; an exception it throws stops run().
+     */
+    void setPollHook(std::function<void()> hook)
     {
-        return last_checkpoint_ ? &*last_checkpoint_ : nullptr;
+        poll_hook_ = std::move(hook);
     }
-
-    /** Attach cooperative cancellation / budget control (nullptr
-     *  detaches). Polled on the integrity-check cadence; a tripped
-     *  control raises SimError kind "Cancelled" or "Timeout". */
-    void setRunControl(RunControl *rc) { run_control_ = rc; }
 
     /** Any memory request outstanding anywhere in the machine? The
      *  watchdog only raises while this holds: a compute-only phase
@@ -252,7 +251,6 @@ class Gpu
     bool hasPendingWork() const;
     void watchdogPoll();
     void checkInvariants();
-    void pollRunControl();
     [[noreturn]] void raiseWatchdog();
 
     GpuConfig cfg_;      // SNAPSHOT-SKIP(fixed at construction)
@@ -285,10 +283,7 @@ class Gpu
     FaultInjector fault_injector_;
     std::uint64_t last_progress_sig_ = 0;
     Cycle last_progress_cycle_{};
-
-    // Crash-safety state.
-    RunControl *run_control_ = nullptr; // SNAPSHOT-SKIP(owned by the supervising caller)
-    std::optional<GpuSnapshot> last_checkpoint_; // SNAPSHOT-SKIP(checkpoint artifact, not machine state)
+    std::function<void()> poll_hook_; // SNAPSHOT-SKIP(observer hook; rebound by the owner)
 
     // Cycle-cost profiling (observation only, never machine state).
     Profiler *cost_prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the owner)

@@ -1,10 +1,12 @@
 #include "metrics/experiment.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 
 #include "metrics/journal.hpp"
+#include "sim/check.hpp"
 
 namespace ckesim {
 
@@ -28,11 +30,9 @@ benchConfig()
 Cycle
 benchCycles()
 {
-    if (const char *env = std::getenv("CKESIM_CYCLES")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return Cycle{v};
-    }
+    const char *env = std::getenv("CKESIM_CYCLES");
+    if (env != nullptr && env[0] != '\0')
+        return Cycle{parseCount("CKESIM_CYCLES", env)};
     return fullMode() ? Cycle{400000} : Cycle{60000};
 }
 
@@ -51,13 +51,27 @@ BenchOptions::matches(const std::string &name) const
 }
 
 int
+parseCount(const char *what, const std::string &text)
+{
+    int v = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || stop != end || v <= 0) {
+        SimCtx ctx;
+        ctx.module = "experiment";
+        raiseSimError("ConfigError", ctx,
+                      std::string(what) + "='" + text +
+                          "' is not a whole number greater than 0");
+    }
+    return v;
+}
+
+int
 jobsFromEnv()
 {
-    if (const char *env = std::getenv("CKESIM_JOBS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<int>(v);
-    }
+    const char *env = std::getenv("CKESIM_JOBS");
+    if (env != nullptr && env[0] != '\0')
+        return parseCount("CKESIM_JOBS", env);
     return 0;
 }
 
@@ -99,9 +113,7 @@ parseBenchArgs(int &argc, char **argv)
         } else if (std::strcmp(argv[i], "--tables") == 0) {
             opts.tables_only = true;
         } else if (takeValueFlag("--jobs", argc, argv, i, value)) {
-            const long v = std::atol(value.c_str());
-            if (v > 0)
-                opts.jobs = static_cast<int>(v);
+            opts.jobs = parseCount("--jobs", value);
         } else if (takeValueFlag("--filter", argc, argv, i, value)) {
             opts.filter = value;
         } else if (takeValueFlag("--resume", argc, argv, i, value)) {

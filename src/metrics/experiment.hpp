@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "kernels/workload.hpp"
-#include "metrics/runner.hpp"
+#include "metrics/sweep_engine.hpp"
 #include "metrics/table.hpp"
 #include "sim/config.hpp"
 
@@ -31,13 +31,21 @@ bool fullMode();
 /** Bench GPU configuration (16 SMs full / 8 SMs quick). */
 GpuConfig benchConfig();
 
-/** Measurement cycles per simulation (env CKESIM_CYCLES overrides). */
+/** Measurement cycles per simulation (env CKESIM_CYCLES overrides;
+ *  a malformed value raises ConfigError). */
 Cycle benchCycles();
 
 /** Pair list (all 78 suite pairs full / representative 17 quick). */
 std::vector<Workload> benchPairs();
 
 // ---- CLI knobs shared by all bench binaries ----------------------------
+
+/**
+ * A count given on the command line or in the environment: a whole
+ * decimal number from 1 to INT_MAX with nothing after it. Anything
+ * else raises SimError kind "ConfigError" naming @p what and @p text.
+ */
+int parseCount(const char *what, const std::string &text);
 
 /** Options recognized (and stripped from argv) by every bench. */
 struct BenchOptions
@@ -64,11 +72,12 @@ struct BenchOptions
  * Extract --jobs N / --list / --filter S / --tables / --resume P
  * from argv (both "--flag value" and "--flag=value" forms),
  * compacting argv so the remaining flags can go to the benchmark
- * library untouched.
+ * library untouched. A malformed count raises ConfigError.
  */
 BenchOptions parseBenchArgs(int &argc, char **argv);
 
-/** Jobs requested via CKESIM_JOBS (0 = unset). */
+/** Jobs requested via CKESIM_JOBS (0 = unset or empty; a malformed
+ *  value raises ConfigError). */
 int jobsFromEnv();
 
 // ---- experiment registry ----------------------------------------------

@@ -148,12 +148,12 @@ std::vector<std::uint8_t> encodeSimResult(const SimResult &result);
 SimResult decodeSimResult(const std::vector<std::uint8_t> &bytes);
 
 /** Encode what SimJob::key() hashes (walkJob, sim_job.hpp) with the
- *  snapshot codec: kernels by value, unkeyed fields not at all. */
+ *  snapshot codec: kernels by value, the label not at all. */
 std::vector<std::uint8_t> encodeSimJob(const SimJob &job);
 
 /** Inverse of encodeSimJob; throws SimError kind "Snapshot" on a
- *  malformed payload. Unkeyed fields come back at their defaults, so
- *  the key is the encoded job's. The workload points into
+ *  malformed payload. The label comes back empty, so the key is the
+ *  encoded job's. The workload points into
  *  @p profiles, which the caller keeps unchanged while it uses the
  *  job. */
 SimJob decodeSimJob(const std::vector<std::uint8_t> &bytes,

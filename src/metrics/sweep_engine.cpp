@@ -144,29 +144,6 @@ resolveJobCount(int jobs)
 
 } // namespace
 
-std::uint64_t
-retryBackoffMs(const RetryPolicy &policy, std::uint64_t key,
-               int attempt)
-{
-    if (policy.backoff_ms == 0)
-        return 0;
-    const int shift = std::min(attempt, 32);
-    const std::uint64_t base = policy.backoff_ms
-                               << static_cast<unsigned>(shift);
-    const std::uint64_t span = base * policy.jitter_pct / 100;
-    if (span == 0)
-        return base;
-    // splitmix64 over (key, attempt): high-quality, seedable, and —
-    // unlike wall-clock or RNG jitter — bit-reproducible per job.
-    std::uint64_t z = key ^
-                      (static_cast<std::uint64_t>(attempt) + 1) *
-                          0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return base + z % (span + 1);
-}
-
 SweepEngine::SweepEngine(int jobs)
     : jobs_(resolveJobCount(jobs)), pool_(jobs_ - 1)
 {
@@ -180,11 +157,11 @@ SweepStats
 SweepEngine::stats() const
 {
     SweepStats s;
-    s.jobs_submitted = jobs_submitted_.load();
     s.sims_executed = sims_executed_.load();
     s.memo_hits = memo_hits_.load();
     s.isolated_runs = isolated_runs_.load();
     s.isolated_hits = isolated_hits_.load();
+    s.journal_hits = journal_hits_.load();
     return s;
 }
 
@@ -198,7 +175,6 @@ SweepEngine::clearCache()
 SimResult
 SweepEngine::run(const SimJob &job)
 {
-    jobs_submitted_.fetch_add(1);
     const std::uint64_t key = job.key();
 
     std::promise<SimResult> prom;
@@ -220,16 +196,16 @@ SweepEngine::run(const SimJob &job)
     // blocked waiter must always be waiting on an actively-running
     // computation, so memoization can't deadlock the pool).
     try {
-        SimResult result = computeWithResilience(job);
+        SimResult result = compute(job, key);
         prom.set_value(result);
         return result;
     } catch (...) {
         {
             // A failure must not poison the cache: resubmitting the
-            // identical job (after a transient timeout, a cancel, or
-            // a cleared fault) gets a fresh attempt instead of the
-            // memoized exception. In-flight waiters still receive the
-            // exception through their shared_future copies.
+            // identical job (after a cleared fault or poll hook) gets
+            // a fresh attempt instead of the memoized exception.
+            // In-flight waiters still receive the exception through
+            // their shared_future copies.
             std::lock_guard<std::mutex> lk(cache_mu_);
             cache_.erase(key);
         }
@@ -367,136 +343,27 @@ SweepEngine::makeNamedScheme(const GpuConfig &cfg, Cycle cycles,
     return spec;
 }
 
-// ---- resilience layer --------------------------------------------------
-
-/**
- * RAII registration of one job's RunControl with the engine, so
- * cancelAll() can reach every in-flight simulation. Budgets are armed
- * at construction (the wall deadline starts when the job does).
- */
-class SweepEngine::ActiveControl
-{
-  public:
-    explicit ActiveControl(SweepEngine &eng) : eng_(eng)
-    {
-        rc_.setCycleBudget(eng.budget_.cycle_budget);
-        rc_.setWallBudgetMs(eng.budget_.wall_budget_ms);
-        if (eng.poll_hook_)
-            rc_.setPollHook(eng.poll_hook_);
-        std::lock_guard<std::mutex> lk(eng.rc_mu_);
-        if (eng.cancel_all_)
-            rc_.requestCancel();
-        eng.active_rcs_.push_back(&rc_);
-    }
-
-    ~ActiveControl()
-    {
-        std::lock_guard<std::mutex> lk(eng_.rc_mu_);
-        auto &v = eng_.active_rcs_;
-        v.erase(std::remove(v.begin(), v.end(), &rc_), v.end());
-    }
-
-    ActiveControl(const ActiveControl &) = delete;
-    ActiveControl &operator=(const ActiveControl &) = delete;
-
-    RunControl *get() { return &rc_; }
-
-  private:
-    SweepEngine &eng_;
-    RunControl rc_;
-};
-
-void
-SweepEngine::cancelAll()
-{
-    std::lock_guard<std::mutex> lk(rc_mu_);
-    cancel_all_ = true;
-    for (RunControl *rc : active_rcs_)
-        rc->requestCancel();
-}
-
-void
-SweepEngine::clearCancel()
-{
-    std::lock_guard<std::mutex> lk(rc_mu_);
-    cancel_all_ = false;
-}
-
-ResilienceReport
-SweepEngine::resilience() const
-{
-    ResilienceReport r;
-    r.completed = completed_.load();
-    r.retried = retried_.load();
-    r.timed_out = timed_out_.load();
-    r.cancelled = cancelled_jobs_.load();
-    r.abandoned = abandoned_.load();
-    r.journal_hits = journal_hits_.load();
-    return r;
-}
-
 SimResult
-SweepEngine::computeWithResilience(const SimJob &job)
+SweepEngine::compute(const SimJob &job, std::uint64_t key)
 {
-    const std::uint64_t key = job.key();
     if (journal_) {
         SimResult recovered;
         if (journal_->find(key, recovered)) {
             journal_hits_.fetch_add(1);
-            completed_.fetch_add(1);
             return recovered;
         }
     }
 
-    // Retrying a fully deterministic failure is pointless; what can
-    // legitimately differ between attempts is the wall-clock budget
-    // (host load) and fault-injection jobs, whose whole purpose is to
-    // die — the issue-level contract is "bounded attempts, then give
-    // up with the original error".
-    const bool fault_job = !job.use_named && !job.spec.faults.empty();
-    for (int attempt = 0;; ++attempt) {
-        try {
-            SimResult result = compute(job);
-            if (journal_)
-                journal_->append(key, result);
-            completed_.fetch_add(1);
-            return result;
-        } catch (const SimError &e) {
-            const bool timeout = e.kind() == "Timeout";
-            if (timeout)
-                timed_out_.fetch_add(1);
-            if (e.kind() == "Cancelled") {
-                cancelled_jobs_.fetch_add(1);
-                abandoned_.fetch_add(1);
-                throw; // cancellation is a command, never retried
-            }
-            if (!(timeout || fault_job) ||
-                attempt >= retry_.max_retries) {
-                abandoned_.fetch_add(1);
-                throw;
-            }
-            retried_.fetch_add(1);
-            const std::uint64_t backoff =
-                retryBackoffMs(retry_, key, attempt);
-            if (backoff > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff));
-        }
-    }
-}
-
-SimResult
-SweepEngine::compute(const SimJob &job)
-{
     sims_executed_.fetch_add(1);
-    ActiveControl control(*this);
     SimResult result;
     if (job.kind == JobKind::Isolated) {
         isolated_runs_.fetch_add(1);
-        result.isolated = computeIsolated(job, control.get());
+        result.isolated = computeIsolated(job);
     } else {
-        result.concurrent = computeConcurrent(job, control.get());
+        result.concurrent = computeConcurrent(job);
     }
+    if (journal_)
+        journal_->append(key, result);
     return result;
 }
 
@@ -538,7 +405,7 @@ attachRequestedSeries(const SimJob &job, Gpu &gpu,
 } // namespace
 
 std::shared_ptr<const IsolatedResult>
-SweepEngine::computeIsolated(const SimJob &job, RunControl *rc)
+SweepEngine::computeIsolated(const SimJob &job)
 {
     const KernelProfile &prof = *job.workload.kernels.at(0);
     Workload wl;
@@ -546,7 +413,7 @@ SweepEngine::computeIsolated(const SimJob &job, RunControl *rc)
     const SchemeSpec spec = makeScheme(PartitionScheme::Leftover,
                                        BmiMode::None, MilMode::None);
     Gpu gpu(job.cfg, wl, spec);
-    gpu.setRunControl(rc);
+    gpu.setPollHook(poll_hook_);
     const int quota = job.tb_limit > 0
                           ? job.tb_limit
                           : prof.maxTbsPerSm(job.cfg.sm);
@@ -569,7 +436,7 @@ SweepEngine::computeIsolated(const SimJob &job, RunControl *rc)
 }
 
 std::shared_ptr<const ConcurrentResult>
-SweepEngine::computeConcurrent(const SimJob &job, RunControl *rc)
+SweepEngine::computeConcurrent(const SimJob &job)
 {
     const SchemeSpec spec =
         job.use_named ? makeNamedScheme(job.cfg, job.cycles,
@@ -584,7 +451,7 @@ SweepEngine::computeConcurrent(const SimJob &job, RunControl *rc)
         total += spec.ws_profile_window;
 
     Gpu gpu(job.cfg, job.workload, spec);
-    gpu.setRunControl(rc);
+    gpu.setPollHook(poll_hook_);
     auto res = std::make_shared<ConcurrentResult>();
     attachRequestedSeries(job, gpu, res->issue_series,
                           res->l1d_series);

@@ -194,11 +194,6 @@ struct IntegrityConfig
     /** Max extra drain cycles Gpu::audit() spends reaching
      *  quiescence before declaring a leak. */
     int audit_drain_limit = 100000;
-    /** Cycles between automatic checkpoints taken by the run loop
-     *  (sim/snapshot.hpp); 0 disables auto-checkpointing. Does not
-     *  affect simulated state or results, so it is the one unkeyed
-     *  field: SimJob content hashes and the config pin skip it. */
-    int checkpoint_interval = 0;
 };
 
 template <class V, ObjectOf<IntegrityConfig>... S>
@@ -209,8 +204,6 @@ fields(V &v, S &...s)
     v(Field{"check_interval", 1}, s.check_interval...);
     v(Field{"watchdog_timeout", 0}, s.watchdog_timeout...);
     v(Field{"audit_drain_limit", 1}, s.audit_drain_limit...);
-    v(Field{.name = "checkpoint_interval", .min = 0, .keyed = false},
-      s.checkpoint_interval...);
 }
 static_assert(tableCovers<IntegrityConfig>());
 
@@ -240,8 +233,7 @@ struct GpuConfig
      * Reject nonsensical configurations with a structured SimError
      * (kind "ConfigError") naming the offending field, instead of
      * letting zero-depth queues or mismatched cache geometry corrupt
-     * a run thousands of cycles in. Called by the Gpu constructor
-     * and the experiment Runner.
+     * a run thousands of cycles in. Called by the Gpu constructor.
      */
     void validate() const;
 };

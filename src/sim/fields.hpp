@@ -32,9 +32,6 @@ struct Field
     const char *name = "";
     /** Lower bound GpuConfig::validate() enforces on an int member. */
     int min = kNoMin;
-    /** False for a member that cannot change results: writers, and so
-     *  the job key and the snapshot config pin, skip it. */
-    bool keyed = true;
 };
 
 /** @p S is a (const) @p T: constrains the objects a table walks. */
@@ -141,9 +138,9 @@ class Fnv1a
 
 /**
  * Walks values through their tables into a sink with SnapshotWriter's
- * scalar interface (SnapshotWriter, Fnv1a), skipping unkeyed fields:
- * uint64 and units as u64, other integers, bools and enums as i64,
- * vectors length first, arrays and pairs element-wise.
+ * scalar interface (SnapshotWriter, Fnv1a): uint64 and units as u64,
+ * other integers, bools and enums as i64, vectors length first,
+ * arrays and pairs element-wise.
  */
 template <class Sink>
 class FieldWriter
@@ -153,10 +150,9 @@ class FieldWriter
 
     template <class M>
     void
-    operator()(const Field &f, const M &m)
+    operator()(const Field &, const M &m)
     {
-        if (f.keyed)
-            put(m);
+        put(m);
     }
 
     template <class M>
@@ -188,7 +184,7 @@ class FieldWriter
     Sink &sink_;
 };
 
-/** Hash of one value's keyed fields. */
+/** Hash of one value's fields. */
 template <class T>
 std::uint64_t
 fieldHash(const T &value, std::uint64_t seed = Fnv1a::kBasis)

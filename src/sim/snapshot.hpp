@@ -176,10 +176,9 @@ class FieldReader
 
     template <class M>
     void
-    operator()(const Field &f, M &m)
+    operator()(const Field &, M &m)
     {
-        if (f.keyed)
-            get(m);
+        get(m);
     }
 
     template <class M>
@@ -223,8 +222,8 @@ struct GpuSnapshot
     Cycle cycle{};
     /** FNV-1a fingerprint of @ref bytes. */
     std::uint64_t fingerprint = 0;
-    /** Config pin: hash of the owning simulation's keyed GpuConfig
-     *  fields (the same set SimJob::key() covers). */
+    /** Config pin: hash of the owning simulation's GpuConfig fields
+     *  (the same set SimJob::key() covers). */
     std::uint64_t config_digest = 0;
     /** The encoded state. */
     std::vector<std::uint8_t> bytes;

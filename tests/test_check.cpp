@@ -186,7 +186,7 @@ TEST(ConfigValidate, RejectsMalformedConfigsByName)
     // Every bounded field-table entry, set to its bound minus 1.
     GpuConfig probe;
     const std::size_t bounded = boundedFields(probe).size();
-    EXPECT_EQ(bounded, 39u);
+    EXPECT_EQ(bounded, 38u);
     for (std::size_t i = 0; i < bounded; ++i) {
         GpuConfig cfg;
         const Bound b = boundedFields(cfg)[i];

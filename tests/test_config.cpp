@@ -65,8 +65,8 @@ TEST(Config, SmallConfigShrinksOnlyScale)
 
 TEST(Config, DigestDistinguishesConfigs)
 {
-    // The snapshot config pin: the field-table hash of the keyed
-    // GpuConfig fields (tests/test_fields.cpp walks every field).
+    // The snapshot config pin: the field-table hash of the GpuConfig
+    // fields (tests/test_fields.cpp walks every field).
     GpuConfig a;
     GpuConfig b;
     b.l1d.size_bytes = 48 * 1024;
@@ -77,9 +77,6 @@ TEST(Config, DigestDistinguishesConfigs)
     GpuConfig d;
     d.dram.access_latency += 1; // outside the old string digest
     EXPECT_NE(fieldHash(a), fieldHash(d));
-    GpuConfig e;
-    e.integrity.checkpoint_interval = 1000; // unkeyed
-    EXPECT_EQ(fieldHash(a), fieldHash(e));
     EXPECT_EQ(fieldHash(a), fieldHash(GpuConfig{}));
 }
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "metrics/experiment.hpp"
+#include "sim/check.hpp"
 
 namespace ckesim {
 namespace {
@@ -62,6 +64,38 @@ TEST(Experiment, CyclesOverridableByEnv)
     EXPECT_EQ(benchCycles(), Cycle{12345});
     ::unsetenv("CKESIM_CYCLES");
     EXPECT_GT(benchCycles(), Cycle{10000});
+    const Cycle by_default = benchCycles();
+    ::setenv("CKESIM_CYCLES", "", 1); // empty keeps the default
+    EXPECT_EQ(benchCycles(), by_default);
+
+    // A malformed count is refused, never truncated to its prefix.
+    for (const char *bad : {"20k", "0", "-5", "12 ", " 12", "1e5", "x",
+                            "99999999999999999999"}) {
+        ::setenv("CKESIM_CYCLES", bad, 1);
+        try {
+            (void)benchCycles();
+            ADD_FAILURE() << "accepted CKESIM_CYCLES='" << bad << "'";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), "ConfigError") << bad;
+            EXPECT_NE(e.detail().find(std::string("CKESIM_CYCLES='") +
+                                      bad + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ::unsetenv("CKESIM_CYCLES");
+
+    for (const char *bad : {"x", "2x"}) {
+        ::setenv("CKESIM_JOBS", bad, 1);
+        EXPECT_THROW(jobsFromEnv(), SimError) << bad;
+    }
+    ::unsetenv("CKESIM_JOBS");
+    const char *argv_in[] = {"bench", "--jobs", "abc", nullptr};
+    char *argv[4];
+    for (int i = 0; i < 4; ++i)
+        argv[i] = const_cast<char *>(argv_in[i]);
+    int argc = 3;
+    EXPECT_THROW(parseBenchArgs(argc, argv), SimError);
 }
 
 TEST(Experiment, FullModeSwitchesPairList)

@@ -14,7 +14,7 @@
 
 #include "gpu.hpp"
 #include "kernels/workload.hpp"
-#include "metrics/runner.hpp"
+#include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
 #include "sim/fault.hpp"
 
@@ -195,13 +195,17 @@ TEST(FaultRecovery, ForcedRsFailsStallButRetire)
 
 TEST(Audit, CleanConcurrentRunsDrainCompletely)
 {
-    // Spans compute-heavy, memory-heavy and mixed pairs; Runner::run
-    // audits internally after collecting metrics.
-    Runner runner(faultCfg(), Cycle{8000});
+    // Spans compute-heavy, memory-heavy and mixed pairs; the engine
+    // audits every fault-free run after collecting metrics.
+    SweepEngine engine(1);
+    const Cycle cycles{8000};
     const Workload mixed = makeWorkload({"bp", "sv"});
-    EXPECT_NO_THROW(runner.run(mixed, NamedScheme::WS_QBMI_DMIL));
-    EXPECT_NO_THROW(runner.run(memWorkload(), NamedScheme::WS));
-    EXPECT_NO_THROW(runner.run(mixed, NamedScheme::SMK_PW));
+    EXPECT_NO_THROW(engine.concurrent(faultCfg(), cycles, mixed,
+                                      NamedScheme::WS_QBMI_DMIL));
+    EXPECT_NO_THROW(engine.concurrent(faultCfg(), cycles, memWorkload(),
+                                      NamedScheme::WS));
+    EXPECT_NO_THROW(engine.concurrent(faultCfg(), cycles, mixed,
+                                      NamedScheme::SMK_PW));
 }
 
 TEST(Audit, ExplicitAuditPassesAndPreservesMetrics)

@@ -4,9 +4,7 @@
  * pin, stats sums and fingerprints, and the results codec. A
  * perturbing visitor changes one leaf field at a time and checks that
  * every consumer sees it:
- *  - every keyed field changes SimJob::key() and the config pin, and
- *    integrity.checkpoint_interval (the one unkeyed field) changes
- *    neither;
+ *  - every config field changes SimJob::key() and the config pin;
  *  - every counter changes fingerprint(), is summed by +=, and
  *    survives a snapshot and a journal round trip;
  *  - every result field survives a journal round trip.
@@ -31,7 +29,7 @@ namespace {
 /**
  * Changes the target-th leaf field (depth first through nested
  * tables; a vector or array counts as one leaf) and records its
- * dotted path and keyed mark. After a walk, `seen` is the leaf count.
+ * dotted path. After a walk, `seen` is the leaf count.
  */
 struct PerturbNth
 {
@@ -39,7 +37,6 @@ struct PerturbNth
     int seen = 0;
     std::string prefix;
     std::string path;
-    bool keyed = true;
 
     template <class M>
     void
@@ -53,7 +50,6 @@ struct PerturbNth
         } else if (seen++ == target) {
             change(m);
             path = prefix + f.name;
-            keyed = f.keyed;
         }
     }
 
@@ -78,8 +74,8 @@ struct PerturbNth
     }
 };
 
-/** Calls fn(changed, path, keyed) once per leaf field of @p base;
- *  returns the leaf count. */
+/** Calls fn(changed, path) once per leaf field of @p base; returns
+ *  the leaf count. */
 template <class T, class Fn>
 int
 forEachPerturbation(const T &base, Fn fn)
@@ -91,7 +87,7 @@ forEachPerturbation(const T &base, Fn fn)
         fields(p, changed);
         if (i >= p.seen)
             return i;
-        fn(changed, p.path, p.keyed);
+        fn(changed, p.path);
     }
 }
 
@@ -113,7 +109,7 @@ TEST(FieldTables, NoNewKnobs)
     EXPECT_EQ(aggregateArity<L2Config>(), 6);
     EXPECT_EQ(aggregateArity<IcntConfig>(), 3);
     EXPECT_EQ(aggregateArity<DramConfig>(), 8);
-    EXPECT_EQ(aggregateArity<IntegrityConfig>(), 5);
+    EXPECT_EQ(aggregateArity<IntegrityConfig>(), 4);
     EXPECT_EQ(aggregateArity<SchemeSpec>(), 16);
     EXPECT_EQ(aggregateArity<FaultSpec>(), 6);
     EXPECT_EQ(aggregateArity<KernelProfile>(), 17);
@@ -124,29 +120,20 @@ TEST(FieldTables, NoNewKnobs)
     EXPECT_EQ(aggregateArity<IsolatedResult>(), 8);
     EXPECT_EQ(aggregateArity<ConcurrentResult>(), 13);
     GpuConfig cfg;
-    EXPECT_EQ(forEachPerturbation(cfg, [](auto &&...) {}), 43);
+    EXPECT_EQ(forEachPerturbation(cfg, [](auto &&...) {}), 42);
 }
 
-TEST(FieldTables, EveryKeyedConfigFieldChangesKeyAndPin)
+TEST(FieldTables, EveryConfigFieldChangesKeyAndPin)
 {
     const SimJob base = baseJob();
     std::set<std::uint64_t> keys{base.key()};
-    std::string unkeyed;
     forEachPerturbation(base.cfg, [&](const GpuConfig &cfg,
-                                      const std::string &path,
-                                      bool keyed) {
+                                      const std::string &path) {
         SimJob job = base;
         job.cfg = cfg;
-        if (keyed) {
-            EXPECT_TRUE(keys.insert(job.key()).second) << path;
-            EXPECT_NE(fieldHash(cfg), fieldHash(base.cfg)) << path;
-        } else {
-            EXPECT_EQ(job.key(), base.key()) << path;
-            EXPECT_EQ(fieldHash(cfg), fieldHash(base.cfg)) << path;
-            unkeyed += path;
-        }
+        EXPECT_TRUE(keys.insert(job.key()).second) << path;
+        EXPECT_NE(fieldHash(cfg), fieldHash(base.cfg)) << path;
     });
-    EXPECT_EQ(unkeyed, "integrity.checkpoint_interval");
     EXPECT_EQ(keys.size(), 43u);
 
     // The pin a snapshot carries is that same hash.
@@ -164,7 +151,7 @@ TEST(FieldTables, EverySchemeFieldChangesTheKey)
     std::set<std::uint64_t> keys{base.key()};
     const int n = forEachPerturbation(
         base.spec,
-        [&](const SchemeSpec &spec, const std::string &path, bool) {
+        [&](const SchemeSpec &spec, const std::string &path) {
             SimJob job = base;
             job.spec = spec;
             EXPECT_TRUE(keys.insert(job.key()).second) << path;
@@ -173,8 +160,7 @@ TEST(FieldTables, EverySchemeFieldChangesTheKey)
 
     // Each FaultSpec member reaches the key through the faults vector.
     forEachPerturbation(base.spec.faults[0], [&](const FaultSpec &f,
-                                                 const std::string &path,
-                                                 bool) {
+                                                 const std::string &path) {
         SimJob job = base;
         job.spec.faults[0] = f;
         EXPECT_TRUE(keys.insert(job.key()).second) << "faults." << path;
@@ -187,14 +173,14 @@ TEST(FieldTables, EveryProfileAndSeriesFieldChangesTheKey)
     std::set<std::uint64_t> keys{base.key()};
     const int n = forEachPerturbation(
         *base.workload.kernels[0],
-        [&](const KernelProfile &prof, const std::string &path, bool) {
+        [&](const KernelProfile &prof, const std::string &path) {
             SimJob job = base;
             job.workload.kernels[0] = &prof;
             EXPECT_TRUE(keys.insert(job.key()).second) << path;
         });
     EXPECT_EQ(n, 17);
     forEachPerturbation(base.series, [&](const SeriesRequest &series,
-                                         const std::string &path, bool) {
+                                         const std::string &path) {
         SimJob job = base;
         job.series = series;
         EXPECT_TRUE(keys.insert(job.key()).second) << path;
@@ -222,7 +208,7 @@ expectEveryCounterCounts(Stats &(*slot)(ConcurrentResult &))
 {
     const Stats zero;
     const int n = forEachPerturbation(
-        zero, [&](const Stats &s, const std::string &path, bool) {
+        zero, [&](const Stats &s, const std::string &path) {
             EXPECT_NE(fingerprint(s), fingerprint(zero)) << path;
             Stats twice = s;
             twice += s;
@@ -260,8 +246,8 @@ expectEveryResultFieldRoundTrips(
     SimResult wrapped;
     wrapped.*slot = std::make_shared<Result>(base);
     const std::vector<std::uint8_t> base_bytes = encodeSimResult(wrapped);
-    forEachPerturbation(base, [&](const Result &r, const std::string &path,
-                                  bool) {
+    forEachPerturbation(base, [&](const Result &r,
+                                  const std::string &path) {
         SimResult changed;
         changed.*slot = std::make_shared<Result>(r);
         const std::vector<std::uint8_t> bytes = encodeSimResult(changed);

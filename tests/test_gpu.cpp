@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the top-level Gpu orchestration: partition schemes,
- * dynamic Warped-Slicer profiling, UCP repartitioning and stats
- * aggregation.
+ * dynamic Warped-Slicer profiling, UCP repartitioning, stats
+ * aggregation and the poll hook.
  */
 
 #include <gtest/gtest.h>
@@ -175,6 +175,41 @@ TEST(Gpu, ThreeKernelWorkload)
     ASSERT_EQ(gpu.chosenPartition().size(), 3u);
     for (int k = 0; k < 3; ++k)
         EXPECT_GT(gpu.ipc(KernelId{k}), 0.0) << k;
+}
+
+TEST(Gpu, PollHookRunsAtEveryIntegrityCheckWithoutChangingState)
+{
+    // Campaign-worker heartbeats ride this hook: one call per
+    // integrity check (each cycle t with t % check_interval == 0), no
+    // effect on simulated state, and its exception stops run().
+    GpuConfig c = cfg();
+    c.integrity.check_interval = 100;
+    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
+                                       BmiMode::QBMI, MilMode::Dynamic);
+    const Cycle cycles{3000};
+
+    Gpu plain(c, wl("bp", "sv"), spec);
+    plain.run(cycles);
+
+    Gpu hooked(c, wl("bp", "sv"), spec);
+    int calls = 0;
+    hooked.setPollHook([&calls] { ++calls; });
+    hooked.run(cycles);
+    EXPECT_EQ(hooked.snapshot().fingerprint, plain.snapshot().fingerprint);
+    EXPECT_EQ(calls, 30); // t = 0, 100, ..., 2900
+
+    struct Stop
+    {
+    };
+    Gpu stopped(c, wl("bp", "sv"), spec);
+    int polls = 0;
+    stopped.setPollHook([&polls] {
+        if (++polls == 3)
+            throw Stop{};
+    });
+    EXPECT_THROW(stopped.run(cycles), Stop);
+    EXPECT_EQ(polls, 3);
+    EXPECT_EQ(stopped.snapshot().cycle, Cycle{200});
 }
 
 } // namespace

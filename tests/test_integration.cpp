@@ -8,7 +8,7 @@
 
 #include "gpu.hpp"
 #include "kernels/workload.hpp"
-#include "metrics/runner.hpp"
+#include "metrics/sweep_engine.hpp"
 
 namespace ckesim {
 namespace {
@@ -22,8 +22,9 @@ testConfig()
 
 TEST(Integration, IsolatedComputeKernelExecutes)
 {
-    Runner runner(testConfig(), Cycle{20000});
-    const IsolatedResult &res = runner.isolated(findProfile("bp"));
+    SweepEngine engine(1);
+    const IsolatedResult res =
+        *engine.isolated(testConfig(), Cycle{20000}, findProfile("bp"));
     EXPECT_GT(res.ipc, 0.1);
     EXPECT_GT(res.stats.issued_instructions, 1000u);
     EXPECT_GT(res.stats.mem_instructions, 0u);
@@ -32,17 +33,19 @@ TEST(Integration, IsolatedComputeKernelExecutes)
 
 TEST(Integration, IsolatedMemoryKernelExecutes)
 {
-    Runner runner(testConfig(), Cycle{20000});
-    const IsolatedResult &res = runner.isolated(findProfile("sv"));
+    SweepEngine engine(1);
+    const IsolatedResult res =
+        *engine.isolated(testConfig(), Cycle{20000}, findProfile("sv"));
     EXPECT_GT(res.ipc, 0.01);
     EXPECT_GT(res.stats.l1dMissRate(), 0.3);
 }
 
 TEST(Integration, ConcurrentPairUnderWsDmil)
 {
-    Runner runner(testConfig(), Cycle{20000});
+    SweepEngine engine(1);
     const Workload wl = makeWorkload({"bp", "sv"});
-    const ConcurrentResult res = runner.run(wl, NamedScheme::WS_DMIL);
+    const ConcurrentResult res = *engine.concurrent(
+        testConfig(), Cycle{20000}, wl, NamedScheme::WS_DMIL);
     ASSERT_EQ(res.norm_ipc.size(), 2u);
     EXPECT_GT(res.weighted_speedup, 0.1);
     EXPECT_LE(res.weighted_speedup, 2.5);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/runner.hpp"
+#include "metrics/sweep_engine.hpp"
 
 namespace ckesim {
 namespace {
@@ -26,9 +26,9 @@ class IsolatedInvariants
 
 TEST_P(IsolatedInvariants, HoldForKernel)
 {
-    Runner runner(smallCfg(), Cycle{8000});
+    SweepEngine engine(1);
     const KernelProfile &p = findProfile(GetParam());
-    const IsolatedResult &res = runner.isolated(p);
+    const IsolatedResult res = *engine.isolated(smallCfg(), Cycle{8000}, p);
     const KernelStats &s = res.stats;
 
     // The kernel makes progress.
@@ -83,9 +83,10 @@ class SchemeInvariants
 
 TEST_P(SchemeInvariants, HoldForBpSv)
 {
-    Runner runner(smallCfg(), Cycle{8000});
+    SweepEngine engine(1);
     const Workload w = makeWorkload({"bp", "sv"});
-    const ConcurrentResult res = runner.run(w, GetParam());
+    const ConcurrentResult res =
+        *engine.concurrent(smallCfg(), Cycle{8000}, w, GetParam());
 
     ASSERT_EQ(res.norm_ipc.size(), 2u);
     for (double v : res.norm_ipc) {
@@ -127,8 +128,9 @@ TEST(Determinism, IdenticalRunsProduceIdenticalStats)
 {
     const Workload w = makeWorkload({"bp", "ks"});
     auto run_once = [&] {
-        Runner runner(smallCfg(), Cycle{6000});
-        return runner.run(w, NamedScheme::WS_DMIL);
+        SweepEngine engine(1);
+        return *engine.concurrent(smallCfg(), Cycle{6000}, w,
+                                  NamedScheme::WS_DMIL);
     };
     const ConcurrentResult a = run_once();
     const ConcurrentResult b = run_once();
@@ -145,9 +147,9 @@ TEST(Determinism, SameSeedAndConfigProduceIdenticalFingerprints)
 {
     const Workload w = makeWorkload({"sv", "ks"});
     auto hash_once = [&] {
-        Runner runner(smallCfg(), Cycle{6000});
-        const ConcurrentResult res =
-            runner.run(w, NamedScheme::WS_QBMI_DMIL);
+        SweepEngine engine(1);
+        const ConcurrentResult res = *engine.concurrent(
+            smallCfg(), Cycle{6000}, w, NamedScheme::WS_QBMI_DMIL);
         std::uint64_t h = fingerprint(res.sm_stats);
         for (const KernelStats &s : res.stats)
             h = fingerprint(s, h);
@@ -178,9 +180,11 @@ TEST(Determinism, SeedChangesChangeOutcome)
     GpuConfig c1 = smallCfg();
     GpuConfig c2 = smallCfg();
     c2.seed = 0xdeadbeef;
-    Runner r1(c1, Cycle{6000}), r2(c2, Cycle{6000});
-    const ConcurrentResult a = r1.run(w, NamedScheme::WS);
-    const ConcurrentResult b = r2.run(w, NamedScheme::WS);
+    SweepEngine engine(1);
+    const ConcurrentResult a =
+        *engine.concurrent(c1, Cycle{6000}, w, NamedScheme::WS);
+    const ConcurrentResult b =
+        *engine.concurrent(c2, Cycle{6000}, w, NamedScheme::WS);
     EXPECT_NE(a.stats[0].l1d_accesses, b.stats[0].l1d_accesses);
 }
 
@@ -208,11 +212,12 @@ TEST(SchemeSanity, DmilReducesReservationFailures)
 {
     // The core claim of Section 3.3: limiting in-flight memory
     // instructions cuts rsfail rates for memory-intensive pairs.
-    Runner runner(smallCfg(), Cycle{12000});
+    SweepEngine engine(1);
     const Workload w = makeWorkload({"sv", "ks"});
-    const ConcurrentResult base = runner.run(w, NamedScheme::WS);
-    const ConcurrentResult dmil =
-        runner.run(w, NamedScheme::WS_DMIL);
+    const ConcurrentResult base =
+        *engine.concurrent(smallCfg(), Cycle{12000}, w, NamedScheme::WS);
+    const ConcurrentResult dmil = *engine.concurrent(
+        smallCfg(), Cycle{12000}, w, NamedScheme::WS_DMIL);
     const double base_rsfail = base.stats[0].l1dRsFailRate() +
                                base.stats[1].l1dRsFailRate();
     const double dmil_rsfail = dmil.stats[0].l1dRsFailRate() +
@@ -224,11 +229,12 @@ TEST(SchemeSanity, QbmiBalancesRequestVolume)
 {
     // QBMI should narrow the gap between the kernels' serviced
     // request volumes relative to unmanaged WS.
-    Runner runner(smallCfg(), Cycle{12000});
+    SweepEngine engine(1);
     const Workload w = makeWorkload({"bp", "ks"});
-    const ConcurrentResult base = runner.run(w, NamedScheme::WS);
-    const ConcurrentResult qbmi =
-        runner.run(w, NamedScheme::WS_QBMI);
+    const ConcurrentResult base =
+        *engine.concurrent(smallCfg(), Cycle{12000}, w, NamedScheme::WS);
+    const ConcurrentResult qbmi = *engine.concurrent(
+        smallCfg(), Cycle{12000}, w, NamedScheme::WS_QBMI);
     auto imbalance = [](const ConcurrentResult &r) {
         const double a =
             static_cast<double>(r.stats[0].l1d_accesses);

@@ -2,20 +2,19 @@
  * @file
  * Crash-recovery soak for the sweep layer: a journaled sweep killed
  * mid-flight must resume to a byte-identical final table at any
- * worker count; job budgets must produce structured Timeout errors;
- * retries must be bounded; and a failed job must never poison the
- * memo cache for an identical resubmission.
+ * worker count; a failed job must surface its original error and
+ * never poison the memo cache for an identical resubmission; and the
+ * campaign client's retry backoff is deterministic and bounded.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/campaign_engine.hpp"
+#include "campaign/client.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/journal.hpp"
 #include "metrics/sweep_engine.hpp"
@@ -101,33 +100,30 @@ TEST(Recovery, KilledSweepResumesToByteIdenticalTable)
     SweepEngine baseline(2);
     const auto want = encodeTable(baseline.sweep(jobs));
 
-    // First attempt: journaled, killed (cooperatively cancelled —
-    // the in-process stand-in for SIGKILL, since a real kill would
-    // take the test runner with it) once at least one result is
-    // durable. The journal's fsync contract makes this equivalent to
-    // dying at an arbitrary instruction boundary; torn-tail handling
-    // is covered separately in test_journal.
+    // First attempt: journaled, killed once at least one result is
+    // durable: a poll hook throws from every running simulation (the
+    // in-process stand-in for SIGKILL, since a real kill would take
+    // the test runner with it). The journal's fsync contract makes
+    // this equivalent to dying at an arbitrary instruction boundary;
+    // torn-tail handling is covered separately in test_journal.
     TempFile tmp("resume");
-    std::uint64_t first_pass_completed = 0;
     {
+        struct Killed
+        {
+        };
         SweepEngine engine(2);
         ResultJournal journal;
         journal.open(tmp.path());
         engine.setJournal(&journal);
-
-        std::thread killer([&] {
-            while (journal.size() == 0)
-                std::this_thread::yield();
-            engine.cancelAll();
+        engine.setPollHook([&journal] {
+            if (journal.size() > 0)
+                throw Killed{};
         });
         try {
             (void)engine.sweep(jobs);
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), "Cancelled") << e.what();
+        } catch (const Killed &) {
         }
-        killer.join();
-        first_pass_completed = engine.resilience().completed;
-        EXPECT_GE(first_pass_completed, 1u);
+        EXPECT_GE(journal.size(), 1u);
     }
 
     // Resume with various worker counts: completed work must be
@@ -137,9 +133,9 @@ TEST(Recovery, KilledSweepResumesToByteIdenticalTable)
         TempFile copy("resume_w" + std::to_string(workers));
         // Each resume gets its own copy of the crash-time journal so
         // the three worker counts start from the same crash state.
-        // Only top-level results are copied, so count them:
-        // first_pass_completed also counts nested baselines (the
-        // isolated ks run behind sv+ks).
+        // Only top-level results are copied, so count them: the
+        // journal also holds nested baselines (the isolated ks run
+        // behind sv+ks).
         std::uint64_t copied = 0;
         {
             ResultJournal src;
@@ -162,7 +158,7 @@ TEST(Recovery, KilledSweepResumesToByteIdenticalTable)
         const auto got = encodeTable(engine.sweep(jobs));
         EXPECT_EQ(got, want) << "resume with " << workers
                              << " workers diverged";
-        EXPECT_EQ(engine.resilience().journal_hits, copied);
+        EXPECT_EQ(engine.stats().journal_hits, copied);
         // Second run over the now-complete journal simulates nothing.
         SweepEngine replay(workers);
         ResultJournal full;
@@ -191,87 +187,32 @@ TEST(Recovery, JournaledRunIsByteIdenticalForAnyWorkerCount)
     }
 }
 
-// ---- budgets, retries, cache hygiene -----------------------------------
-
-TEST(Recovery, CycleBudgetRaisesStructuredTimeout)
-{
-    SweepEngine engine(1);
-    JobBudget budget;
-    budget.cycle_budget = 1000; // the job wants 4000 cycles
-    engine.setJobBudget(budget);
-    const std::vector<SimJob> jobs = buildJobs();
-    try {
-        (void)engine.run(jobs[2]);
-        FAIL() << "cycle budget never tripped";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), "Timeout") << e.what();
-    }
-    const ResilienceReport r = engine.resilience();
-    EXPECT_EQ(r.timed_out, 1u);
-    EXPECT_EQ(r.abandoned, 1u);
-    EXPECT_EQ(r.retried, 0u);
-}
-
-TEST(Recovery, TimeoutsRetryBoundedTimes)
-{
-    SweepEngine engine(1);
-    JobBudget budget;
-    budget.cycle_budget = 1000;
-    engine.setJobBudget(budget);
-    RetryPolicy retry;
-    retry.max_retries = 2;
-    engine.setRetryPolicy(retry);
-    const std::vector<SimJob> jobs = buildJobs();
-    EXPECT_THROW((void)engine.run(jobs[3]), SimError);
-    const ResilienceReport r = engine.resilience();
-    EXPECT_EQ(r.retried, 2u);   // bounded: initial + 2 retries
-    EXPECT_EQ(r.timed_out, 3u); // every attempt timed out
-    EXPECT_EQ(r.abandoned, 1u); // but the job failed exactly once
-}
+// ---- failed jobs -------------------------------------------------------
 
 TEST(Recovery, FailedJobDoesNotPoisonTheMemoCache)
 {
-    // A job that fails under a budget must be recomputable: lifting
-    // the budget and resubmitting the IDENTICAL job (same key) has to
-    // re-run it, not replay the memoized exception.
+    // A job that fails must be recomputable: clearing the cause and
+    // resubmitting the IDENTICAL job (same key) has to re-run it, not
+    // replay the memoized exception.
     const std::vector<SimJob> jobs = buildJobs();
+    struct Stopped
+    {
+    };
     SweepEngine engine(2);
-    JobBudget tight;
-    tight.cycle_budget = 1000;
-    engine.setJobBudget(tight);
-    EXPECT_THROW((void)engine.run(jobs[2]), SimError);
+    engine.setPollHook([] { throw Stopped{}; });
+    EXPECT_THROW((void)engine.run(jobs[2]), Stopped);
 
-    engine.setJobBudget(JobBudget{}); // unlimited again
+    engine.setPollHook(nullptr);
     SimResult result;
     EXPECT_NO_THROW(result = engine.run(jobs[2]));
     ASSERT_NE(result.concurrent, nullptr);
     EXPECT_GT(result.concurrent->weighted_speedup, 0.0);
 }
 
-TEST(Recovery, CancelAllStopsInFlightJobsAndClearCancelRearms)
+TEST(Recovery, FaultJobFailureIsSurfaced)
 {
-    const std::vector<SimJob> jobs = buildJobs();
-    SweepEngine engine(1);
-    engine.cancelAll(); // pre-cancelled: every job dies immediately
-    try {
-        (void)engine.run(jobs[2]);
-        FAIL() << "cancelled engine still ran a job";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), "Cancelled") << e.what();
-    }
-    EXPECT_EQ(engine.resilience().cancelled, 1u);
-
-    engine.clearCancel();
-    SimResult result;
-    EXPECT_NO_THROW(result = engine.run(jobs[2]));
-    EXPECT_NE(result.concurrent, nullptr);
-}
-
-TEST(Recovery, FaultJobFailuresAreRetriedThenSurfaced)
-{
-    // A hard fault (dropped fills deadlock the SM) fails the same way
-    // every attempt; the retry layer must try max_retries times and
-    // then surface the ORIGINAL watchdog error, not mask it.
+    // A hard fault (dropped fills deadlock the SM) must surface the
+    // ORIGINAL watchdog error through the engine, not mask it.
     const GpuConfig cfg = recoveryCfg();
     SchemeSpec dead = makeScheme(PartitionScheme::Spatial,
                                  BmiMode::None, MilMode::None);
@@ -281,59 +222,39 @@ TEST(Recovery, FaultJobFailuresAreRetriedThenSurfaced)
         cfg, Cycle{16000}, makeWorkload({"sv", "ks"}), dead);
 
     SweepEngine engine(1);
-    RetryPolicy retry;
-    retry.max_retries = 1;
-    engine.setRetryPolicy(retry);
     try {
         (void)engine.run(job);
         FAIL() << "deadlocked fault job completed";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), "Watchdog") << e.what();
     }
-    const ResilienceReport r = engine.resilience();
-    EXPECT_EQ(r.retried, 1u);
-    EXPECT_EQ(r.abandoned, 1u);
 }
 
 // ---- deterministic jittered backoff ------------------------------------
 
 TEST(Recovery, RetryBackoffIsDeterministicAndBounded)
 {
-    RetryPolicy policy;
-    policy.backoff_ms = 100;
-    policy.jitter_pct = 50;
+    const std::uint64_t base_ms = 100;
     for (const std::uint64_t key :
          {0x1ULL, 0xdeadbeefULL, 0xffffffffffffffffULL}) {
         for (int attempt = 0; attempt < 6; ++attempt) {
-            const std::uint64_t base = policy.backoff_ms
+            const std::uint64_t base = base_ms
                                        << static_cast<unsigned>(
                                               attempt);
             const std::uint64_t ms =
-                retryBackoffMs(policy, key, attempt);
+                retryBackoffMs(base_ms, key, attempt);
             // Same (key, attempt) -> same backoff, every time.
-            EXPECT_EQ(ms, retryBackoffMs(policy, key, attempt));
-            // Bounded: base <= ms <= base + jitter_pct% of base.
+            EXPECT_EQ(ms, retryBackoffMs(base_ms, key, attempt));
+            // Bounded: base <= ms <= base + half of base.
             EXPECT_GE(ms, base);
-            EXPECT_LE(ms, base + base * policy.jitter_pct / 100);
+            EXPECT_LE(ms, base + base / 2);
         }
     }
     // Distinct keys must desynchronize (not retry in lockstep).
-    EXPECT_NE(retryBackoffMs(policy, 0x1ULL, 3),
-              retryBackoffMs(policy, 0xdeadbeefULL, 3));
-}
-
-TEST(Recovery, RetryBackoffZeroJitterIsExact)
-{
-    RetryPolicy policy;
-    policy.backoff_ms = 40;
-    policy.jitter_pct = 0;
-    EXPECT_EQ(retryBackoffMs(policy, 0xabcULL, 0), 40u);
-    EXPECT_EQ(retryBackoffMs(policy, 0xabcULL, 1), 80u);
-    EXPECT_EQ(retryBackoffMs(policy, 0xabcULL, 2), 160u);
-    // Zero base: always immediate, jitter or not.
-    policy.backoff_ms = 0;
-    policy.jitter_pct = 50;
-    EXPECT_EQ(retryBackoffMs(policy, 0xabcULL, 4), 0u);
+    EXPECT_NE(retryBackoffMs(base_ms, 0x1ULL, 3),
+              retryBackoffMs(base_ms, 0xdeadbeefULL, 3));
+    // Zero base: always immediate.
+    EXPECT_EQ(retryBackoffMs(0, 0xabcULL, 4), 0u);
 }
 
 // ---- campaign shard-merge determinism ----------------------------------

@@ -1,52 +1,56 @@
 /**
  * @file
- * Unit tests for the experiment runner: isolated baselines, scheme
- * construction and concurrent-run metric consistency.
+ * Unit tests for running experiments on a serial SweepEngine:
+ * isolated baselines, scheme construction and concurrent-run metric
+ * consistency.
  */
 
 #include <gtest/gtest.h>
 
-#include "metrics/runner.hpp"
+#include "metrics/sweep_engine.hpp"
 
 namespace ckesim {
 namespace {
 
-Runner
-makeRunner(Cycle cycles = Cycle{10000})
+constexpr Cycle kCycles{10000};
+
+GpuConfig
+smallCfg()
 {
-    return Runner(makeSmallConfig(4, 4), cycles);
+    return makeSmallConfig(4, 4);
 }
 
-TEST(Runner, IsolatedResultsAreCached)
+TEST(SerialEngine, IsolatedResultsAreCached)
 {
-    Runner r = makeRunner();
-    const IsolatedResult &a = r.isolated(findProfile("bp"));
-    const IsolatedResult &b = r.isolated(findProfile("bp"));
-    EXPECT_EQ(&a, &b); // same cache entry
-    EXPECT_GT(a.ipc, 0.0);
-    EXPECT_DOUBLE_EQ(a.ipc_per_sm, a.ipc / 4);
+    SweepEngine e(1);
+    const auto a = e.isolated(smallCfg(), kCycles, findProfile("bp"));
+    const auto b = e.isolated(smallCfg(), kCycles, findProfile("bp"));
+    EXPECT_EQ(a, b); // same cache entry
+    EXPECT_GT(a->ipc, 0.0);
+    EXPECT_DOUBLE_EQ(a->ipc_per_sm, a->ipc / 4);
 }
 
-TEST(Runner, TbLimitReducesParallelism)
+TEST(SerialEngine, TbLimitReducesParallelism)
 {
-    Runner r = makeRunner();
-    const IsolatedResult &full = r.isolated(findProfile("bp"));
-    const IsolatedResult &one = r.isolated(findProfile("bp"), 1);
-    EXPECT_LT(one.ipc, full.ipc);
-    EXPECT_EQ(one.max_tbs, 1);
+    SweepEngine e(1);
+    const auto full = e.isolated(smallCfg(), kCycles, findProfile("bp"));
+    const auto one = e.isolated(smallCfg(), kCycles, findProfile("bp"), 1);
+    EXPECT_LT(one->ipc, full->ipc);
+    EXPECT_EQ(one->max_tbs, 1);
 }
 
-TEST(Runner, ScalabilityCurveCoversAllTbCounts)
+TEST(SerialEngine, ScalabilityCurveCoversAllTbCounts)
 {
-    Runner r(makeSmallConfig(2, 2), Cycle{5000});
-    const ScalabilityCurve c = r.scalability(findProfile("sv"));
-    EXPECT_EQ(c.maxTbs(),
-              findProfile("sv").maxTbsPerSm(r.config().sm));
+    SweepEngine e(1);
+    const GpuConfig cfg = makeSmallConfig(2, 2);
+    const ScalabilityCurve c =
+        e.scalability(cfg, Cycle{5000}, findProfile("sv"));
+    EXPECT_EQ(c.maxTbs(), findProfile("sv").maxTbsPerSm(cfg.sm));
     EXPECT_GT(c.at(1), 0.0);
     EXPECT_GT(c.at(4), c.at(1)); // more TBs help at first
 }
 
-TEST(Runner, SchemeNames)
+TEST(SerialEngine, SchemeNames)
 {
     EXPECT_EQ(schemeName(NamedScheme::WS), "WS");
     EXPECT_EQ(schemeName(NamedScheme::WS_DMIL), "WS-DMIL");
@@ -54,34 +58,38 @@ TEST(Runner, SchemeNames)
     EXPECT_EQ(schemeName(NamedScheme::WS_QBMI_DMIL), "WS-QBMI+DMIL");
 }
 
-TEST(Runner, SchemeSpecsMatchNames)
+TEST(SerialEngine, SchemeSpecsMatchNames)
 {
-    Runner r = makeRunner();
+    SweepEngine e(1);
     const Workload w = makeWorkload({"bp", "sv"});
-    SchemeSpec s = r.scheme(NamedScheme::WS_QBMI, w);
+    auto scheme = [&](NamedScheme named) {
+        return e.makeNamedScheme(smallCfg(), kCycles, named, w);
+    };
+    SchemeSpec s = scheme(NamedScheme::WS_QBMI);
     EXPECT_EQ(s.partition, PartitionScheme::WarpedSlicer);
     EXPECT_EQ(s.bmi, BmiMode::QBMI);
     EXPECT_EQ(s.mil, MilMode::None);
 
-    s = r.scheme(NamedScheme::SMK_P_DMIL, w);
+    s = scheme(NamedScheme::SMK_P_DMIL);
     EXPECT_EQ(s.partition, PartitionScheme::SmkDrf);
     EXPECT_EQ(s.mil, MilMode::Dynamic);
     EXPECT_FALSE(s.smk_warp_quota);
 
-    s = r.scheme(NamedScheme::SMK_PW, w);
+    s = scheme(NamedScheme::SMK_PW);
     EXPECT_TRUE(s.smk_warp_quota);
     ASSERT_EQ(s.isolated_ipc_per_sm.size(), 2u);
     EXPECT_GT(s.isolated_ipc_per_sm[0], 0.0);
 
-    s = r.scheme(NamedScheme::WS_UCP, w);
+    s = scheme(NamedScheme::WS_UCP);
     EXPECT_TRUE(s.ucp);
 }
 
-TEST(Runner, ConcurrentResultInternallyConsistent)
+TEST(SerialEngine, ConcurrentResultInternallyConsistent)
 {
-    Runner r = makeRunner();
+    SweepEngine e(1);
     const Workload w = makeWorkload({"bp", "sv"});
-    const ConcurrentResult res = r.run(w, NamedScheme::WS_DMIL);
+    const ConcurrentResult res =
+        *e.concurrent(smallCfg(), kCycles, w, NamedScheme::WS_DMIL);
     ASSERT_EQ(res.norm_ipc.size(), 2u);
     double sum = 0.0;
     for (double v : res.norm_ipc) {
@@ -96,11 +104,12 @@ TEST(Runner, ConcurrentResultInternallyConsistent)
     EXPECT_EQ(res.stats.size(), 2u);
 }
 
-TEST(Runner, SpatialBeatsNothingRunning)
+TEST(SerialEngine, SpatialBeatsNothingRunning)
 {
-    Runner r = makeRunner();
+    SweepEngine e(1);
     const Workload w = makeWorkload({"bp", "sv"});
-    const ConcurrentResult res = r.run(w, NamedScheme::Spatial);
+    const ConcurrentResult res =
+        *e.concurrent(smallCfg(), kCycles, w, NamedScheme::Spatial);
     EXPECT_GT(res.weighted_speedup, 0.3);
     EXPECT_LT(res.weighted_speedup, 2.0 + 1e-12);
 }

@@ -173,47 +173,23 @@ TEST(GpuSnapshot, SnapshotIsSideEffectFree)
     expectIdentical(observed, plain);
 }
 
-TEST(GpuSnapshot, AutoCheckpointFollowsTheConfiguredCadence)
-{
-    GpuConfig cfg = snapCfg();
-    cfg.integrity.checkpoint_interval = 1000;
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::None, MilMode::None);
-    Gpu gpu(cfg, mixedPair(), spec);
-    EXPECT_EQ(gpu.lastCheckpoint(), nullptr);
-    gpu.run(Cycle{2500});
-    ASSERT_NE(gpu.lastCheckpoint(), nullptr);
-    // Checkpoint is taken before the cycle executes: the newest one
-    // covers cycles [0, 2000).
-    EXPECT_EQ(gpu.lastCheckpoint()->cycle, Cycle{2000});
-    EXPECT_EQ(gpu.lastCheckpoint()->version, kSnapshotFormatVersion);
-}
-
 TEST(GpuSnapshot, SplitRunsAndCheckpointing)
 {
-    // run(4000); run(6000) must land exactly where one run(10000)
-    // does, and the auto-checkpoint cadence must not notice the split.
-    GpuConfig cfg = makeSmallConfig(4, 4);
-    cfg.integrity.checkpoint_interval = 3000;
+    // run(4000); run(6000) must land exactly where one run(10000) does.
+    const GpuConfig cfg = makeSmallConfig(4, 4);
     const Workload wl = makeWorkload({"sv", "ks"});
     const SchemeSpec spec = makeScheme(PartitionScheme::SmkDrf,
                                        BmiMode::None, MilMode::None);
 
     Gpu straight(cfg, wl, spec);
     straight.run(Cycle{10000});
-    ASSERT_NE(straight.lastCheckpoint(), nullptr);
 
     Gpu split(cfg, wl, spec);
     split.run(Cycle{4000});
     split.run(Cycle{6000});
-    ASSERT_NE(split.lastCheckpoint(), nullptr);
 
     EXPECT_EQ(straight.snapshot().fingerprint,
               split.snapshot().fingerprint);
-    EXPECT_EQ(straight.lastCheckpoint()->cycle,
-              split.lastCheckpoint()->cycle);
-    EXPECT_EQ(straight.lastCheckpoint()->fingerprint,
-              split.lastCheckpoint()->fingerprint);
 }
 
 TEST(GpuSnapshot, RestoreRejectsWrongVersion)
@@ -260,26 +236,6 @@ TEST(GpuSnapshot, RestoreRejectsForeignConfig)
             EXPECT_EQ(e.kind(), "Snapshot") << name;
         }
     }
-}
-
-TEST(GpuSnapshot, RestoreAcceptsOtherCheckpointInterval)
-{
-    // checkpoint_interval is the one unkeyed config field: a snapshot
-    // moves between cadences and the run continues bit-identically.
-    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
-                                       BmiMode::QBMI, MilMode::Dynamic);
-    Gpu straight(snapCfg(), mixedPair(), spec);
-    straight.run(Cycle{2000});
-    const GpuSnapshot ckpt = straight.snapshot();
-    straight.run(Cycle{2000});
-
-    GpuConfig cadenced = snapCfg();
-    cadenced.integrity.checkpoint_interval = 700;
-    Gpu resumed(cadenced, mixedPair(), spec);
-    ASSERT_NO_THROW(resumed.restore(ckpt));
-    resumed.run(Cycle{2000});
-    ASSERT_NE(resumed.lastCheckpoint(), nullptr);
-    expectIdentical(straight, resumed);
 }
 
 TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)

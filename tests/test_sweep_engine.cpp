@@ -3,7 +3,7 @@
  * Unit tests for the SimJob/SweepEngine layer: content-hash key
  * stability and sensitivity, memo-cache accounting, deterministic
  * submission-order results, serial-vs-parallel bit-identity via stat
- * fingerprints, scalability-curve equivalence with the Runner facade,
+ * fingerprints, scalability-curve equivalence with a serial engine,
  * and exception propagation out of sweeps.
  */
 
@@ -11,7 +11,6 @@
 
 #include <stdexcept>
 
-#include "metrics/runner.hpp"
 #include "metrics/sweep_engine.hpp"
 
 namespace ckesim {
@@ -210,15 +209,15 @@ TEST(SweepEngine, ResultsComeBackInSubmissionOrder)
     }
 }
 
-TEST(SweepEngine, ScalabilityMatchesRunnerFacade)
+TEST(SweepEngine, ScalabilityMatchesSerialEngine)
 {
     const GpuConfig cfg = smallCfg();
     SweepEngine engine(4);
-    Runner runner(cfg, kCycles);
+    SweepEngine serial(1);
     const KernelProfile &sv = findProfile("sv");
 
     const ScalabilityCurve a = engine.scalability(cfg, kCycles, sv);
-    const ScalabilityCurve b = runner.scalability(sv);
+    const ScalabilityCurve b = serial.scalability(cfg, kCycles, sv);
     ASSERT_EQ(a.maxTbs(), b.maxTbs());
     for (int t = 1; t <= a.maxTbs(); ++t)
         EXPECT_DOUBLE_EQ(a.at(t), b.at(t));

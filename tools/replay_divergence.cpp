@@ -118,62 +118,6 @@ replayTrial(const GpuConfig &cfg, const Workload &wl,
     return false;
 }
 
-/**
- * Soak the automatic checkpoint path: run with
- * integrity.checkpoint_interval armed (a "kill -9" can then only lose
- * work back to the last interval boundary), resume a fresh machine
- * from lastCheckpoint(), and demand the same final state as a run
- * with checkpointing disabled — proving auto-checkpointing observes
- * without perturbing.
- */
-bool
-autoCheckpointTrial(const GpuConfig &cfg, const Workload &wl,
-                    const CaseSpec &cs, int interval)
-{
-    Gpu plain(cfg, wl, cs.spec);
-    plain.run(Cycle{cs.total_cycles});
-    const Outcome want = outcomeOf(plain);
-
-    GpuConfig ckpt_cfg = cfg;
-    ckpt_cfg.integrity.checkpoint_interval = interval;
-    Gpu observed(ckpt_cfg, wl, cs.spec);
-    observed.run(Cycle{cs.total_cycles});
-    const Outcome with_ckpt = outcomeOf(observed);
-
-    std::string why;
-    if (!sameOutcome(want, with_ckpt, why)) {
-        std::printf("  FAIL %-14s auto-checkpointing perturbed the "
-                    "run: %s\n",
-                    cs.name.c_str(), why.c_str());
-        return false;
-    }
-
-    const GpuSnapshot *last = observed.lastCheckpoint();
-    if (last == nullptr) {
-        std::printf("  FAIL %-14s no auto-checkpoint taken "
-                    "(interval=%d)\n",
-                    cs.name.c_str(), interval);
-        return false;
-    }
-
-    Gpu resumed(ckpt_cfg, wl, cs.spec);
-    resumed.restore(*last);
-    resumed.run(Cycle{cs.total_cycles - last->cycle.get()});
-    const Outcome got = outcomeOf(resumed);
-
-    if (sameOutcome(want, got, why)) {
-        std::printf("  PASS %-14s auto-ckpt@%-7" PRIu64
-                    " fp=%016" PRIx64 "\n",
-                    cs.name.c_str(), last->cycle.get(),
-                    want.fingerprint);
-        return true;
-    }
-    std::printf("  FAIL %-14s resume from auto-ckpt@%" PRIu64
-                ": %s\n",
-                cs.name.c_str(), last->cycle.get(), why.c_str());
-    return false;
-}
-
 std::vector<CaseSpec>
 buildCases()
 {
@@ -279,8 +223,8 @@ main(int argc, char **argv)
 
     int failures = 0;
     for (const CaseSpec &cs : buildCases()) {
-        std::printf("case %s (%d kill points + auto-checkpoint):\n",
-                    cs.name.c_str(), trials);
+        std::printf("case %s (%d kill points):\n", cs.name.c_str(),
+                    trials);
         for (int t = 0; t < trials; ++t) {
             // Kill somewhere in the middle half of the run, so every
             // phase boundary (profiling end, fault windows) gets
@@ -291,9 +235,6 @@ main(int argc, char **argv)
             if (!replayTrial(cfg, wl, cs, kill))
                 ++failures;
         }
-        const int interval = static_cast<int>(cs.total_cycles / 3);
-        if (!autoCheckpointTrial(cfg, wl, cs, interval))
-            ++failures;
     }
 
     if (failures > 0) {
