@@ -224,6 +224,16 @@ IssueController::setMilBypass(bool bypass)
 }
 
 void
+IssueController::canonicalizeQbmiState()
+{
+    if (cfg_.bmi == BmiMode::QBMI)
+        return;
+    rpm_ = {};
+    quota_ = {};
+    replenishQuotas();
+}
+
+void
 IssueController::snapshot(SnapshotWriter &w) const
 {
     w.section("issue_controller");

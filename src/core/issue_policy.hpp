@@ -119,6 +119,15 @@ class IssueController
     }
     int numKernels() const { return num_kernels_; }
 
+    /**
+     * After a Warped-Slicer prefix restore (Gpu::restorePrefix): a
+     * controller outside QBMI mode never reads its quotas or Req/Minst
+     * estimators, so it takes back their construction values, the
+     * state a straight run leaves there. A QBMI controller keeps the
+     * restored state.
+     */
+    void canonicalizeQbmiState();
+
     /** Serialize MIL/BMI/quota state (checkpointing). */
     void snapshot(SnapshotWriter &w) const;
 

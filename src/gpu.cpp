@@ -61,6 +61,37 @@ SchemeSpec::validate(const GpuConfig &cfg) const
 }
 
 SchemeSpec
+prefixClass(const SchemeSpec &spec)
+{
+    // Why each reset field cannot touch the window (DESIGN.md §9):
+    // MIL is bypassed while profiling and finishProfiling() resets
+    // every MILG; global DMIL is skipped while profiling; and QBMI
+    // admits every request while each SM holds one kernel.
+    const SchemeSpec defaults;
+    SchemeSpec cls = spec;
+    cls.mil = defaults.mil;
+    cls.smil_limits = defaults.smil_limits;
+    cls.global_dmil = defaults.global_dmil;
+    cls.global_dmil_interval = defaults.global_dmil_interval;
+    if (cls.bmi == BmiMode::QBMI)
+        cls.bmi = BmiMode::None;
+    return cls;
+}
+
+std::uint64_t
+setupDigest(const Workload &workload, const SchemeSpec &spec,
+            std::uint64_t seed)
+{
+    Fnv1a h(seed);
+    FieldWriter out(h);
+    out.put(workload.numKernels());
+    for (const KernelProfile *k : workload.kernels)
+        out.put(*k);
+    out.put(spec);
+    return h.value();
+}
+
+SchemeSpec
 makeScheme(PartitionScheme partition, BmiMode bmi, MilMode mil)
 {
     SchemeSpec spec;
@@ -521,7 +552,7 @@ Gpu::smStatsTotal() const
 GpuSnapshot
 Gpu::snapshot() const
 {
-    SnapshotWriter w;
+    SnapshotWriter w(SnapshotCodec::Deflate);
     FieldWriter out(w);
     w.section("gpu");
     w.boolean(profiling_);
@@ -548,13 +579,17 @@ Gpu::snapshot() const
     snap.version = kSnapshotFormatVersion;
     snap.cycle = now_;
     snap.config_digest = fieldHash(cfg_);
+    snap.setup_digest = setupDigest(workload_, spec_);
+    snap.prefix_digest = setupDigest(workload_, prefixClass(spec_));
     snap.fingerprint = w.fingerprint();
+    snap.plain_size = w.plainSize();
     snap.bytes = w.take();
     return snap;
 }
 
 void
-Gpu::restore(const GpuSnapshot &snap)
+Gpu::checkPins(const GpuSnapshot &snap, std::uint64_t recorded,
+               std::uint64_t setup, const char *what) const
 {
     const SimCtx ctx = gpuCtx(now_);
     if (snap.version != kSnapshotFormatVersion)
@@ -568,15 +603,48 @@ Gpu::restore(const GpuSnapshot &snap)
         raiseSimError("Snapshot", ctx,
                       "snapshot was taken under a different GpuConfig "
                       "(a field differs)");
-    Fnv1a payload;
-    payload.bytes(snap.bytes.data(), snap.bytes.size());
-    if (snap.fingerprint != payload.value())
+    if (recorded != setup)
         raiseSimError("Snapshot", ctx,
-                      "snapshot payload does not match its "
-                      "fingerprint (corrupted or truncated "
-                      "checkpoint)");
+                      std::string("snapshot was taken under different "
+                                  "kernels (or kernel count) or ") +
+                          what);
+}
 
-    SnapshotReader r(snap.bytes);
+void
+Gpu::restore(const GpuSnapshot &snap)
+{
+    checkPins(snap, snap.setup_digest, setupDigest(workload_, spec_),
+              "a different SchemeSpec");
+    decode(snap);
+}
+
+void
+Gpu::restorePrefix(const GpuSnapshot &snap)
+{
+    checkPins(snap, snap.prefix_digest,
+              setupDigest(workload_, prefixClass(spec_)),
+              "another prefix class");
+    // A window snapshot is taken before the stepCycle that runs
+    // finishProfiling(), so it still has profiling_ set.
+    if (!profiling_ || snap.cycle != profile_end_)
+        raiseSimError("Snapshot", gpuCtx(now_),
+                      "snapshot at cycle " +
+                          std::to_string(snap.cycle.get()) +
+                          " is not at this machine's profiling "
+                          "boundary (cycle " +
+                          std::to_string(profile_end_.get()) + ")");
+    decode(snap);
+    // Within a class, the controllers' QBMI state is the only part of
+    // the window that depends on the scheme.
+    for (auto &sm : sms_)
+        sm->controller().canonicalizeQbmiState();
+}
+
+void
+Gpu::decode(const GpuSnapshot &snap)
+{
+    const SimCtx ctx = gpuCtx(now_);
+    SnapshotReader r(snap);
     FieldReader in(r);
     r.section("gpu");
     profiling_ = r.boolean();
@@ -602,7 +670,7 @@ Gpu::restore(const GpuSnapshot &snap)
     for (const auto &sm : sms_)
         sm->restore(r);
     SIM_CHECK(r.atEnd(), ctx,
-              "snapshot payload has " << (snap.bytes.size() - r.offset())
+              "snapshot payload has " << (snap.plain_size - r.offset())
                   << " trailing byte(s) after restore");
     SIM_CHECK(now_ == snap.cycle, ctx,
               "snapshot metadata cycle " << snap.cycle

@@ -110,6 +110,24 @@ fields(V &v, S &...s)
 }
 static_assert(tableCovers<SchemeSpec>());
 
+/**
+ * The prefix class of a dynamic Warped-Slicer spec: @p spec with
+ * every field that cannot touch the profiling window reset (`mil`,
+ * `smil_limits`, `global_dmil`, `global_dmil_interval`) and QBMI
+ * folded into no BMI. Machines with the same config, kernels and
+ * class reach `profile_end` in states that differ only in controller
+ * state the measurement phase resets or never reads, so one window
+ * serves them all (Gpu::restorePrefix; DESIGN.md §9). Every other
+ * field, including any added later, splits classes.
+ */
+SchemeSpec prefixClass(const SchemeSpec &spec);
+
+/** Field-table hash of @p workload's kernel profiles (count first,
+ *  then each in order) and @p spec, continuing from @p seed. */
+std::uint64_t setupDigest(const Workload &workload,
+                          const SchemeSpec &spec,
+                          std::uint64_t seed = Fnv1a::kBasis);
+
 /** One simulated GPU executing one CKE workload under one scheme. */
 class Gpu
 {
@@ -202,11 +220,25 @@ class Gpu
 
     /**
      * Restore a checkpoint taken from an identically constructed Gpu
-     * (same config, workload and scheme). Throws SimError (kind
-     * "Snapshot") on format-version or config-digest mismatch, or
-     * when the payload does not match its fingerprint.
+     * (same config, kernels and scheme). Throws SimError (kind
+     * "Snapshot") on a format-version, config-digest or setup-digest
+     * mismatch, or when the payload does not inflate to its recorded
+     * size and fingerprint.
      */
     void restore(const GpuSnapshot &snap);
+
+    /**
+     * Restore a dynamic Warped-Slicer profiling window: a snapshot
+     * taken at `profile_end` (after run(ws_profile_window)) by a Gpu
+     * of the same config, kernels and prefix class. Checks as
+     * restore() does, but compares the prefix-class digest instead of
+     * the setup digest, and refuses a snapshot off the boundary.
+     * Then a controller outside QBMI mode takes back its construction
+     * QBMI state, which it never reads, so run(n) ends byte-identical
+     * to a straight run of window + n cycles. A QBMI machine must
+     * restore a window simulated under QBMI.
+     */
+    void restorePrefix(const GpuSnapshot &snap);
 
     /**
      * Install a hook run() calls at every integrity check (an empty
@@ -240,6 +272,11 @@ class Gpu
     void applyQuotas(const QuotaMatrix &quotas);
     void finishProfiling();
     void ucpRepartition();
+    /** Version and config pins, then @p setup against the snapshot's
+     *  @p recorded setup pin; throws SimError "Snapshot". */
+    void checkPins(const GpuSnapshot &snap, std::uint64_t recorded,
+                   std::uint64_t setup, const char *what) const;
+    void decode(const GpuSnapshot &snap);
     static void accessTap(void *opaque, KernelId k, LineAddr line);
 
     // Cycle stepping (shared by run and the audit drain).

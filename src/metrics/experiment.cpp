@@ -187,13 +187,17 @@ printSweepStats(std::FILE *out)
     std::fprintf(out,
                  "sweep engine: %d jobs, %llu sims executed, %llu "
                  "memo hits (%.0f%% hit rate), isolated runs %llu "
-                 "executed / %llu reused\n",
+                 "executed / %llu reused, WS prefixes %llu run / %llu "
+                 "restored, %llu journal hits\n",
                  benchEngine().jobs(),
                  static_cast<unsigned long long>(s.sims_executed),
                  static_cast<unsigned long long>(s.memo_hits),
                  100.0 * s.hitRate(),
                  static_cast<unsigned long long>(s.isolated_runs),
-                 static_cast<unsigned long long>(s.isolated_hits));
+                 static_cast<unsigned long long>(s.isolated_hits),
+                 static_cast<unsigned long long>(s.prefix_runs),
+                 static_cast<unsigned long long>(s.prefix_restores),
+                 static_cast<unsigned long long>(s.journal_hits));
 }
 
 void
@@ -206,6 +210,12 @@ exportSweepStats(BenchReport &report)
         static_cast<double>(s.memo_hits);
     report.counters["sweep_iso_reused"] =
         static_cast<double>(s.isolated_hits);
+    report.counters["sweep_prefix_runs"] =
+        static_cast<double>(s.prefix_runs);
+    report.counters["sweep_prefix_restores"] =
+        static_cast<double>(s.prefix_restores);
+    report.counters["sweep_journal_hits"] =
+        static_cast<double>(s.journal_hits);
 }
 
 } // namespace ckesim

@@ -162,6 +162,8 @@ SweepEngine::stats() const
     s.isolated_runs = isolated_runs_.load();
     s.isolated_hits = isolated_hits_.load();
     s.journal_hits = journal_hits_.load();
+    s.prefix_runs = prefix_runs_.load();
+    s.prefix_restores = prefix_restores_.load();
     return s;
 }
 
@@ -172,31 +174,29 @@ SweepEngine::clearCache()
     cache_.clear();
 }
 
-SimResult
-SweepEngine::run(const SimJob &job)
+std::optional<std::shared_future<SimResult>>
+SweepEngine::claim(const SimJob &job, std::uint64_t key,
+                   std::promise<SimResult> &prom)
 {
-    const std::uint64_t key = job.key();
-
-    std::promise<SimResult> prom;
-    {
-        std::unique_lock<std::mutex> lk(cache_mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            std::shared_future<SimResult> fut = it->second;
-            lk.unlock();
-            memo_hits_.fetch_add(1);
-            if (job.kind == JobKind::Isolated)
-                isolated_hits_.fetch_add(1);
-            return fut.get();
-        }
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    const auto it = cache_.find(key);
+    if (it == cache_.end()) {
         cache_.emplace(key, prom.get_future().share());
+        return std::nullopt;
     }
+    memo_hits_.fetch_add(1);
+    if (job.kind == JobKind::Isolated)
+        isolated_hits_.fetch_add(1);
+    return it->second;
+}
 
-    // This thread won the race: compute inline (never enqueue — a
-    // blocked waiter must always be waiting on an actively-running
-    // computation, so memoization can't deadlock the pool).
+template <class Fn>
+SimResult
+SweepEngine::settle(std::uint64_t key, std::promise<SimResult> &prom,
+                    Fn &&fn)
+{
     try {
-        SimResult result = compute(job, key);
+        SimResult result = fn();
         prom.set_value(result);
         return result;
     } catch (...) {
@@ -214,20 +214,115 @@ SweepEngine::run(const SimJob &job)
     }
 }
 
+SimResult
+SweepEngine::run(const SimJob &job)
+{
+    const std::uint64_t key = job.key();
+    std::promise<SimResult> prom;
+    if (auto hit = claim(job, key, prom))
+        return hit->get();
+    // This thread won the race: compute inline (never enqueue — a
+    // blocked waiter must always be waiting on an actively-running
+    // computation, so memoization can't deadlock the pool).
+    return settle(key, prom, [&] { return compute(job, key); });
+}
+
+namespace {
+
+/** Named schemes that resolve to a dynamic Warped-Slicer spec without
+ *  simulating anything (SMK_PW's resolution runs isolated baselines,
+ *  so no SMK name is resolved just to group it). */
+bool
+warpedSlicerFamily(NamedScheme named)
+{
+    switch (named) {
+      case NamedScheme::WS:
+      case NamedScheme::WS_RBMI:
+      case NamedScheme::WS_QBMI:
+      case NamedScheme::WS_DMIL:
+      case NamedScheme::WS_QBMI_DMIL:
+      case NamedScheme::WS_UCP:
+        return true;
+      default:
+        return false;
+    }
+}
+
+} // namespace
+
+std::optional<std::uint64_t>
+SweepEngine::prefixKey(const SimJob &job, SchemeSpec &spec)
+{
+    // Samplers would record the window, so series jobs run alone.
+    if (job.kind != JobKind::Concurrent || job.series.issue ||
+        job.series.l1d)
+        return std::nullopt;
+    if (job.use_named && !warpedSlicerFamily(job.named))
+        return std::nullopt;
+    spec = job.use_named ? makeNamedScheme(job.cfg, job.cycles,
+                                           job.named, job.workload)
+                         : job.spec;
+    if (spec.partition != PartitionScheme::WarpedSlicer ||
+        !spec.oracle_curves.empty() || !spec.faults.empty())
+        return std::nullopt;
+    // The config, the kernels and the spec's class; not the cycles.
+    return setupDigest(job.workload, prefixClass(spec),
+                       fieldHash(job.cfg));
+}
+
 std::vector<SimResult>
 SweepEngine::sweep(const std::vector<SimJob> &jobs)
 {
     std::vector<SimResult> results(jobs.size());
     std::vector<std::exception_ptr> errors(jobs.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(jobs.size());
+
+    // Group the jobs that can share a profiling window by prefix
+    // class, in submission order; every other job is a group of one.
+    std::vector<SchemeSpec> specs(jobs.size());
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::uint64_t, std::size_t> group_of;
+    std::size_t eligible = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        tasks.push_back([this, &jobs, &results, &errors, i] {
-            try {
-                results[i] = run(jobs[i]);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
+        const std::optional<std::uint64_t> cls =
+            prefixKey(jobs[i], specs[i]);
+        if (!cls) {
+            groups.push_back({i});
+            continue;
+        }
+        ++eligible;
+        const auto [it, fresh] =
+            group_of.try_emplace(*cls, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    // A chunk runs its members one after another on one core, so cap
+    // it at ceil(eligible / jobs): a few large classes still fill the
+    // pool. Each chunk simulates its own window.
+    const auto workers = static_cast<std::size_t>(jobs_);
+    const std::size_t cap =
+        std::max<std::size_t>(1, (eligible + workers - 1) / workers);
+    std::vector<std::vector<std::size_t>> chunks;
+    for (const std::vector<std::size_t> &g : groups) {
+        for (std::size_t at = 0; at < g.size(); at += cap) {
+            const std::size_t end = std::min(g.size(), at + cap);
+            chunks.emplace_back(g.begin() + static_cast<std::ptrdiff_t>(at),
+                                g.begin() + static_cast<std::ptrdiff_t>(end));
+        }
+    }
+    // Pool owners pop their newest task and thieves the oldest, so
+    // ascending sizes start the largest chunks first, one per worker.
+    std::stable_sort(chunks.begin(), chunks.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.size() < b.size();
+                     });
+
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(chunks.size());
+    for (const std::vector<std::size_t> &chunk : chunks) {
+        tasks.push_back([this, &jobs, &specs, &chunk, &results, &errors] {
+            runChunk(jobs, specs, chunk, results, errors);
         });
     }
     pool_.run(std::move(tasks));
@@ -238,6 +333,105 @@ SweepEngine::sweep(const std::vector<SimJob> &jobs)
         if (e)
             std::rethrow_exception(e);
     return results;
+}
+
+void
+SweepEngine::runChunk(const std::vector<SimJob> &jobs,
+                      const std::vector<SchemeSpec> &specs,
+                      const std::vector<std::size_t> &chunk,
+                      std::vector<SimResult> &results,
+                      std::vector<std::exception_ptr> &errors)
+{
+    // Claim every member's memo entry first, simulate every member
+    // claimed here, and only then wait on members another task
+    // claimed: a waiter always waits on a running computation.
+    struct Claim
+    {
+        std::size_t i;
+        std::uint64_t key;
+        std::promise<SimResult> prom;
+    };
+    std::vector<Claim> claimed;
+    std::vector<std::pair<std::size_t, std::shared_future<SimResult>>>
+        waits;
+    claimed.reserve(chunk.size());
+    for (std::size_t i : chunk) {
+        const std::uint64_t key = jobs[i].key();
+        std::promise<SimResult> prom;
+        if (auto hit = claim(jobs[i], key, prom))
+            waits.emplace_back(i, std::move(*hit));
+        else
+            claimed.push_back({i, key, std::move(prom)});
+    }
+
+    // Journaled members are served before any window is simulated.
+    std::vector<Claim *> todo;
+    for (Claim &c : claimed) {
+        SimResult recovered;
+        if (journal_ && journal_->find(c.key, recovered)) {
+            journal_hits_.fetch_add(1);
+            results[c.i] = settle(c.key, c.prom, [&] { return recovered; });
+        } else {
+            todo.push_back(&c);
+        }
+    }
+
+    // With two or more members to simulate, the first one simulates
+    // the window and snapshots it. A QBMI member's quota state is
+    // part of its window, so a QBMI member goes first when there is
+    // one. If the window throws, every member runs straight through
+    // and reports exactly the error it reports alone.
+    std::unique_ptr<Gpu> lead;
+    GpuSnapshot window;
+    if (todo.size() >= 2) {
+        const auto qbmi =
+            std::find_if(todo.begin(), todo.end(), [&](const Claim *c) {
+                return specs[c->i].bmi == BmiMode::QBMI;
+            });
+        if (qbmi != todo.end())
+            std::rotate(todo.begin(), qbmi, qbmi + 1);
+        const SimJob &job = jobs[todo.front()->i];
+        const SchemeSpec &spec = specs[todo.front()->i];
+        try {
+            lead = std::make_unique<Gpu>(job.cfg, job.workload, spec);
+            lead->setPollHook(poll_hook_);
+            lead->run(spec.ws_profile_window);
+            window = lead->snapshot();
+            prefix_runs_.fetch_add(1);
+        } catch (...) {
+            lead.reset();
+        }
+    }
+    const bool shared = lead != nullptr;
+
+    for (Claim *c : todo) {
+        const SimJob &job = jobs[c->i];
+        try {
+            results[c->i] = settle(c->key, c->prom, [&] {
+                if (!shared)
+                    return simulate(job, c->key, nullptr);
+                if (lead) {
+                    const std::unique_ptr<Gpu> gpu = std::move(lead);
+                    return simulate(job, c->key, gpu.get());
+                }
+                Gpu gpu(job.cfg, job.workload, specs[c->i]);
+                gpu.setPollHook(poll_hook_);
+                gpu.restorePrefix(window);
+                prefix_restores_.fetch_add(1);
+                return simulate(job, c->key, &gpu);
+            });
+        } catch (...) {
+            errors[c->i] = std::current_exception();
+        }
+    }
+
+    for (auto &[i, fut] : waits) {
+        try {
+            results[i] = fut.get();
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    }
 }
 
 std::shared_ptr<const IsolatedResult>
@@ -353,14 +547,20 @@ SweepEngine::compute(const SimJob &job, std::uint64_t key)
             return recovered;
         }
     }
+    return simulate(job, key, nullptr);
+}
 
+SimResult
+SweepEngine::simulate(const SimJob &job, std::uint64_t key,
+                      Gpu *at_window)
+{
     sims_executed_.fetch_add(1);
     SimResult result;
     if (job.kind == JobKind::Isolated) {
         isolated_runs_.fetch_add(1);
         result.isolated = computeIsolated(job);
     } else {
-        result.concurrent = computeConcurrent(job);
+        result.concurrent = computeConcurrent(job, at_window);
     }
     if (journal_)
         journal_->append(key, result);
@@ -436,25 +636,29 @@ SweepEngine::computeIsolated(const SimJob &job)
 }
 
 std::shared_ptr<const ConcurrentResult>
-SweepEngine::computeConcurrent(const SimJob &job)
+SweepEngine::computeConcurrent(const SimJob &job, Gpu *at_window)
 {
     const SchemeSpec spec =
         job.use_named ? makeNamedScheme(job.cfg, job.cycles,
                                         job.named, job.workload)
                       : job.spec;
 
-    // Dynamic Warped-Slicer spends a profiling window first; extend
-    // the run so the measurement phase always covers job.cycles.
-    Cycle total = job.cycles;
-    if (spec.partition == PartitionScheme::WarpedSlicer &&
-        spec.oracle_curves.empty())
-        total += spec.ws_profile_window;
-
-    Gpu gpu(job.cfg, job.workload, spec);
-    gpu.setPollHook(poll_hook_);
     auto res = std::make_shared<ConcurrentResult>();
-    attachRequestedSeries(job, gpu, res->issue_series,
-                          res->l1d_series);
+    std::optional<Gpu> own;
+    Cycle total = job.cycles;
+    if (!at_window) {
+        // Dynamic Warped-Slicer spends a profiling window first;
+        // extend the run so the measurement phase always covers
+        // job.cycles.
+        if (spec.partition == PartitionScheme::WarpedSlicer &&
+            spec.oracle_curves.empty())
+            total += spec.ws_profile_window;
+        own.emplace(job.cfg, job.workload, spec);
+        own->setPollHook(poll_hook_);
+        attachRequestedSeries(job, *own, res->issue_series,
+                              res->l1d_series);
+    }
+    Gpu &gpu = at_window ? *at_window : *own;
     gpu.run(total);
 
     res->workload_name = job.workload.name();

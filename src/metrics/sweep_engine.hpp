@@ -6,7 +6,9 @@
  * shared by every scheme in a sweep. Results are returned in
  * submission order and are bit-identical for any worker count: each
  * simulation is single-threaded and deterministic, and cross-job
- * coupling goes only through memoized (deterministic) results.
+ * coupling goes only through memoized (deterministic) results. Within
+ * a sweep, dynamic Warped-Slicer jobs of one prefix class simulate
+ * their profiling window once and restore it (DESIGN.md §9).
  */
 
 #ifndef CKESIM_METRICS_SWEEP_ENGINE_HPP
@@ -20,6 +22,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -40,6 +43,11 @@ struct SweepStats
     std::uint64_t isolated_runs = 0; ///< executed isolated sims
     std::uint64_t isolated_hits = 0; ///< isolated sims reused
     std::uint64_t journal_hits = 0;  ///< results served from a journal
+    /** Warped-Slicer profiling windows simulated and snapshotted for
+     *  the other members of their prefix class, and members that
+     *  restored one instead of simulating their own. */
+    std::uint64_t prefix_runs = 0;
+    std::uint64_t prefix_restores = 0;
 
     double
     hitRate() const
@@ -113,7 +121,14 @@ class SweepEngine
     /** Worker count (including the participating caller). */
     int jobs() const { return jobs_; }
 
-    /** Run a batch; results come back in submission order. */
+    /**
+     * Run a batch; results come back in submission order. Dynamic
+     * Warped-Slicer jobs of one prefix class (same config, kernels and
+     * prefixClass(spec); no series, faults or oracle curves) run in
+     * chunks of at most ceil(eligible / jobs()) members: each chunk
+     * simulates one window, snapshots it at `profile_end`, and its
+     * other members restore it and simulate only their measurement.
+     */
     std::vector<SimResult> sweep(const std::vector<SimJob> &jobs);
 
     /** Run (or fetch) one job. */
@@ -164,11 +179,36 @@ class SweepEngine
     }
 
   private:
+    /** Memo lookup: a hit returns the entry's future (and counts it);
+     *  a miss registers @p prom's future, which the caller settles. */
+    std::optional<std::shared_future<SimResult>>
+    claim(const SimJob &job, std::uint64_t key,
+          std::promise<SimResult> &prom);
+    /** Fulfil a claimed entry with @p fn's result; a failure leaves
+     *  the cache (so a resubmission recomputes) and rethrows. */
+    template <class Fn>
+    SimResult settle(std::uint64_t key, std::promise<SimResult> &prom,
+                     Fn &&fn);
+    /** @p job's prefix-class key, with its resolved spec in @p spec,
+     *  or nothing when it cannot share a profiling window. */
+    std::optional<std::uint64_t> prefixKey(const SimJob &job,
+                                           SchemeSpec &spec);
+    /** One pool task: the members of one prefix-class chunk. */
+    void runChunk(const std::vector<SimJob> &jobs,
+                  const std::vector<SchemeSpec> &specs,
+                  const std::vector<std::size_t> &chunk,
+                  std::vector<SimResult> &results,
+                  std::vector<std::exception_ptr> &errors);
     SimResult compute(const SimJob &job, std::uint64_t key);
+    /** Count, simulate and journal a job the memo and journal missed;
+     *  @p at_window is its machine at `profile_end` when it shares a
+     *  window, else null (the job runs straight through). */
+    SimResult simulate(const SimJob &job, std::uint64_t key,
+                       Gpu *at_window);
     std::shared_ptr<const IsolatedResult>
     computeIsolated(const SimJob &job);
     std::shared_ptr<const ConcurrentResult>
-    computeConcurrent(const SimJob &job);
+    computeConcurrent(const SimJob &job, Gpu *at_window);
 
     int jobs_;
     WorkStealingPool pool_;
@@ -182,6 +222,8 @@ class SweepEngine
     std::atomic<std::uint64_t> isolated_runs_{0};
     std::atomic<std::uint64_t> isolated_hits_{0};
     std::atomic<std::uint64_t> journal_hits_{0};
+    std::atomic<std::uint64_t> prefix_runs_{0};
+    std::atomic<std::uint64_t> prefix_restores_{0};
 
     ResultJournal *journal_ = nullptr;
     std::function<void()> poll_hook_;

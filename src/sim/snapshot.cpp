@@ -1,5 +1,8 @@
 #include "sim/snapshot.hpp"
 
+#define ZLIB_CONST
+#include <zlib.h>
+
 #include <bit>
 #include <cstring>
 #include <sstream>
@@ -8,7 +11,84 @@
 
 namespace ckesim {
 
+namespace {
+
+/** Staging buffer size: plain bytes between deflate calls, and the
+ *  inflated window a reader decodes from. */
+constexpr std::size_t kStage = std::size_t{64} << 10;
+
+[[noreturn]] void
+zlibFail(const std::string &detail)
+{
+    SimCtx ctx;
+    ctx.module = "snapshot";
+    raiseSimError("Snapshot", ctx, detail);
+}
+
+} // namespace
+
+/** One zlib stream, deflating or inflating. zlib stays in this file:
+ *  no public header includes zlib.h. */
+class ZStream
+{
+  public:
+    explicit ZStream(bool deflating) : deflating_(deflating)
+    {
+        // Level 1: snapshots are mostly zero bytes, and level 1
+        // already deflates them to about an eighth.
+        const int rc = deflating ? deflateInit(&s, 1) : inflateInit(&s);
+        if (rc != Z_OK)
+            zlibFail("zlib stream setup failed (" + std::to_string(rc) +
+                     ")");
+    }
+    ~ZStream() { deflating_ ? deflateEnd(&s) : inflateEnd(&s); }
+    ZStream(const ZStream &) = delete;
+    ZStream &operator=(const ZStream &) = delete;
+
+    /** Point the input at @p n bytes at @p p. */
+    void
+    input(const std::uint8_t *p, std::size_t n)
+    {
+        s.next_in = p;
+        s.avail_in = static_cast<uInt>(n);
+    }
+
+    /** Inflate into [@p out, @p out + @p n); returns the bytes
+     *  produced and sets @p ended at the end of the stream. A
+     *  corrupted or truncated stream throws SimError "Snapshot". */
+    std::size_t
+    inflateInto(std::uint8_t *out, std::size_t n, bool &ended)
+    {
+        s.next_out = out;
+        s.avail_out = static_cast<uInt>(n);
+        const int rc = ::inflate(&s, Z_NO_FLUSH);
+        const std::size_t produced = n - s.avail_out;
+        ended = rc == Z_STREAM_END;
+        if (rc == Z_BUF_ERROR || (rc == Z_OK && produced == 0))
+            zlibFail("truncated deflated snapshot payload");
+        if (rc != Z_OK && rc != Z_STREAM_END)
+            zlibFail(std::string("corrupted deflated snapshot payload (") +
+                     (s.msg ? s.msg : "zlib error") + ")");
+        return produced;
+    }
+
+    z_stream s{};
+
+  private:
+    bool deflating_;
+};
+
 // ---- SnapshotWriter -----------------------------------------------
+
+SnapshotWriter::SnapshotWriter(SnapshotCodec codec)
+{
+    if (codec == SnapshotCodec::Deflate) {
+        z_ = std::make_unique<ZStream>(/*deflating=*/true);
+        buf_.reserve(kStage);
+    }
+}
+
+SnapshotWriter::~SnapshotWriter() = default;
 
 void
 SnapshotWriter::raw(const void *p, std::size_t n)
@@ -16,6 +96,39 @@ SnapshotWriter::raw(const void *p, std::size_t n)
     const auto *b = static_cast<const std::uint8_t *>(p);
     buf_.insert(buf_.end(), b, b + n);
     fp_.bytes(b, n);
+    plain_size_ += n;
+    if (z_ && buf_.size() >= kStage)
+        drain(/*finish=*/false);
+}
+
+void
+SnapshotWriter::drain(bool finish)
+{
+    z_stream &s = z_->s;
+    z_->input(buf_.data(), buf_.size());
+    int rc = Z_OK;
+    do {
+        const std::size_t have = out_.size();
+        out_.resize(have + kStage);
+        s.next_out = out_.data() + have;
+        s.avail_out = static_cast<uInt>(kStage);
+        rc = ::deflate(&s, finish ? Z_FINISH : Z_NO_FLUSH);
+        out_.resize(have + kStage - s.avail_out);
+    } while (s.avail_out == 0);
+    buf_.clear();
+    if (rc == Z_STREAM_ERROR || (finish && rc != Z_STREAM_END))
+        zlibFail("deflating a snapshot failed (" + std::to_string(rc) +
+                 ")");
+}
+
+std::vector<std::uint8_t>
+SnapshotWriter::take()
+{
+    if (!z_)
+        return std::move(buf_);
+    drain(/*finish=*/true);
+    out_.shrink_to_fit();
+    return std::move(out_);
 }
 
 void
@@ -106,23 +219,91 @@ SnapshotWriter::vecBool(const std::vector<bool> &v)
 
 // ---- SnapshotReader -----------------------------------------------
 
+SnapshotReader::SnapshotReader(const std::vector<std::uint8_t> &bytes)
+    : cur_(bytes.data()), end_(bytes.data() + bytes.size()),
+      size_(bytes.size())
+{
+}
+
+SnapshotReader::SnapshotReader(const GpuSnapshot &snap)
+    : stage_(kStage)
+{
+    // Verification pass: plain size, zlib's own check and the FNV-1a
+    // fingerprint, before any byte reaches a decoder.
+    {
+        ZStream z(/*deflating=*/false);
+        z.input(snap.bytes.data(), snap.bytes.size());
+        Fnv1a fp;
+        std::uint64_t total = 0;
+        bool ended = false;
+        while (!ended) {
+            const std::size_t got =
+                z.inflateInto(stage_.data(), stage_.size(), ended);
+            total += got;
+            if (total > snap.plain_size)
+                zlibFail("deflated snapshot payload inflates past its "
+                         "recorded " +
+                         std::to_string(snap.plain_size) + " bytes");
+            fp.bytes(stage_.data(), got);
+        }
+        if (z.s.avail_in != 0 || total != snap.plain_size)
+            zlibFail("deflated snapshot payload inflates to " +
+                     std::to_string(total) + " bytes with " +
+                     std::to_string(z.s.avail_in) +
+                     " trailing, recorded " +
+                     std::to_string(snap.plain_size));
+        if (fp.value() != snap.fingerprint)
+            zlibFail("snapshot payload does not match its fingerprint "
+                     "(corrupted or truncated checkpoint)");
+    }
+    size_ = static_cast<std::size_t>(snap.plain_size);
+    z_ = std::make_unique<ZStream>(/*deflating=*/false);
+    z_->input(snap.bytes.data(), snap.bytes.size());
+    cur_ = end_ = stage_.data();
+}
+
+SnapshotReader::~SnapshotReader() = default;
+
 void
 SnapshotReader::fail(const std::string &detail) const
 {
     SimCtx ctx;
     ctx.module = "snapshot";
     std::ostringstream os;
-    os << detail << " at payload offset " << pos_ << " of "
-       << bytes_->size();
+    os << detail << " at payload offset " << pos_ << " of " << size_;
     raiseSimError("Snapshot", ctx, os.str());
+}
+
+void
+SnapshotReader::refill(std::size_t n)
+{
+    if (!z_)
+        fail("truncated snapshot payload");
+    const auto keep = static_cast<std::size_t>(end_ - cur_);
+    if (keep > 0)
+        std::memmove(stage_.data(), cur_, keep);
+    if (stage_.size() < n)
+        stage_.resize(n);
+    std::size_t have = keep;
+    bool ended = false;
+    while (have < n && !ended)
+        have += z_->inflateInto(stage_.data() + have,
+                                stage_.size() - have, ended);
+    if (have < n)
+        fail("truncated snapshot payload");
+    cur_ = stage_.data();
+    end_ = stage_.data() + have;
 }
 
 const std::uint8_t *
 SnapshotReader::take(std::size_t n)
 {
-    if (pos_ + n > bytes_->size())
+    if (n > size_ - pos_)
         fail("truncated snapshot payload");
-    const std::uint8_t *p = bytes_->data() + pos_;
+    if (n > static_cast<std::size_t>(end_ - cur_))
+        refill(n);
+    const std::uint8_t *p = cur_;
+    cur_ += n;
     pos_ += n;
     return p;
 }
@@ -217,7 +398,7 @@ std::size_t
 SnapshotReader::length()
 {
     const std::uint64_t n = u64();
-    if (n > bytes_->size() - pos_)
+    if (n > size_ - pos_)
         fail("vector length implausibly large");
     return static_cast<std::size_t>(n);
 }

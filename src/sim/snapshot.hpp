@@ -17,6 +17,12 @@
  * offset. The writer maintains a running FNV-1a fingerprint over the
  * payload; two checkpoints are equal iff their fingerprints are.
  *
+ * Journal records and wire frames use the plain stream. A GpuSnapshot
+ * holds its stream deflated: the writer passes it through a small
+ * staging buffer into zlib, and the reader inflates it the same way,
+ * so the plain stream (~4.65 MB for a 16-SM machine) is never held
+ * whole. The fingerprint is always over the plain stream.
+ *
  * Format rules (see DESIGN.md section 11):
  *  - kSnapshotFormatVersion (sim/types.hpp) must be bumped on any
  *    change to what is serialized or how; there is no migration.
@@ -31,6 +37,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +58,15 @@ enum class SnapTag : std::uint8_t {
     Section = 8,
 };
 
+struct GpuSnapshot;
+class ZStream;
+
+/** How a SnapshotWriter stores what it encodes. */
+enum class SnapshotCodec {
+    Plain,   ///< bytes() is the stream itself
+    Deflate, ///< zlib level 1 through a staging buffer (GpuSnapshot)
+};
+
 /**
  * Append-only typed encoder with a running content fingerprint.
  * All append operations are deterministic functions of their
@@ -59,7 +75,10 @@ enum class SnapTag : std::uint8_t {
 class SnapshotWriter
 {
   public:
-    SnapshotWriter() = default;
+    explicit SnapshotWriter(SnapshotCodec codec = SnapshotCodec::Plain);
+    ~SnapshotWriter();
+    SnapshotWriter(const SnapshotWriter &) = delete;
+    SnapshotWriter &operator=(const SnapshotWriter &) = delete;
 
     void u8(std::uint8_t v);
     void u32(std::uint32_t v);
@@ -91,20 +110,30 @@ class SnapshotWriter
     /** Length-prefixed vector<bool> (bypass masks). */
     void vecBool(const std::vector<bool> &v);
 
-    /** FNV-1a over every byte appended so far. */
+    /** FNV-1a over every plain byte appended so far. */
     std::uint64_t fingerprint() const { return fp_.value(); }
 
+    /** Plain bytes appended so far. */
+    std::uint64_t plainSize() const { return plain_size_; }
+
+    /** The plain stream (Plain codec only). */
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    /** The payload: the plain stream, or the finished deflate stream. */
+    std::vector<std::uint8_t> take();
 
   private:
     void tag(SnapTag t);
     void raw(const void *p, std::size_t n);
     /** The low @p n bytes of @p v, little-endian. */
     void le(std::uint64_t v, std::size_t n);
+    /** Deflate the staged bytes into out_ (@p finish ends the stream). */
+    void drain(bool finish);
 
-    std::vector<std::uint8_t> buf_;
+    std::vector<std::uint8_t> buf_; ///< plain stream, or the staging buffer
+    std::vector<std::uint8_t> out_; ///< deflated payload so far
+    std::unique_ptr<ZStream> z_;    ///< null for the Plain codec
+    std::uint64_t plain_size_ = 0;
     Fnv1a fp_;
 };
 
@@ -116,10 +145,22 @@ class SnapshotWriter
 class SnapshotReader
 {
   public:
-    explicit SnapshotReader(const std::vector<std::uint8_t> &bytes)
-        : bytes_(&bytes)
-    {
-    }
+    /** Reader over a plain stream. */
+    explicit SnapshotReader(const std::vector<std::uint8_t> &bytes);
+
+    /**
+     * Reader over a GpuSnapshot's deflated payload. Construction
+     * first streams the whole payload through inflate and FNV-1a,
+     * holding only a staging buffer, and throws SimError kind
+     * "Snapshot" unless it inflates to exactly `plain_size` bytes
+     * with the recorded fingerprint. Decoding then inflates it again,
+     * so no decoder ever sees a corrupted byte.
+     */
+    explicit SnapshotReader(const GpuSnapshot &snap);
+
+    ~SnapshotReader();
+    SnapshotReader(const SnapshotReader &) = delete;
+    SnapshotReader &operator=(const SnapshotReader &) = delete;
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -148,24 +189,32 @@ class SnapshotReader
 
     std::vector<bool> vecBool();
 
-    /** A u64 element count, rejected when the rest of the payload
-     *  cannot hold that many elements (each takes >= 1 byte). */
+    /** A u64 element count, rejected when the rest of the plain
+     *  payload cannot hold that many elements (each takes >= 1 byte). */
     std::size_t length();
 
-    /** Entire payload consumed? restore() asserts this at the end. */
-    bool atEnd() const { return pos_ == bytes_->size(); }
+    /** Entire plain payload consumed? restore() asserts this at the
+     *  end. */
+    bool atEnd() const { return pos_ == size_; }
 
+    /** Plain bytes consumed so far. */
     std::size_t offset() const { return pos_; }
 
   private:
     void expect(SnapTag t);
     const std::uint8_t *take(std::size_t n);
+    /** Inflate until at least @p n bytes are staged at cur_. */
+    void refill(std::size_t n);
     /** Inverse of SnapshotWriter::le. */
     std::uint64_t le(std::size_t n);
     [[noreturn]] void fail(const std::string &detail) const;
 
-    const std::vector<std::uint8_t> *bytes_;
-    std::size_t pos_ = 0;
+    const std::uint8_t *cur_ = nullptr; ///< next unread plain byte
+    const std::uint8_t *end_ = nullptr; ///< end of the readable window
+    std::size_t pos_ = 0;               ///< plain offset of cur_
+    std::size_t size_ = 0;              ///< plain payload length
+    std::vector<std::uint8_t> stage_;   ///< inflated window
+    std::unique_ptr<ZStream> z_;        ///< null for a plain stream
 };
 
 /** Reads what FieldWriter<SnapshotWriter> wrote (sim/fields.hpp). */
@@ -220,12 +269,20 @@ struct GpuSnapshot
     std::uint32_t version = 0;
     /** Simulated time at capture. */
     Cycle cycle{};
-    /** FNV-1a fingerprint of @ref bytes. */
+    /** FNV-1a fingerprint of the plain stream @ref bytes inflates to. */
     std::uint64_t fingerprint = 0;
     /** Config pin: hash of the owning simulation's GpuConfig fields
      *  (the same set SimJob::key() covers). */
     std::uint64_t config_digest = 0;
-    /** The encoded state. */
+    /** Setup pin: field-table hash of the kernel profiles, in order,
+     *  and the SchemeSpec (setupDigest in gpu.hpp). */
+    std::uint64_t setup_digest = 0;
+    /** The same hash over the spec's prefix class (prefixClass in
+     *  gpu.hpp): what Gpu::restorePrefix compares. */
+    std::uint64_t prefix_digest = 0;
+    /** Length of the plain stream. */
+    std::uint64_t plain_size = 0;
+    /** The encoded state, deflated (zlib). */
     std::vector<std::uint8_t> bytes;
 };
 

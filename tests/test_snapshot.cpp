@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -238,15 +239,130 @@ TEST(GpuSnapshot, RestoreRejectsForeignConfig)
     }
 }
 
-TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
+TEST(GpuSnapshot, RestoreRejectsForeignSetup)
+{
+    // The setup pin covers the kernels, their order and the scheme;
+    // before it, all but the last of these restores were accepted and
+    // kept simulating, and the last failed as SIM_CHECK.
+    const SchemeSpec spatial = makeScheme(PartitionScheme::Spatial,
+                                          BmiMode::None, MilMode::None);
+    const SchemeSpec ws = makeScheme(PartitionScheme::WarpedSlicer,
+                                     BmiMode::None, MilMode::None);
+    const SchemeSpec smk = makeScheme(PartitionScheme::SmkDrf,
+                                      BmiMode::None, MilMode::None);
+    const SchemeSpec ws_qbmi_dmil =
+        makeScheme(PartitionScheme::WarpedSlicer, BmiMode::QBMI,
+                   MilMode::Dynamic);
+    struct Case
+    {
+        const char *name;
+        std::vector<std::string> from_kernels;
+        SchemeSpec from;
+        std::vector<std::string> into_kernels;
+        SchemeSpec into;
+    };
+    const Case cases[] = {
+        {"pf+bp into sv+ks", {"pf", "bp"}, spatial, {"sv", "ks"}, spatial},
+        {"pf+bp into bp+pf", {"pf", "bp"}, spatial, {"bp", "pf"}, spatial},
+        {"Spatial into WS", {"bp", "sv"}, spatial, {"bp", "sv"}, ws},
+        {"WS into SMK", {"bp", "sv"}, ws, {"bp", "sv"}, smk},
+        {"WS-QBMI+DMIL into Spatial", {"bp", "sv"}, ws_qbmi_dmil,
+         {"bp", "sv"}, spatial},
+        {"pair into triple", {"bp", "sv"}, spatial, {"bp", "sv", "ks"},
+         spatial},
+    };
+    const GpuConfig cfg = makeSmallConfig(3, 2);
+    for (const Case &c : cases) {
+        Gpu source(cfg, makeWorkload(c.from_kernels), c.from);
+        source.run(Cycle{500});
+        const GpuSnapshot snap = source.snapshot();
+        Gpu target(cfg, makeWorkload(c.into_kernels), c.into);
+        try {
+            target.restore(snap);
+            ADD_FAILURE() << "restore accepted " << c.name;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), "Snapshot") << c.name << ": " << e.what();
+        }
+    }
+}
+
+TEST(GpuSnapshot, SnapshotIsDeflatedAndFingerprintsThePlainStream)
 {
     const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
                                        BmiMode::None, MilMode::None);
     Gpu gpu(snapCfg(), mixedPair(), spec);
     gpu.run(Cycle{500});
-    GpuSnapshot snap = gpu.snapshot();
-    snap.bytes[snap.bytes.size() / 2] ^= 0x01; // single bit flip
-    EXPECT_THROW(gpu.restore(snap), SimError);
+    const GpuSnapshot snap = gpu.snapshot();
+    EXPECT_LT(snap.bytes.size(), snap.plain_size / 2);
+    SnapshotReader r(snap); // inflates and verifies
+    EXPECT_EQ(r.offset(), 0u);
+    EXPECT_FALSE(r.atEnd());
+    r.section("gpu");
+}
+
+TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
+{
+    // Bit flips anywhere in the deflated stream (zlib header, data,
+    // the trailing check), truncation, trailing garbage and wrong
+    // metadata must all raise kind Snapshot: never bad_alloc, an
+    // abort, or a run that silently continues.
+    const SchemeSpec spec = makeScheme(PartitionScheme::Spatial,
+                                       BmiMode::None, MilMode::None);
+    Gpu gpu(snapCfg(), mixedPair(), spec);
+    gpu.run(Cycle{500});
+    const GpuSnapshot good = gpu.snapshot();
+    const std::size_t n = good.bytes.size();
+    ASSERT_GT(n, 16u);
+
+    std::vector<std::pair<std::string, GpuSnapshot>> bad;
+    for (std::size_t at : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                           n / 7, n / 3, n / 2, 2 * n / 3, n - 5,
+                           n - 1}) {
+        for (std::uint8_t bit : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+            GpuSnapshot s = good;
+            s.bytes[at] ^= bit;
+            bad.emplace_back("flip at " + std::to_string(at), s);
+        }
+    }
+    for (std::size_t keep : {std::size_t{0}, std::size_t{2}, n / 2,
+                             n - 4, n - 1}) {
+        GpuSnapshot s = good;
+        s.bytes.resize(keep);
+        bad.emplace_back("truncated to " + std::to_string(keep), s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.bytes.push_back(0);
+        bad.emplace_back("trailing byte", s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.plain_size -= 1;
+        bad.emplace_back("plain size short", s);
+        s.plain_size += 2;
+        bad.emplace_back("plain size long", s);
+        s.plain_size = ~std::uint64_t{0};
+        bad.emplace_back("plain size huge", s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.fingerprint ^= 1;
+        bad.emplace_back("fingerprint", s);
+    }
+
+    for (const auto &[name, snap] : bad) {
+        Gpu target(snapCfg(), mixedPair(), spec);
+        try {
+            target.restore(snap);
+            ADD_FAILURE() << "restore accepted " << name;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), "Snapshot") << name << ": " << e.what();
+        }
+    }
+    // The original still restores.
+    Gpu target(snapCfg(), mixedPair(), spec);
+    target.restore(good);
+    EXPECT_EQ(target.snapshot().fingerprint, good.fingerprint);
 }
 
 TEST(GpuSnapshot, FaultInjectorBudgetsSurviveRestore)
