@@ -1,13 +1,16 @@
 /**
  * @file
- * Reproduces the Section 4.4 hardware-overhead accounting: the
- * per-SM storage cost of the MILG instances (one per kernel) and the
- * QBMI counters, and a microbenchmark of the decision logic's
- * software cost (the paper argues the logic is off the critical
- * path; here we show it is nanoseconds per event).
+ * Section 4.4's software-cost microbenchmarks of the decision logic
+ * (the paper argues the logic is off the critical path; here we show
+ * it is nanoseconds per event). The section's storage table is the
+ * s44/overhead_table experiment of ckesim-eval.
  */
 
-#include "bench_util.hpp"
+#include <benchmark/benchmark.h>
+
+#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "core/issue_policy.hpp"
 #include "core/milg.hpp"
@@ -16,34 +19,6 @@
 namespace {
 
 using namespace ckesim;
-
-void
-printOverheadTable(BenchReport &report)
-{
-    printHeader("Section 4.4: hardware overhead per SM (2 concurrent "
-                "kernels)");
-    const int milg_bits = Milg::kStorageBits;
-    // QBMI: one more 10-bit memory instruction counter per kernel
-    // plus quota registers (we count 16-bit quota registers).
-    const int qbmi_bits_per_kernel = 10 + 16;
-    const int kernels = 2;
-    std::printf("MILG: %d-bit inflight peak + %d-bit rsfail + "
-                "%d-bit request counter = %d bits x %d kernels = "
-                "%d bits\n",
-                Milg::kInflightBits, Milg::kRsFailBits,
-                Milg::kRequestBits, milg_bits, kernels,
-                milg_bits * kernels);
-    std::printf("QBMI: 10-bit memory instruction counter + 16-bit "
-                "quota = %d bits x %d kernels = %d bits\n",
-                qbmi_bits_per_kernel, kernels,
-                qbmi_bits_per_kernel * kernels);
-    const int total_bits =
-        (milg_bits + qbmi_bits_per_kernel) * kernels;
-    std::printf("total: %d bits (~%d bytes) per SM — negligible "
-                "against a multi-mm^2 SM (paper Section 4.4)\n",
-                total_bits, (total_bits + 7) / 8);
-    report.counters["bits_per_sm"] = total_bits;
-}
 
 void
 milgUpdate(benchmark::State &state)
@@ -58,7 +33,6 @@ milgUpdate(benchmark::State &state)
         ++i;
     }
     benchmark::DoNotOptimize(m.limit());
-    state.counters["limit"] = m.limit();
 }
 
 void
@@ -98,14 +72,16 @@ controllerAdmission(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    return ckesim::benchutil::benchMain(argc, argv, [] {
-        ckesim::benchutil::registerExperiment("s44/overhead_table",
-                                              printOverheadTable);
-        benchmark::RegisterBenchmark("s44/milg_update_per_event",
-                                     milgUpdate);
-        benchmark::RegisterBenchmark("s44/qbmi_quota_recompute",
-                                     qbmiQuotaRecompute);
-        benchmark::RegisterBenchmark("s44/controller_admission",
-                                     controllerAdmission);
-    });
+    benchmark::RegisterBenchmark("s44/milg_update_per_event",
+                                 milgUpdate);
+    benchmark::RegisterBenchmark("s44/qbmi_quota_recompute",
+                                 qbmiQuotaRecompute);
+    benchmark::RegisterBenchmark("s44/controller_admission",
+                                 controllerAdmission);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 2;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
 }

@@ -111,7 +111,7 @@ parseBenchArgs(int &argc, char **argv)
         if (std::strcmp(argv[i], "--list") == 0) {
             opts.list = true;
         } else if (std::strcmp(argv[i], "--tables") == 0) {
-            opts.tables_only = true;
+            // The only mode; callers may still name it.
         } else if (takeValueFlag("--jobs", argc, argv, i, value)) {
             opts.jobs = parseCount("--jobs", value);
         } else if (takeValueFlag("--filter", argc, argv, i, value)) {
@@ -125,21 +125,6 @@ parseBenchArgs(int &argc, char **argv)
     argc = out;
     argv[argc] = nullptr;
     return opts;
-}
-
-// ---- experiment registry ----------------------------------------------
-
-ExperimentRegistry &
-ExperimentRegistry::instance()
-{
-    static ExperimentRegistry registry;
-    return registry;
-}
-
-void
-ExperimentRegistry::add(std::string name, ExperimentFn fn)
-{
-    entries_.push_back(Entry{std::move(name), std::move(fn)});
 }
 
 // ---- shared engine -----------------------------------------------------
@@ -198,24 +183,6 @@ printSweepStats(std::FILE *out)
                  static_cast<unsigned long long>(s.prefix_runs),
                  static_cast<unsigned long long>(s.prefix_restores),
                  static_cast<unsigned long long>(s.journal_hits));
-}
-
-void
-exportSweepStats(BenchReport &report)
-{
-    const SweepStats s = benchEngine().stats();
-    report.counters["sweep_sims_executed"] =
-        static_cast<double>(s.sims_executed);
-    report.counters["sweep_memo_hits"] =
-        static_cast<double>(s.memo_hits);
-    report.counters["sweep_iso_reused"] =
-        static_cast<double>(s.isolated_hits);
-    report.counters["sweep_prefix_runs"] =
-        static_cast<double>(s.prefix_runs);
-    report.counters["sweep_prefix_restores"] =
-        static_cast<double>(s.prefix_restores);
-    report.counters["sweep_journal_hits"] =
-        static_cast<double>(s.journal_hits);
 }
 
 } // namespace ckesim

@@ -1,17 +1,15 @@
 /**
  * @file
- * Shared experiment-harness helpers for the bench binaries and
+ * Shared experiment-harness helpers for the evaluation driver and
  * examples: environment-driven sizing (quick vs full runs), the
- * --jobs/--list/--filter/--tables CLI knobs, the experiment registry,
- * and the process-wide SweepEngine every bench shares.
+ * --jobs/--list/--filter/--resume CLI knobs, and the process-wide
+ * SweepEngine every experiment shares.
  */
 
 #ifndef CKESIM_METRICS_EXPERIMENT_HPP
 #define CKESIM_METRICS_EXPERIMENT_HPP
 
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,7 +36,7 @@ Cycle benchCycles();
 /** Pair list (all 78 suite pairs full / representative 17 quick). */
 std::vector<Workload> benchPairs();
 
-// ---- CLI knobs shared by all bench binaries ----------------------------
+// ---- CLI knobs of the evaluation driver --------------------------------
 
 /**
  * A count given on the command line or in the environment: a whole
@@ -47,17 +45,14 @@ std::vector<Workload> benchPairs();
  */
 int parseCount(const char *what, const std::string &text);
 
-/** Options recognized (and stripped from argv) by every bench. */
+/** Options recognized (and stripped from argv) by the driver. */
 struct BenchOptions
 {
     /** Simulation jobs; 0 = CKESIM_JOBS env, else hardware
      *  concurrency. */
     int jobs = 0;
-    /** --list: print registered experiment names and exit. */
+    /** --list: print the matching experiment names and exit. */
     bool list = false;
-    /** --tables: run experiments directly (no benchmark harness),
-     *  printing only the paper tables — stable output for diffing. */
-    bool tables_only = false;
     /** --filter substr: run only experiments whose name contains it. */
     std::string filter;
     /** --resume path: journal completed jobs to @p path and serve any
@@ -69,45 +64,17 @@ struct BenchOptions
 };
 
 /**
- * Extract --jobs N / --list / --filter S / --tables / --resume P
- * from argv (both "--flag value" and "--flag=value" forms),
- * compacting argv so the remaining flags can go to the benchmark
- * library untouched. A malformed count raises ConfigError.
+ * Extract --jobs N / --list / --filter S / --resume P from argv (both
+ * "--flag value" and "--flag=value" forms), compacting argv so that
+ * what is left is what the caller does not know. --tables is
+ * accepted and changes nothing: the tables are the only output. A
+ * malformed count raises ConfigError.
  */
 BenchOptions parseBenchArgs(int &argc, char **argv);
 
 /** Jobs requested via CKESIM_JOBS (0 = unset or empty; a malformed
  *  value raises ConfigError). */
 int jobsFromEnv();
-
-// ---- experiment registry ----------------------------------------------
-
-/** Counters an experiment exports (mirrored into benchmark state). */
-struct BenchReport
-{
-    std::map<std::string, double> counters;
-};
-
-using ExperimentFn = std::function<void(BenchReport &)>;
-
-/** Named experiments a bench binary registers at startup. */
-class ExperimentRegistry
-{
-  public:
-    struct Entry
-    {
-        std::string name;
-        ExperimentFn fn;
-    };
-
-    static ExperimentRegistry &instance();
-
-    void add(std::string name, ExperimentFn fn);
-    const std::vector<Entry> &entries() const { return entries_; }
-
-  private:
-    std::vector<Entry> entries_;
-};
 
 // ---- shared engine -----------------------------------------------------
 
@@ -134,9 +101,6 @@ std::size_t attachBenchJournal(const std::string &path);
 
 /** One-line execution/memo summary of benchEngine() to @p out. */
 void printSweepStats(std::FILE *out);
-
-/** Copy benchEngine() stats into report counters (cache_hits, ...). */
-void exportSweepStats(BenchReport &report);
 
 } // namespace ckesim
 
