@@ -19,7 +19,7 @@ namespace ckesim {
 
 namespace {
 
-using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): host-side receive timeout, never simulated state
+using Clock = std::chrono::steady_clock; // SIMCHECK-ALLOW(determinism-hazard): host-side receive timeout, never simulated state
 using Millis = std::chrono::milliseconds;
 
 /** Connect to the service socket; -1 on failure. */

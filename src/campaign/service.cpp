@@ -30,7 +30,7 @@ namespace ckesim {
 
 namespace {
 
-using Clock = std::chrono::steady_clock; // LINT-ALLOW(determinism): host-side liveness/idle timing, never simulated state
+using Clock = std::chrono::steady_clock; // SIMCHECK-ALLOW(determinism-hazard): host-side liveness/idle timing, never simulated state
 using Millis = std::chrono::milliseconds;
 
 /** Worker respawns per loop lifetime. Once they are spent a dead

@@ -17,7 +17,7 @@ namespace ckesim {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock; // LINT-ALLOW(determinism): worker heartbeat pacing, never simulated state
+using SteadyClock = std::chrono::steady_clock; // SIMCHECK-ALLOW(determinism-hazard): worker heartbeat pacing, never simulated state
 
 /** Mutable per-job state shared with the poll hook. */
 struct WorkerState

@@ -58,9 +58,9 @@ class UmonMonitor
     void restore(SnapshotReader &r);
 
   private:
-    int num_sets_;     // SNAPSHOT-SKIP(fixed at construction)
-    int assoc_;        // SNAPSHOT-SKIP(fixed at construction)
-    int sample_shift_; // SNAPSHOT-SKIP(fixed at construction)
+    int num_sets_;     // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int assoc_;        // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int sample_shift_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     /** shadow_tags_[sampled_set] = MRU-first line list. */
     std::vector<std::vector<LineAddr>> shadow_tags_;
     std::vector<std::uint64_t> way_hits_;

@@ -178,7 +178,7 @@ Gpu::Gpu(const GpuConfig &cfg, const Workload &workload,
 Gpu::~Gpu()
 {
     if (owned_prof_)
-        owned_prof_->report(std::cerr); // LINT-ALLOW(stdio): CKESIM_PROF teardown report
+        owned_prof_->report(std::cerr); // SIMCHECK-ALLOW(stdio): CKESIM_PROF teardown report
 }
 
 void

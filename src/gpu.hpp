@@ -290,9 +290,9 @@ class Gpu
     void checkInvariants();
     [[noreturn]] void raiseWatchdog();
 
-    GpuConfig cfg_;      // SNAPSHOT-SKIP(fixed at construction)
-    Workload workload_;  // SNAPSHOT-SKIP(fixed at construction)
-    SchemeSpec spec_;    // SNAPSHOT-SKIP(fixed at construction)
+    GpuConfig cfg_;      // fixed at construction
+    Workload workload_;  // fixed at construction
+    SchemeSpec spec_;    // fixed at construction
     MemorySystem mem_;
     std::vector<std::unique_ptr<Sm>> sms_;
 
@@ -311,7 +311,7 @@ class Gpu
         int sm = 0;
     };
     std::vector<std::vector<UmonMonitor>> umons_;
-    std::vector<Tap> taps_; // SNAPSHOT-SKIP(pointer plumbing, fixed at construction)
+    std::vector<Tap> taps_; // SIMCHECK-ALLOW(snapshot-coverage): pointer plumbing, fixed at construction
 
     Cycle now_{};
     Cycle measured_start_{};
@@ -320,11 +320,11 @@ class Gpu
     FaultInjector fault_injector_;
     std::uint64_t last_progress_sig_ = 0;
     Cycle last_progress_cycle_{};
-    std::function<void()> poll_hook_; // SNAPSHOT-SKIP(observer hook; rebound by the owner)
+    std::function<void()> poll_hook_; // SIMCHECK-ALLOW(snapshot-coverage): observer hook; rebound by the owner
 
     // Cycle-cost profiling (observation only, never machine state).
-    Profiler *cost_prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the owner)
-    std::unique_ptr<Profiler> owned_prof_; // SNAPSHOT-SKIP(CKESIM_PROF convenience instance)
+    Profiler *cost_prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the owner
+    std::unique_ptr<Profiler> owned_prof_; // SIMCHECK-ALLOW(snapshot-coverage): CKESIM_PROF convenience instance
 };
 
 /** Convenience: a standard spec for a named scheme combination. */

@@ -93,7 +93,7 @@ class InstrStream
     void computeNext();
     int drawBurst();
 
-    const KernelProfile *prof_ = nullptr; // SNAPSHOT-SKIP(rebound by owning SM on restore)
+    const KernelProfile *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by owning SM on restore
     Rng rng_{1};
     int budget_ = 0;
     int executed_ = 0;

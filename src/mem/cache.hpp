@@ -131,8 +131,8 @@ class CacheArray
 
     bool wayAllowed(KernelId kernel, int way) const;
 
-    int num_sets_; // SNAPSHOT-SKIP(fixed at construction)
-    int assoc_;    // SNAPSHOT-SKIP(fixed at construction)
+    int num_sets_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int assoc_;    // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     std::vector<CacheLine> sets_;
     std::uint64_t tick_ = 0;
 

@@ -217,8 +217,8 @@ class L1Dcache
     }
     bool mshrQuotaExceeded(KernelId kernel) const;
 
-    L1dConfig cfg_; // SNAPSHOT-SKIP(fixed at construction)
-    SmId sm_id_;    // SNAPSHOT-SKIP(fixed at construction)
+    L1dConfig cfg_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    SmId sm_id_;    // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     CacheArray tags_;
     MshrTable<L1Target> mshrs_;
     RingBuf<MemRequest> miss_queue_;
@@ -226,7 +226,7 @@ class L1Dcache
     std::vector<int> mshr_quota_;
     std::vector<int> mshr_held_;
     std::vector<bool> bypass_;
-    RsFailMemo rsfail_memo_; // SNAPSHOT-SKIP(derived; cleared on restore)
+    RsFailMemo rsfail_memo_; // SIMCHECK-ALLOW(snapshot-coverage): derived; cleared on restore
 };
 
 } // namespace ckesim

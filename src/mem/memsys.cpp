@@ -154,7 +154,7 @@ MemorySystem::drainRepliesForSm(SmId sm_id, Cycle now,
         out.resize(kept);
     }
 
-    // HOTPATH-ALLOW(fault-injection only; untouched on fault-free runs)
+    // SIMCHECK-ALLOW(hotpath): fault-injection only; untouched on fault-free runs
     std::deque<DelayedFill> &held = delayed_[sm_id.idx()];
     while (!held.empty() && held.front().ready <= now) {
         out.push_back(held.front().req);
@@ -270,7 +270,7 @@ MemorySystem::snapshot(SnapshotWriter &w) const
         });
     }
     w.u64(delayed_.size());
-    // HOTPATH-ALLOW(snapshot serialization, not a per-cycle walk)
+    // SIMCHECK-ALLOW(hotpath): snapshot serialization, not a per-cycle walk
     for (const std::deque<DelayedFill> &held : delayed_) {
         w.u64(held.size());
         for (const DelayedFill &f : held) {
@@ -311,7 +311,7 @@ MemorySystem::restore(SnapshotReader &r)
               "snapshot holds " << ndelayed
                                 << " delayed-fill queues, model has "
                                 << delayed_.size());
-    // HOTPATH-ALLOW(snapshot restore, not a per-cycle walk)
+    // SIMCHECK-ALLOW(hotpath): snapshot restore, not a per-cycle walk
     for (std::deque<DelayedFill> &held : delayed_) {
         held.clear();
         const std::uint64_t m = r.u64();

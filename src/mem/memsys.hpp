@@ -113,7 +113,7 @@ class MemorySystem
     void restore(SnapshotReader &r);
 
   private:
-    GpuConfig cfg_;  // SNAPSHOT-SKIP(fixed at construction)
+    GpuConfig cfg_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     Crossbar fwd_;   ///< SM -> partition
     Crossbar reply_; ///< partition -> SM
     std::vector<std::unique_ptr<L2Partition>> partitions_;
@@ -128,12 +128,12 @@ class MemorySystem
         Cycle ready{};
         MemRequest req;
     };
-    // HOTPATH-ALLOW(fault-injection only; untouched on fault-free runs)
+    // SIMCHECK-ALLOW(hotpath): fault-injection only; untouched on fault-free runs
     std::vector<std::deque<DelayedFill>> delayed_;
     /** Reused by tick() for per-partition drains. */
-    std::vector<MemRequest> tick_scratch_; // SNAPSHOT-SKIP(scratch; dead between drains)
-    FaultInjector *faults_ = nullptr; // SNAPSHOT-SKIP(rebound by owner; injector state snapshotted by Gpu)
-    Profiler *prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the Gpu)
+    std::vector<MemRequest> tick_scratch_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between drains
+    FaultInjector *faults_ = nullptr; // rebound by owner; injector state snapshotted by Gpu
+    Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t inflight_ = 0; ///< read requests below the L1s
     std::uint64_t injected_reads_ = 0;
     std::uint64_t injected_writes_ = 0;

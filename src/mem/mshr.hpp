@@ -357,15 +357,15 @@ class MshrTable
         slots_[hole].targets.clear();
     }
 
-    int capacity_;  // SNAPSHOT-SKIP(fixed at construction)
-    int max_merge_; // SNAPSHOT-SKIP(fixed at construction)
+    int capacity_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int max_merge_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     std::vector<Slot> slots_; ///< open-addressing flat table
-    std::size_t mask_ = 0;    // SNAPSHOT-SKIP(fixed at construction)
-    int shift_ = 0;           // SNAPSHOT-SKIP(fixed at construction)
+    std::size_t mask_ = 0;    // fixed at construction
+    int shift_ = 0;           // fixed at construction
     int size_ = 0;            ///< outstanding entries
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
-    SimCtx ctx_; // SNAPSHOT-SKIP(diagnostic context, rebound by owner)
+    SimCtx ctx_; // SIMCHECK-ALLOW(snapshot-coverage): diagnostic context, rebound by owner
 };
 
 } // namespace ckesim

@@ -78,7 +78,7 @@ profTimestamp()
 #else
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() // LINT-ALLOW(determinism): profiling only
+            std::chrono::steady_clock::now() // SIMCHECK-ALLOW(determinism-hazard): profiling only
                 .time_since_epoch())
             .count());
 #endif
@@ -98,7 +98,7 @@ class Profiler
         for (Comp &c : comps_)
             c = Comp{};
         tsc0_ = profTimestamp();
-        wall0_ = std::chrono::steady_clock::now(); // LINT-ALLOW(determinism): profiling only
+        wall0_ = std::chrono::steady_clock::now(); // SIMCHECK-ALLOW(determinism-hazard): profiling only
     }
 
     bool enabled() const { return enabled_; }
@@ -195,7 +195,7 @@ class Profiler
         if (!enabled_)
             return cal;
         const std::uint64_t tsc1 = profTimestamp();
-        const auto wall1 = std::chrono::steady_clock::now(); // LINT-ALLOW(determinism): profiling only
+        const auto wall1 = std::chrono::steady_clock::now(); // SIMCHECK-ALLOW(determinism-hazard): profiling only
         cal.wall_ms =
             std::chrono::duration<double, std::milli>(wall1 - wall0_)
                 .count();
@@ -209,7 +209,7 @@ class Profiler
     std::array<Comp, kNumProfComps> comps_{};
     ProfScope *cur_ = nullptr; ///< innermost live scope (nesting)
     std::uint64_t tsc0_ = 0;
-    std::chrono::steady_clock::time_point wall0_{}; // LINT-ALLOW(determinism): profiling only
+    std::chrono::steady_clock::time_point wall0_{}; // SIMCHECK-ALLOW(determinism-hazard): profiling only
 };
 
 /**

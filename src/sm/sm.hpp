@@ -268,33 +268,33 @@ class Sm : public LsuHost
             .push_back(slot);
     }
 
-    GpuConfig cfg_;     // SNAPSHOT-SKIP(fixed at construction)
-    SmId sm_id_;        // SNAPSHOT-SKIP(fixed at construction)
-    MemorySystem &mem_; // SNAPSHOT-SKIP(reference; snapshotted by the Gpu)
+    GpuConfig cfg_;     // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    SmId sm_id_;        // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    MemorySystem &mem_; // SIMCHECK-ALLOW(snapshot-coverage): reference; snapshotted by the Gpu
     std::vector<KernelCtx> ctx_;
     IssueController controller_;
     L1Dcache l1d_;
     Lsu lsu_;
     std::vector<WarpScheduler> schedulers_;
     std::vector<Warp> warps_;
-    // Dense scan mirrors, all SNAPSHOT-SKIP(derived; rebuilt from
-    // warps_ on restore):
-    std::vector<std::uint8_t> scan_meta_; // SNAPSHOT-SKIP(derived) state|mem|kernel
-    std::vector<std::uint64_t> scan_age_; // SNAPSHOT-SKIP(derived) age mirror (GTO)
+    // Dense scan mirrors, all derived state rebuilt from warps_ on
+    // restore:
+    std::vector<std::uint8_t> scan_meta_; // SIMCHECK-ALLOW(snapshot-coverage): derived state|mem|kernel
+    std::vector<std::uint64_t> scan_age_; // SIMCHECK-ALLOW(snapshot-coverage): derived age mirror (GTO)
     /** Due-wheel: Busy warps are filed under their ready_at bucket at
      *  issue, so preScan visits only the warps due this cycle instead
      *  of scanning every slot. No bucket aliasing: the wheel spans
      *  more cycles than the longest issue latency, a Busy warp never
      *  changes ready_at, and the run loop ticks every cycle.
-     *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
+     *  SIMCHECK-ALLOW(snapshot-coverage): derived; rebuilt from warps_ on restore */
     std::vector<std::vector<WarpSlot>> due_wheel_;
-    std::size_t due_mask_ = 0; // SNAPSHOT-SKIP(fixed at construction)
+    std::size_t due_mask_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     /** Ready bitsets, indexed through readySet(). Words beyond a
      *  scheduler's slot count stay zero.
-     *  SNAPSHOT-SKIP(derived; rebuilt from warps_ on restore) */
+     *  SIMCHECK-ALLOW(snapshot-coverage): derived; rebuilt from warps_ on restore */
     std::vector<std::uint64_t> ready_bits_;
-    std::size_t mask_words_ = 0; // SNAPSHOT-SKIP(fixed at construction)
-    std::vector<std::uint64_t> eligible_; // SNAPSHOT-SKIP(scratch; dead between picks)
+    std::size_t mask_words_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    std::vector<std::uint64_t> eligible_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between picks
     std::vector<ThreadBlock> tbs_;
     Resources used_;
     SmStats sm_stats_;
@@ -309,18 +309,18 @@ class Sm : public LsuHost
         wakes_;
 
     // Scratch buffers reused every memory instruction.
-    std::vector<Addr> scratch_thread_addrs_; // SNAPSHOT-SKIP(scratch; dead between instructions)
-    std::vector<LineAddr> scratch_lines_;    // SNAPSHOT-SKIP(scratch; dead between instructions)
+    std::vector<Addr> scratch_thread_addrs_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
+    std::vector<LineAddr> scratch_lines_;    // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
 
     // Scratch buffers reused every drainFills cycle.
-    std::vector<MemRequest> scratch_fills_;  // SNAPSHOT-SKIP(scratch; dead between cycles)
-    std::vector<L1Target> scratch_targets_;  // SNAPSHOT-SKIP(scratch; dead between cycles)
+    std::vector<MemRequest> scratch_fills_;  // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between cycles
+    std::vector<L1Target> scratch_targets_;  // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between cycles
 
-    AccessObserver access_observer_ = nullptr; // SNAPSHOT-SKIP(rebound by the experiment on restore)
-    void *access_observer_opaque_ = nullptr;   // SNAPSHOT-SKIP(rebound by the experiment on restore)
+    AccessObserver access_observer_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
+    void *access_observer_opaque_ = nullptr;   // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
 
-    FaultInjector *faults_ = nullptr; // SNAPSHOT-SKIP(rebound by the Gpu; injector state snapshotted there)
-    Profiler *prof_ = nullptr; // SNAPSHOT-SKIP(observer; rebound by the Gpu)
+    FaultInjector *faults_ = nullptr; // rebound by the Gpu; injector state snapshotted there
+    Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t lifetime_issued_ = 0;
     std::uint64_t lifetime_returns_ = 0;
 };

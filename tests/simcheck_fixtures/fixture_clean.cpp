@@ -1,8 +1,10 @@
-// simcheck golden fixture: clean control.
-// Exercises every construct the four rules look at, written the way
-// the contracts demand — a full-rule simcheck run over this file
-// must report zero findings (including zero unused-waiver findings:
-// the one SIMCHECK-ALLOW below genuinely suppresses a hit).
+// simcheck golden fixture: clean control, source half.
+// run_fixture_tests.py analyses this file as src/sm/fixture_clean.cpp,
+// next to fixture_clean.hpp, so the path-scoped rules apply too. It
+// exercises the constructs the rules look at, written the way the
+// contracts demand; each waiver below suppresses a real hit, so a
+// full-rule run must report zero findings, unused-waiver included.
+#include <cstdio>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -22,10 +24,17 @@ class SnapshotReader
     unsigned long long u64();
 };
 
+/* Never seed with rand() or read std::chrono::steady_clock here, and
+   never keep a std::map on this path. */
 class Pipeline
 {
   public:
     void tick(Cycle now);
+
+    void debugDump() const
+    {
+        std::printf("head=%llu\n", head_); // SIMCHECK-ALLOW(stdio): debugger-only dump, never called by the run loop
+    }
 
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
@@ -47,8 +56,9 @@ class Pipeline
 
     unsigned long long head_ = 0;
     unsigned long long lanes_ = 0;
-    int capacity_ = 0; // SNAPSHOT-SKIP(fixed at construction)
-    std::unordered_set<int> members_; // SNAPSHOT-SKIP(membership cache, rebuilt on restore)
+    int capacity_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    std::unordered_set<int> members_; // SIMCHECK-ALLOW(snapshot-coverage): membership cache, rebuilt on restore
+    // SIMCHECK-ALLOW(hotpath): read only by snapshot/restore, never per cycle
     std::map<int, unsigned long long> by_id_;
 };
 

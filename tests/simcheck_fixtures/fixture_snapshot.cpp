@@ -1,4 +1,4 @@
-// simcheck golden fixture: snapshot-coverage-v2.
+// simcheck golden fixture: snapshot-coverage.
 // One field is serialized on both sides, one only on the restore
 // side — the classic asymmetry a textual union of the two bodies
 // cannot see.
@@ -22,7 +22,7 @@ class Queue
 
   private:
     unsigned long long head_ = 0;
-    unsigned long long tail_ = 0; // EXPECT[snapshot-coverage-v2]
+    unsigned long long tail_ = 0; // EXPECT[snapshot-coverage]
 };
 
 void

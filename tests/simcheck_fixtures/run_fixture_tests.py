@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Golden tests for tools/simcheck.
 
-For every violation fixture, runs simcheck restricted to the rule
-under test and asserts that the set of (file, line, rule) findings
-equals the set of `EXPECT[rule]` markers planted in the fixture —
-exact: a missed planted violation fails, and so does any extra
-finding (over-fire). The clean fixture runs with every rule enabled
-and must come back empty.
+Every fixture is analysed in a temporary repository root that holds a
+copy of the tool: in place under tests/simcheck_fixtures/, or under
+src/ for the rules and exemptions that depend on a file's path. For
+each violation fixture, simcheck runs restricted to the rule under
+test, and the set of (file, line, rule) findings must equal the set
+of `EXPECT[rule]` markers planted in the fixture — exact: a missed
+planted violation fails, and so does any extra finding (over-fire).
+The waiver fixture runs every rule, so its unused waivers surface.
+The clean control (fixture_clean.cpp and .hpp) runs every rule and
+must come back empty, with every waiver in it used.
 
-A mutation check then proves the analyzer sees through helpers:
-deleting one snapshot field write from the clean fixture must
-produce a snapshot-coverage-v2 finding.
-
-Exits 77 (ctest SKIP_RETURN_CODE) when no simcheck frontend can run
-in this environment.
+Mutations of the clean control then prove the analyzer sees through
+helpers and preprocessor structure: deleting one snapshot field write
+must produce a snapshot-coverage finding, and deleting the header's
+guard #define or #ifndef an include-guard finding.
 """
 
 import argparse
@@ -26,48 +28,75 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURE_DIR = os.path.join("tests", "simcheck_fixtures")
 EXPECT = re.compile(r"EXPECT\[(?P<rule>[\w-]+)\]")
 
+# (fixture, rule or None for every rule, path to analyse it at or
+# None for in place)
 FIXTURES = [
-    ("fixture_determinism.cpp", "determinism-hazard"),
-    ("fixture_uninit.cpp", "uninit-member"),
-    ("fixture_snapshot.cpp", "snapshot-coverage-v2"),
-    ("fixture_simerror.cpp", "simerror-discipline"),
+    ("fixture_determinism.cpp", "determinism-hazard", None),
+    ("fixture_rng.hpp", "determinism-hazard", "src/sim/rng.hpp"),
+    ("fixture_uninit.cpp", "uninit-member", None),
+    ("fixture_snapshot.cpp", "snapshot-coverage", None),
+    ("fixture_simerror.cpp", "simerror-discipline", None),
+    ("fixture_stdio.cpp", "stdio", None),
+    ("fixture_table.cpp", "stdio", "src/metrics/table.cpp"),
+    ("fixture_include_guard.hpp", "include-guard", "src/sm/probe.hpp"),
+    ("fixture_int_id_param.hpp", "int-id-param", None),
+    ("fixture_hotpath.hpp", "hotpath", "src/mem/staging.hpp"),
+    ("fixture_waivers.cpp", None, None),
 ]
 
-SKIP = 77
+CLEAN = [
+    ("fixture_clean.cpp", "src/sm/fixture_clean.cpp"),
+    ("fixture_clean.hpp", "src/sm/fixture_clean.hpp"),
+]
+
+# (label, rule, clean fixture, start of the first line deleted from it)
+MUTATIONS = [
+    ("drop snapshot-side field write", "snapshot-coverage",
+     "fixture_clean.cpp", "    w.u64(head_);"),
+    ("drop the header guard's #define", "include-guard",
+     "fixture_clean.hpp", "#define"),
+    ("drop the header guard's #ifndef", "include-guard",
+     "fixture_clean.hpp", "#ifndef"),
+]
 
 
-def run_simcheck(root, args, frontend):
-    out = tempfile.NamedTemporaryFile(
-        mode="r", suffix=".json", delete=False)
-    out.close()
+def read_fixture(root, fname):
+    with open(os.path.join(root, FIXTURE_DIR, fname),
+              encoding="utf-8") as f:
+        return f.read()
+
+
+def place(tmp, rel, text):
+    path = os.path.join(tmp, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def run_simcheck(tmp, args):
+    out = os.path.join(tmp, "findings.json")
     cmd = [
-        sys.executable, os.path.join(root, "tools", "simcheck"),
-        "--root", root, "--frontend", frontend, "--json", out.name,
+        sys.executable, os.path.join(tmp, "tools", "simcheck"),
+        "--root", tmp, "--json", out,
     ] + args
     proc = subprocess.run(
         cmd, capture_output=True, text=True, timeout=600)
-    if proc.returncode == 2:
-        print("SKIP: simcheck cannot run here:", file=sys.stderr)
-        sys.stderr.write(proc.stderr)
-        os.unlink(out.name)
-        sys.exit(SKIP)
-    try:
-        with open(out.name) as f:
-            payload = json.load(f)
-    finally:
-        os.unlink(out.name)
-    return proc, payload
+    if proc.returncode not in (0, 1):
+        sys.exit(f"simcheck {' '.join(args)} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    with open(out) as f:
+        return proc.returncode, json.load(f)
 
 
-def expected_markers(path, rel):
-    found = set()
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, 1):
-            for m in EXPECT.finditer(line):
-                found.add((rel, i, m.group("rule")))
-    return found
+def expected_markers(text, rel):
+    return {
+        (rel, i, m.group("rule"))
+        for i, line in enumerate(text.splitlines(), 1)
+        for m in EXPECT.finditer(line)
+    }
 
 
 def findings_set(payload):
@@ -95,52 +124,41 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", default=os.path.dirname(
         os.path.dirname(HERE)))
-    ap.add_argument("--frontend",
-                    default=os.environ.get(
-                        "SIMCHECK_FIXTURE_FRONTEND", "auto"))
-    args = ap.parse_args()
-    root = os.path.abspath(args.root)
+    root = os.path.abspath(ap.parse_args().root)
 
     ok = True
-    for fname, rule in FIXTURES:
-        rel = os.path.join("tests", "simcheck_fixtures", fname)
-        _, payload = run_simcheck(
-            root, ["--rule", rule, rel], args.frontend)
-        want = expected_markers(os.path.join(root, rel), rel)
-        ok &= check(f"{fname} [{rule}]", findings_set(payload), want)
-
-    # Clean control: all rules, zero findings (and the used
-    # SIMCHECK-ALLOW in it must not surface as unused-waiver).
-    rel = os.path.join("tests", "simcheck_fixtures",
-                       "fixture_clean.cpp")
-    proc, payload = run_simcheck(root, [rel], args.frontend)
-    clean_ok = check("fixture_clean.cpp [all rules]",
-                     findings_set(payload), set())
-    if clean_ok and proc.returncode != 0:
-        print("FAIL  fixture_clean.cpp: exit "
-              f"{proc.returncode} despite zero findings",
-              file=sys.stderr)
-        clean_ok = False
-    ok &= clean_ok
-
-    # Mutations of the clean fixture: the AST rules must notice.
-    clean_src = open(os.path.join(root, rel), encoding="utf-8").read()
-    mutations = [
-        ("drop snapshot-side field write", "snapshot-coverage-v2",
-         clean_src.replace("    w.u64(head_);\n", "", 1)),
-    ]
     with tempfile.TemporaryDirectory() as tmp:
-        # simcheck resolves paths under --root; give the tmp root the
-        # tool so relative layout matches a real checkout.
         shutil.copytree(os.path.join(root, "tools", "simcheck"),
                         os.path.join(tmp, "tools", "simcheck"))
-        for label, rule, text in mutations:
-            assert text != clean_src, label
-            mut = os.path.join(tmp, "mutant.cpp")
-            with open(mut, "w", encoding="utf-8") as f:
-                f.write(text)
+
+        for fname, rule, where in FIXTURES:
+            rel = where or os.path.join(FIXTURE_DIR, fname)
+            text = read_fixture(root, fname)
+            place(tmp, rel, text)
             _, payload = run_simcheck(
-                tmp, ["--rule", rule, "mutant.cpp"], args.frontend)
+                tmp, (["--rule", rule] if rule else []) + [rel])
+            ok &= check(f"{fname} [{rule or 'all rules'}]",
+                        findings_set(payload),
+                        expected_markers(text, rel))
+
+        for fname, rel in CLEAN:
+            place(tmp, rel, read_fixture(root, fname))
+        code, payload = run_simcheck(tmp, [rel for _, rel in CLEAN])
+        clean_ok = check("fixture_clean.{cpp,hpp} [all rules]",
+                         findings_set(payload), set())
+        if clean_ok and code != 0:
+            print(f"FAIL  clean control: exit {code} despite zero "
+                  "findings", file=sys.stderr)
+            clean_ok = False
+        ok &= clean_ok
+
+        for label, rule, fname, prefix in MUTATIONS:
+            lines = read_fixture(root, fname).splitlines(keepends=True)
+            k = next(k for k, line in enumerate(lines)
+                     if line.startswith(prefix))
+            rel = dict(CLEAN)[fname]
+            place(tmp, rel, "".join(lines[:k] + lines[k + 1:]))
+            _, payload = run_simcheck(tmp, ["--rule", rule, rel])
             got = {f["rule"] for f in payload["findings"]}
             if rule in got:
                 print(f"PASS  mutation: {label} -> [{rule}]")

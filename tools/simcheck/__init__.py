@@ -1,7 +1,8 @@
-"""simcheck: AST-grounded semantic analyzer for the simulator's
-determinism, snapshot and error contracts (DESIGN.md section 15).
+"""simcheck: the static analyzer for the simulator's determinism,
+snapshot, error-reporting and hot-path contracts (DESIGN.md
+section 15).
 
-Run as a package: python3 tools/simcheck -p build [paths...]
+Run as a package: python3 tools/simcheck [paths...]
 """
 
 __version__ = "1.0"

@@ -1,16 +1,15 @@
 """simcheck command line.
 
-    python3 tools/simcheck -p build [src/ ...]
+    python3 tools/simcheck [src/ ...]
 
-Exit status: 0 clean, 1 findings, 2 environment/usage failure.
+Exit status: 0 clean, 1 findings, 2 usage failure.
 """
 
 import argparse
 import os
 import sys
 
-from . import frontend as frontend_mod
-from .clang_frontend import FrontendUnavailable
+from .frontend import load_model
 from .report import Finding, render_json, render_text
 from .rules import RuleContext, all_rules
 from .waivers import WaiverSet
@@ -26,8 +25,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="simcheck",
         description=(
-            "AST-grounded semantic analyzer for the simulator's "
-            "determinism, snapshot and error contracts "
+            "Static analyzer for the simulator's determinism, "
+            "snapshot, error-reporting and hot-path contracts "
             "(DESIGN.md section 15)."
         ),
     )
@@ -39,33 +38,17 @@ def main(argv=None):
         "(default: src/)",
     )
     ap.add_argument(
-        "-p",
-        "--build-dir",
-        default=None,
-        metavar="DIR",
-        help="build directory containing compile_commands.json "
-        "(used by the libclang frontend; the fallback frontend "
-        "parses sources directly)",
-    )
-    ap.add_argument(
         "--root",
         default=_repo_root_default(),
         help="repository root (default: grandparent of this package)",
-    )
-    ap.add_argument(
-        "--frontend",
-        choices=("auto", "clang", "fallback"),
-        default="auto",
-        help="AST frontend: libclang when available (auto), forced "
-        "libclang (clang, exit 2 if absent), or the pure-python "
-        "parser (fallback)",
     )
     ap.add_argument(
         "--rule",
         action="append",
         default=None,
         metavar="NAME",
-        help="run only this rule (repeatable)",
+        help="run only this rule (repeatable; unused waivers are "
+        "then not reported)",
     )
     ap.add_argument(
         "--json",
@@ -77,13 +60,6 @@ def main(argv=None):
         "--list-rules",
         action="store_true",
         help="list rules with their contracts and exit",
-    )
-    ap.add_argument(
-        "--no-unused-waivers",
-        action="store_true",
-        help="do not report SIMCHECK-ALLOW waivers that suppressed "
-        "nothing (used by fixture tests that run one rule at a "
-        "time)",
     )
     args = ap.parse_args(argv)
 
@@ -115,35 +91,12 @@ def main(argv=None):
             )
             return 2
 
-    try:
-        model, sources = frontend_mod.load_model(
-            root,
-            args.build_dir,
-            paths,
-            frontend=args.frontend,
-        )
-    except FrontendUnavailable as e:
-        print(
-            "simcheck: --frontend clang requested but " + str(e),
-            file=sys.stderr,
-        )
-        return 2
-
+    model, sources = load_model(root, paths)
     waivers = WaiverSet()
     for rel in sources:
         fm = model.files.get(rel)
-        lines = fm.lines if fm is not None and fm.lines else None
-        if lines is None:
-            try:
-                with open(
-                    os.path.join(root, rel),
-                    encoding="utf-8",
-                    errors="replace",
-                ) as f:
-                    lines = f.read().splitlines()
-            except OSError:
-                lines = []
-        waivers.scan_file(rel, lines)
+        if fm is not None:
+            waivers.scan_file(fm)
 
     ctx = RuleContext(model, waivers, paths, rules=args.rule)
     ran = []
@@ -154,7 +107,7 @@ def main(argv=None):
         r.run(ctx)
 
     findings = list(ctx.findings)
-    for rel, line, text in waivers.syntax_findings():
+    for rel, line, text, form in waivers.syntax_findings():
         findings.append(
             Finding(
                 file=rel,
@@ -162,11 +115,11 @@ def main(argv=None):
                 rule="waiver-syntax",
                 message="malformed waiver '"
                 + text[:60]
-                + "' — write `SIMCHECK-ALLOW(rule-name): reason` "
-                "(both the rule and the reason are mandatory)",
+                + f"' — write `{form}: reason` "
+                "(both the name and the reason are mandatory)",
             )
         )
-    if not args.no_unused_waivers and args.rule is None:
+    if args.rule is None:
         for w in waivers.unused():
             findings.append(
                 Finding(
@@ -180,7 +133,6 @@ def main(argv=None):
             )
 
     meta = {
-        "frontend": model.frontend,
         "rules": ran,
         "files_analyzed": len(sources),
     }
@@ -190,13 +142,12 @@ def main(argv=None):
         render_text(findings, sys.stderr)
         print(
             f"simcheck: {len(findings)} finding(s) "
-            f"[frontend={model.frontend}, "
-            f"{len(sources)} file(s)]",
+            f"[{len(sources)} file(s)]",
             file=sys.stderr,
         )
         return 1
     print(
-        f"simcheck: clean [frontend={model.frontend}, "
-        f"{len(sources)} file(s), rules: {', '.join(ran)}]"
+        f"simcheck: clean [{len(sources)} file(s), "
+        f"rules: {', '.join(ran)}]"
     )
     return 0

@@ -1,15 +1,15 @@
-"""Frontend selection + model finalization.
+"""Source enumeration + model finalization.
 
-`load_model` prefers the libclang frontend (real ASTs, the CI
-configuration) and degrades to the self-contained fallback parser
-when libclang is absent — same model type, same rules, so the
-analyzer stays useful on any host with a Python interpreter.
+`load_model` parses every requested file into one model, then runs
+the two cross-file passes the rules rely on: out-of-line method
+definitions are attached to their class, and member-loop range types
+are resolved against the merged model.
 """
 
+import copy
 import os
-import sys
 
-from . import clang_frontend, fallback_frontend
+from . import parser
 from .model import Model
 
 
@@ -65,8 +65,6 @@ def attach_out_of_line(model):
             else:
                 # Definition with no visible declaration (declared
                 # via macro or unparsed region): add it.
-                import copy
-
                 m = copy.copy(fn)
                 m.name = base
                 cls.methods.append(m)
@@ -131,53 +129,18 @@ def resolve_member_loops(model):
                     break
 
 
-def load_model(repo_root, build_dir, paths, frontend="auto",
-               stderr=sys.stderr):
-    """Returns (model, sources). Raises clang_frontend.
-    FrontendUnavailable when frontend='clang' cannot run."""
+def load_model(repo_root, paths):
+    """Returns (model, sources)."""
     sources = enumerate_sources(repo_root, paths)
-    src_set = set(sources)
-
-    model = None
-    if frontend in ("auto", "clang"):
+    model = Model()
+    for rel in sources:
+        full = os.path.join(repo_root, rel)
         try:
-            model = clang_frontend.load(
-                repo_root,
-                build_dir or os.path.join(repo_root, "build"),
-                src_set,
-            )
-            # TU-driven parsing reaches headers through includes;
-            # parse any requested file the TUs never touched with
-            # the fallback so scope stays complete.
-            for rel in sources:
-                if rel not in model.files:
-                    _parse_into(model, repo_root, rel)
-        except clang_frontend.FrontendUnavailable as e:
-            if frontend == "clang":
-                raise
-            print(
-                "simcheck: libclang unavailable ("
-                + str(e)
-                + "); using the self-contained fallback frontend",
-                file=stderr,
-            )
-
-    if model is None:
-        model = Model()
-        model.frontend = "fallback"
-        for rel in sources:
-            _parse_into(model, repo_root, rel)
-
+            with open(full, encoding="utf-8", errors="replace") as f:
+                text = f.read()
+        except OSError:
+            continue
+        model.add_file(parser.parse_source(rel, text))
     attach_out_of_line(model)
     resolve_member_loops(model)
     return model, sources
-
-
-def _parse_into(model, repo_root, rel):
-    full = os.path.join(repo_root, rel)
-    try:
-        with open(full, encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    except OSError:
-        return
-    model.add_file(fallback_frontend.parse_source(rel, text))

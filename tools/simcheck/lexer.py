@@ -1,7 +1,7 @@
-"""C++ token stream for the simcheck fallback frontend.
+"""C++ token stream for the simcheck parser.
 
 Not a conforming lexer — a pragmatic one that is exact about the three
-things the rules need and the regex lint gets wrong:
+things the rules need:
 
   * comments and string/char literals never leak into code tokens, so
     a member name in a doc comment cannot satisfy snapshot coverage

@@ -1,10 +1,7 @@
-"""The normalized semantic model both frontends produce.
+"""The semantic model the parser produces and the rules read.
 
-Rules never see libclang cursors or fallback-parser internals — they
-see this model. That is what lets one rule implementation run against
-real clang ASTs in CI (python3-clang + libclang) and against the
-self-contained fallback parser on hosts with no clang at all, with
-identical findings on the constructs the rules inspect.
+Rules never see parser internals — they see this model, plus each
+file's token stream for the rules that match tokens directly.
 
 Everything carries (file, line) so findings are clickable, and method
 bodies are kept as token streams (kind/spelling/line) so rules can do
@@ -109,7 +106,6 @@ class Model:
 
     def __init__(self):
         self.files = {}  # path -> FileModel
-        self.frontend = "?"  # 'clang' | 'fallback'
 
     def add_file(self, fm):
         self.files[fm.path] = fm

@@ -23,7 +23,6 @@ def render_text(findings, out):
 def render_json(findings, meta, path):
     doc = {
         "tool": "simcheck",
-        "frontend": meta.get("frontend", "?"),
         "rules": meta.get("rules", []),
         "files_analyzed": meta.get("files_analyzed", 0),
         "findings": [

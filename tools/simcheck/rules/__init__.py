@@ -24,6 +24,12 @@ class RuleContext:
             for p in self._scope
         )
 
+    def files(self):
+        """(path, FileModel) of every in-scope file, sorted by path."""
+        for rel, fm in sorted(self.model.files.items()):
+            if self.in_scope(rel):
+                yield rel, fm
+
     def emit(self, rel, line, rule, message, contract=""):
         if self.waivers.suppresses(rel, line, rule):
             return
@@ -37,23 +43,38 @@ class RuleContext:
             )
         )
 
-    def emit_unwaivable(self, rel, line, rule, message, contract=""):
-        self.findings.append(
-            Finding(
-                file=rel,
-                line=line,
-                rule=rule,
-                message=message,
-                contract=contract,
-            )
-        )
+
+def called(toks, i):
+    """toks[i] is an identifier followed by `(`."""
+    return (
+        toks[i].kind == "ident"
+        and i + 1 < len(toks)
+        and toks[i + 1].spelling == "("
+    )
+
+
+def std_name(toks, i):
+    """The identifier toks[i] when it is spelled `std::name`, else
+    ''."""
+    if (
+        i >= 2
+        and toks[i].kind == "ident"
+        and toks[i - 1].spelling == "::"
+        and toks[i - 2].spelling == "std"
+    ):
+        return toks[i].spelling
+    return ""
 
 
 def all_rules():
     from . import (
         determinism,
+        hotpath,
+        include_guard,
+        int_id_param,
         simerror,
         snapshot_coverage,
+        stdio,
         uninit_member,
     )
 
@@ -62,4 +83,8 @@ def all_rules():
         uninit_member,
         snapshot_coverage,
         simerror,
+        stdio,
+        include_guard,
+        int_id_param,
+        hotpath,
     ]

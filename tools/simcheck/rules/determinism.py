@@ -1,7 +1,7 @@
-"""determinism-hazard: constructs whose observable order depends on
-hash-table layout or pointer values.
+"""determinism-hazard: constructs whose observable effect depends on
+hash-table layout, pointer values, ambient entropy or the wall clock.
 
-Four hazards, all of which have reproduced as replay divergence in
+Five hazards, all of which have reproduced as replay divergence in
 simulators of this class:
 
   1. Iteration over std::unordered_map/unordered_set. Bucket order is
@@ -18,14 +18,44 @@ simulators of this class:
   3. std::hash<T*> instantiations: hashes differ across runs.
   4. `<`/`>` between two pointer-typed variables outside a container
      comparator: ordering by address.
+  5. Ad-hoc randomness and wall-clock reads: rand()/srand(), the
+     <random> engines and distributions, the std::chrono clocks,
+     gettimeofday(), time(NULL) and clock(). All randomness flows
+     through the seeded counter RNG in src/sim/rng.hpp, the one
+     exempt file; host-side timing that never reaches simulated
+     state (profiling, service liveness) is waived where it is read.
 """
+
+from . import called
 
 NAME = "determinism-hazard"
 CONTRACT = (
     "simulator results must be a pure function of (config, workload, "
-    "seed): no observable effect may depend on hash-bucket order or "
-    "pointer values (DESIGN.md section 15)"
+    "seed): no observable effect may depend on hash-bucket order, "
+    "pointer values, ambient entropy or the wall clock (DESIGN.md "
+    "section 15)"
 )
+
+RNG_FILE = "src/sim/rng.hpp"
+
+# Names that are entropy or clock sources wherever they appear...
+ENTROPY_NAMES = {
+    "random_device": "std::random_device",
+    "mt19937": "std::mt19937",
+    "mt19937_64": "std::mt19937",
+    "default_random_engine": "std::default_random_engine",
+    "uniform_int_distribution": "<random> distribution",
+    "uniform_real_distribution": "<random> distribution",
+    "system_clock": "std::chrono clock",
+    "steady_clock": "std::chrono clock",
+    "high_resolution_clock": "std::chrono clock",
+}
+# ...and functions that are one when called.
+ENTROPY_CALLS = {
+    "rand": "rand()/srand()",
+    "srand": "rand()/srand()",
+    "gettimeofday": "gettimeofday()",
+}
 
 UNORDERED = (
     "unordered_map",
@@ -107,6 +137,27 @@ def _classify_sink(body):
     return ""
 
 
+def _entropy_source(toks, i):
+    """What toks[i] reads of ambient entropy or time, or ''."""
+    if toks[i].kind != "ident":
+        return ""
+    s = toks[i].spelling
+    if s in ENTROPY_NAMES:
+        return ENTROPY_NAMES[s]
+    if not called(toks, i):
+        return ""
+    if s in ENTROPY_CALLS:
+        return ENTROPY_CALLS[s]
+    args = [t.spelling for t in toks[i + 2 : i + 4]]
+    if s == "time" and args[1:] == [")"] and (
+        args[0] in ("NULL", "nullptr", "0")
+    ):
+        return "time()"
+    if s == "clock" and args[:1] == [")"]:
+        return "clock()"
+    return ""
+
+
 def run(ctx):
     model = ctx.model
 
@@ -136,10 +187,7 @@ def run(ctx):
             CONTRACT,
         )
 
-    for rel, fm in sorted(model.files.items()):
-        if not ctx.in_scope(rel):
-            continue
-
+    for rel, fm in ctx.files():
         # 2. pointer-keyed ordered containers (fields, locals,
         # params, aliases).
         decls = [
@@ -235,3 +283,22 @@ def run(ctx):
                     "stable ids instead",
                     CONTRACT,
                 )
+
+        # 5. ad-hoc randomness and wall-clock reads.
+        if rel == RNG_FILE:
+            continue
+        seen = set()
+        for i, t in enumerate(toks):
+            what = _entropy_source(toks, i)
+            if not what or (t.line, what) in seen:
+                continue
+            seen.add((t.line, what))
+            ctx.emit(
+                rel,
+                t.line,
+                NAME,
+                f"{what} — route all randomness through "
+                f"{RNG_FILE} and never read the wall clock in "
+                "simulation code",
+                CONTRACT,
+            )

@@ -1,22 +1,22 @@
-"""snapshot-coverage-v2: AST-grounded snapshot completeness.
+"""snapshot-coverage: snapshot completeness on the parsed model.
 
-Supersedes the textual snapshot-coverage rule in tools/lint_sim.py,
-whose regexes cannot see three things this rule can:
+A name-matching check cannot see three things this rule can:
 
   * inherited members — fields a class gets from a base that has no
     snapshot pair of its own are the derived class's responsibility;
   * helper indirection — a private `snapshotQueues(w)` or a free
-    `snapshotKernelStats(w, s)` helper serializes members the regex
-    never connects to the snapshot body (the effective body here is
-    the snapshot/restore bodies plus, transitively, every called
+    `snapshotKernelStats(w, s)` helper serializes members the
+    snapshot body never names (the effective body here is the
+    snapshot/restore bodies plus, transitively, every called
     helper's body);
-  * comment/string noise — a member named in a doc comment satisfies
-    the regex but not a token-stream search.
+  * comment/string noise — a member named in a doc comment is not a
+    token of the body.
 
 A field is covered when its name appears as a token in the effective
-snapshot+restore body, or it carries `// SNAPSHOT-SKIP(reason)` (the
-established marker, shared with lint_sim.py) or
-`SIMCHECK-ALLOW(snapshot-coverage-v2): reason`.
+snapshot and restore bodies, or it carries
+`// SIMCHECK-ALLOW(snapshot-coverage): reason` (fixed at
+construction, derived and rebuilt on restore, scratch, or an
+observer the owner rebinds).
 
 When a base class has its own snapshot pair, the derived effective
 body must mention the base (Base::snapshot(w) / Base::restore(r) or
@@ -26,7 +26,7 @@ the inheritance-shaped version of a forgotten field.
 
 from .uninit_member import is_snapshot_bearing
 
-NAME = "snapshot-coverage-v2"
+NAME = "snapshot-coverage"
 CONTRACT = (
     "every non-static data member of a snapshot-bearing class "
     "(including inherited members) is serialized by "
@@ -152,6 +152,6 @@ def run(ctx):
                 f"member '{f.name}'{inherited} of snapshot-bearing "
                 f"class '{cls.name}' {what}; serialize it on both "
                 "sides (and bump kSnapshotFormatVersion) or waive "
-                "with `// SNAPSHOT-SKIP(reason)`",
+                "with `// SIMCHECK-ALLOW(snapshot-coverage): reason`",
                 CONTRACT,
             )

@@ -1,23 +1,19 @@
-"""SIMCHECK-ALLOW waivers.
+"""SIMCHECK-ALLOW waivers, the only waiver spelling.
 
 A finding is waived by a marker on its own line, or by a marker on
-the line above when that line holds nothing but the comment (a
-marker trailing code on the previous line belongs to THAT line, not
-the next one — otherwise a waiver on one field would silently cover
-its neighbor):
+the line above when the lexer puts no token on that line (a marker
+trailing code on the previous line belongs to THAT line, not the next
+one — otherwise a waiver on one field would silently cover its
+neighbor):
 
     // SIMCHECK-ALLOW(rule-name): reason the contract is satisfied
 
 The rule name and the reason are both mandatory — a waiver without a
-reason is itself a finding (`waiver-syntax`), and a waiver that no
-longer suppresses anything is itself a finding (`unused-waiver`), so
-waivers cannot rot. One legacy marker from tools/lint_sim.py is
-honored where its semantics match an AST rule:
-
-    // SNAPSHOT-SKIP(reason)   — snapshot-coverage-v2, on a field
-
-(Its *unused* detection lives in lint_sim.py's unused-waiver rule,
-which owns that marker namespace.)
+reason is itself a finding (`waiver-syntax`), and a waiver that
+suppresses nothing in a full run is itself a finding
+(`unused-waiver`), so waivers cannot rot. clang-tidy's NOLINT
+suppressions follow the same discipline: `NOLINT(check-name): reason`
+or a `waiver-syntax` finding.
 """
 
 import re
@@ -29,11 +25,10 @@ ALLOW_RE = re.compile(
 # not a waiver attempt; only `SIMCHECK-ALLOW(` starts one.
 ALLOW_ANY_RE = re.compile(r"SIMCHECK-ALLOW\(")
 
-LEGACY_MARKERS = {
-    "snapshot-coverage-v2": re.compile(
-        r"SNAPSHOT-SKIP\([^)]*\S[^)]*\)"
-    ),
-}
+NOLINT_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?\b")
+NOLINT_OK_RE = re.compile(
+    r"NOLINT(?:NEXTLINE|BEGIN|END)?\([\w.,\- ]+\)\s*:\s*\S"
+)
 
 
 class Waiver:
@@ -47,54 +42,53 @@ class Waiver:
         self.used = False
 
 
+def _code_lines(tokens):
+    """Lines the lexer put a token on (a directive spans its
+    continuation lines)."""
+    lines = set()
+    for t in tokens:
+        end = t.line + (t.spelling.count("\n") if t.kind == "pp" else 0)
+        lines.update(range(t.line, end + 1))
+    return lines
+
+
 class WaiverSet:
     """All waivers of one analysis run, indexed by (file, line)."""
 
     def __init__(self):
         self._by_loc = {}  # (file, line) -> [Waiver]
-        self._syntax_errors = []  # (file, line, text)
-        self._file_lines = {}  # file -> raw lines
+        self._syntax_errors = []  # (file, line, text, expected form)
+        self._code_lines = {}  # file -> lines holding a token
 
-    def scan_file(self, rel, lines):
-        self._file_lines[rel] = lines
-        for i, raw in enumerate(lines, 1):
+    def scan_file(self, fm):
+        self._code_lines[fm.path] = _code_lines(fm.tokens)
+        for i, raw in enumerate(fm.lines, 1):
+            if NOLINT_RE.search(raw) and not NOLINT_OK_RE.search(raw):
+                self._syntax_errors.append(
+                    (fm.path, i, raw.strip(), "NOLINT(check-name)")
+                )
             if not ALLOW_ANY_RE.search(raw):
                 continue
             m = ALLOW_RE.search(raw)
             if not m:
-                self._syntax_errors.append((rel, i, raw.strip()))
+                self._syntax_errors.append(
+                    (fm.path, i, raw.strip(), "SIMCHECK-ALLOW(rule-name)")
+                )
                 continue
-            w = Waiver(rel, i, m.group("rule"), m.group("reason"))
-            self._by_loc.setdefault((rel, i), []).append(w)
-
-    def lines(self, rel):
-        return self._file_lines.get(rel, [])
-
-    def _comment_only(self, rel, ln):
-        lines = self._file_lines.get(rel, [])
-        if not 1 <= ln <= len(lines):
-            return False
-        return lines[ln - 1].lstrip().startswith(("//", "/*", "*"))
+            w = Waiver(fm.path, i, m.group("rule"), m.group("reason"))
+            self._by_loc.setdefault((fm.path, i), []).append(w)
 
     def suppresses(self, rel, line, rule):
         """True when a matching waiver sits on the finding's line, or
-        on a comment-only line above it. Marks the waiver used."""
+        on a token-free line directly above it. Marks the waiver
+        used."""
         candidates = [line]
-        if self._comment_only(rel, line - 1):
+        if line - 1 not in self._code_lines.get(rel, ()):
             candidates.append(line - 1)
         for ln in candidates:
             for w in self._by_loc.get((rel, ln), ()):
                 if w.rule == rule:
                     w.used = True
-                    return True
-        # Legacy markers (same rule, same placement convention).
-        legacy = LEGACY_MARKERS.get(rule)
-        if legacy is not None:
-            lines = self._file_lines.get(rel, [])
-            for ln in candidates:
-                if 1 <= ln <= len(lines) and legacy.search(
-                    lines[ln - 1]
-                ):
                     return True
         return False
 
@@ -102,7 +96,7 @@ class WaiverSet:
         return list(self._syntax_errors)
 
     def unused(self):
-        """SIMCHECK-ALLOW waivers that suppressed nothing this run."""
+        """Waivers that suppressed nothing this run."""
         out = []
         for ws in self._by_loc.values():
             for w in ws:
