@@ -15,38 +15,6 @@ namespace ckesim {
 
 namespace {
 
-void
-putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 bool
 validFrameType(std::uint8_t t)
 {
@@ -65,7 +33,7 @@ constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 std::string
 checkHeader(const std::uint8_t *h)
 {
-    if (getU32(h) != kWireMagic)
+    if (getLE<std::uint32_t>(h) != kWireMagic)
         return "bad frame magic";
     if (h[4] != kWireVersion)
         return "wire version " + std::to_string(h[4]) +
@@ -73,7 +41,7 @@ checkHeader(const std::uint8_t *h)
                ")";
     if (!validFrameType(h[5]))
         return "unknown frame type " + std::to_string(h[5]);
-    if (getU32(h + 22) > kMaxFramePayload)
+    if (getLE<std::uint32_t>(h + 22) > kMaxFramePayload)
         return "implausible payload length";
     return "";
 }
@@ -83,9 +51,9 @@ headerFrame(const std::uint8_t *h)
 {
     Frame f;
     f.type = static_cast<FrameType>(h[5]);
-    f.job_index = getU32(h + 6);
-    f.aux = getU32(h + 10);
-    f.key = getU64(h + 14);
+    f.job_index = getLE<std::uint32_t>(h + 6);
+    f.aux = getLE<std::uint32_t>(h + 10);
+    f.key = getLE<std::uint64_t>(h + 14);
     return f;
 }
 
@@ -96,15 +64,14 @@ encodeFrame(const Frame &frame)
 {
     std::vector<std::uint8_t> bytes;
     bytes.reserve(kFrameHeaderBytes + frame.payload.size());
-    putU32(bytes, kWireMagic);
+    putLE<std::uint32_t>(bytes, kWireMagic);
     bytes.push_back(kWireVersion);
     bytes.push_back(static_cast<std::uint8_t>(frame.type));
-    putU32(bytes, frame.job_index);
-    putU32(bytes, frame.aux);
-    putU64(bytes, frame.key);
-    putU32(bytes,
-           static_cast<std::uint32_t>(frame.payload.size()));
-    putU32(bytes, crc32(frame.payload.data(), frame.payload.size()));
+    putLE<std::uint32_t>(bytes, frame.job_index);
+    putLE<std::uint32_t>(bytes, frame.aux);
+    putLE<std::uint64_t>(bytes, frame.key);
+    putLE(bytes, static_cast<std::uint32_t>(frame.payload.size()));
+    putLE(bytes, crc32(frame.payload.data(), frame.payload.size()));
     bytes.insert(bytes.end(), frame.payload.begin(),
                  frame.payload.end());
     return bytes;
@@ -200,8 +167,8 @@ readFrameBlocking(int fd, Frame &out)
     if (!checkHeader(header).empty())
         return WireStatus::Corrupt;
     out = headerFrame(header);
-    const std::uint32_t len = getU32(header + 22);
-    const std::uint32_t crc = getU32(header + 26);
+    const std::uint32_t len = getLE<std::uint32_t>(header + 22);
+    const std::uint32_t crc = getLE<std::uint32_t>(header + 26);
     out.payload.assign(len, 0);
     if (len > 0 &&
         readFully(fd, out.payload.data(), len) != IoStatus::Ok)
@@ -227,8 +194,8 @@ FrameParser::feed(const std::uint8_t *bytes, std::size_t n)
             reason_ = why;
             return;
         }
-        const std::uint32_t len = getU32(h + 22);
-        const std::uint32_t crc = getU32(h + 26);
+        const std::uint32_t len = getLE<std::uint32_t>(h + 22);
+        const std::uint32_t crc = getLE<std::uint32_t>(h + 26);
         if (buf_.size() - pos_ - kFrameHeaderBytes < len)
             break; // payload still in flight
         Frame f = headerFrame(h);

@@ -233,51 +233,33 @@ IssueController::canonicalizeQbmiState()
     replenishQuotas();
 }
 
+template <class Ar, ObjectOf<IssueController> Self>
 void
-IssueController::snapshot(SnapshotWriter &w) const
+IssueController::state(Ar &ar, Self &self)
 {
-    w.section("issue_controller");
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(inflight_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        milg_[i].snapshot(w);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(mil_override_[i]);
-    w.boolean(mil_bypass_);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.boolean(mem_demand_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(quota_[i]);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        rpm_[i].snapshot(w);
-    w.i64(rr_next_);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        w.i64(warp_quota_left_[i]);
-    w.i64(quota_stall_cycles_);
+    ar.section("issue_controller");
+    for (auto &n : self.inflight_)
+        ar.i64(n);
+    for (auto &milg : self.milg_)
+        Milg::state(ar, milg);
+    for (auto &limit : self.mil_override_)
+        ar.i64(limit);
+    ar.boolean(self.mil_bypass_);
+    for (auto &demand : self.mem_demand_)
+        ar.boolean(demand);
+    for (auto &quota : self.quota_)
+        ar.i64(quota);
+    for (auto &rpm : self.rpm_)
+        ReqPerMinstEstimator::state(ar, rpm);
+    ar.i64(self.rr_next_);
+    for (auto &left : self.warp_quota_left_)
+        ar.i64(left);
+    ar.i64(self.quota_stall_cycles_);
 }
 
-void
-IssueController::restore(SnapshotReader &r)
-{
-    r.section("issue_controller");
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        inflight_[i] = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        milg_[i].restore(r);
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        mil_override_[i] = static_cast<int>(r.i64());
-    mil_bypass_ = r.boolean();
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        mem_demand_[i] = r.boolean();
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        quota_[i] = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        rpm_[i].restore(r);
-    rr_next_ = static_cast<int>(r.i64());
-    for (std::size_t i = 0; i < kMaxKernelsPerSm; ++i)
-        warp_quota_left_[i] = r.i64();
-    quota_stall_cycles_ = static_cast<int>(r.i64());
-}
+template void IssueController::state(SnapshotWriter &,
+                                     const IssueController &);
+template void IssueController::state(SnapshotReader &, IssueController &);
 
 int
 IssueController::milLimit(KernelId k) const

@@ -128,11 +128,10 @@ class IssueController
      */
     void canonicalizeQbmiState();
 
-    /** Serialize MIL/BMI/quota state (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a controller of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of MIL/BMI/quota state (sim/snapshot.hpp
+     *  archives; configuration fixed at construction). */
+    template <class Ar, ObjectOf<IssueController> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     void replenishQuotas();

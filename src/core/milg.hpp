@@ -94,26 +94,17 @@ class Milg
         intervals_ = 0;
     }
 
-    void
-    snapshot(SnapshotWriter &w) const
+    /** Checkpoint walk (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<Milg> Self>
+    static void
+    state(Ar &ar, Self &self)
     {
-        w.i64(request_counter_);
-        w.i64(rsfail_counter_);
-        w.i64(peak_inflight_);
-        w.i64(limit_);
-        w.boolean(prev_over_);
-        w.u64(intervals_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        request_counter_ = static_cast<int>(r.i64());
-        rsfail_counter_ = static_cast<int>(r.i64());
-        peak_inflight_ = static_cast<int>(r.i64());
-        limit_ = static_cast<int>(r.i64());
-        prev_over_ = r.boolean();
-        intervals_ = r.u64();
+        ar.i64(self.request_counter_);
+        ar.i64(self.rsfail_counter_);
+        ar.i64(self.peak_inflight_);
+        ar.i64(self.limit_);
+        ar.boolean(self.prev_over_);
+        ar.u64(self.intervals_);
     }
 
   private:

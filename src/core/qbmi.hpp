@@ -76,20 +76,14 @@ class ReqPerMinstEstimator
         estimate_ = 1.0;
     }
 
-    void
-    snapshot(SnapshotWriter &w) const
+    /** Checkpoint walk (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<ReqPerMinstEstimator> Self>
+    static void
+    state(Ar &ar, Self &self)
     {
-        w.i64(requests_);
-        w.i64(minsts_);
-        w.f64(estimate_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        requests_ = static_cast<int>(r.i64());
-        minsts_ = static_cast<int>(r.i64());
-        estimate_ = r.f64();
+        ar.i64(self.requests_);
+        ar.i64(self.minsts_);
+        ar.f64(self.estimate_);
     }
 
   private:

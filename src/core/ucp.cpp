@@ -57,49 +57,27 @@ UmonMonitor::age()
     misses_ >>= 1;
 }
 
+template <class Ar, ObjectOf<UmonMonitor> Self>
 void
-UmonMonitor::snapshot(SnapshotWriter &w) const
+UmonMonitor::state(Ar &ar, Self &self)
 {
-    w.section("umon");
-    w.u64(shadow_tags_.size());
-    for (const std::vector<LineAddr> &stack : shadow_tags_) {
-        w.u64(stack.size());
-        for (const LineAddr line : stack)
-            w.unit(line);
+    ar.section("umon");
+    ar.fixedLength(self.shadow_tags_);
+    for (auto &stack : self.shadow_tags_) {
+        ar.length(stack, static_cast<std::size_t>(self.assoc_));
+        for (auto &line : stack)
+            ar.unit(line);
     }
-    FieldWriter(w).put(way_hits_);
-    w.u64(misses_);
+    // The field-table encoding of a vector: its count, then each
+    // counter through the table.
+    ar.fixedLength(self.way_hits_);
+    for (auto &hits : self.way_hits_)
+        ar.fields(hits);
+    ar.u64(self.misses_);
 }
 
-void
-UmonMonitor::restore(SnapshotReader &r)
-{
-    r.section("umon");
-    SimCtx ctx;
-    ctx.module = "ucp";
-    const std::uint64_t nsets = r.u64();
-    SIM_CHECK(nsets == shadow_tags_.size(), ctx,
-              "snapshot holds " << nsets
-                                << " sampled sets, monitor has "
-                                << shadow_tags_.size());
-    for (std::vector<LineAddr> &stack : shadow_tags_) {
-        stack.clear();
-        const std::uint64_t m = r.u64();
-        SIM_CHECK(m <= static_cast<std::uint64_t>(assoc_), ctx,
-                  "shadow stack of " << m << " lines exceeds assoc "
-                                     << assoc_);
-        stack.reserve(static_cast<std::size_t>(m));
-        for (std::uint64_t i = 0; i < m; ++i)
-            stack.push_back(r.unit<LineAddr>());
-    }
-    FieldReader(r).get(way_hits_);
-    SIM_CHECK(way_hits_.size() == static_cast<std::size_t>(assoc_),
-              ctx,
-              "snapshot holds " << way_hits_.size()
-                                << " way-hit counters, monitor has "
-                                << assoc_);
-    misses_ = r.u64();
-}
+template void UmonMonitor::state(SnapshotWriter &, const UmonMonitor &);
+template void UmonMonitor::state(SnapshotReader &, UmonMonitor &);
 
 std::vector<int>
 ucpLookaheadPartition(const std::vector<const UmonMonitor *> &monitors,

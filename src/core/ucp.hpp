@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "mem/address.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -51,15 +52,14 @@ class UmonMonitor
     /** Halve all counters (periodic aging between repartitions). */
     void age();
 
-    /** Serialize shadow tags and utility counters (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a monitor of identical geometry. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of shadow tags and utility counters
+     *  (sim/snapshot.hpp archives; geometry fixed at construction). */
+    template <class Ar, ObjectOf<UmonMonitor> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     int num_sets_;     // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
-    int assoc_;        // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int assoc_;        // fixed at construction
     int sample_shift_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     /** shadow_tags_[sampled_set] = MRU-first line list. */
     std::vector<std::vector<LineAddr>> shadow_tags_;

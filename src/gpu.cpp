@@ -549,31 +549,37 @@ Gpu::smStatsTotal() const
 
 // ---- crash safety -------------------------------------------------------
 
+template <class Ar, ObjectOf<Gpu> Self>
+void
+Gpu::state(Ar &ar, Self &self)
+{
+    ar.section("gpu");
+    ar.boolean(self.profiling_);
+    ar.unit(self.profile_end_);
+    ar.fields(self.profile_assign_);
+    ar.fields(self.sweet_.tbs);
+    ar.f64(self.sweet_.theoretical_ws);
+    ar.fields(self.sweet_.predicted_norm_ipc);
+    ar.fields(self.partition_);
+    ar.unit(self.now_);
+    ar.unit(self.measured_start_);
+    ar.u64(self.last_progress_sig_);
+    ar.unit(self.last_progress_cycle_);
+    FaultInjector::state(ar, self.fault_injector_);
+    ar.fixedLength(self.umons_);
+    for (auto &row : self.umons_)
+        for (auto &m : row)
+            UmonMonitor::state(ar, m);
+    MemorySystem::state(ar, self.mem_);
+    for (const auto &sm : self.sms_)
+        Sm::state(ar, likeSelf<Self>(*sm));
+}
+
 GpuSnapshot
 Gpu::snapshot() const
 {
     SnapshotWriter w(SnapshotCodec::Deflate);
-    FieldWriter out(w);
-    w.section("gpu");
-    w.boolean(profiling_);
-    w.unit(profile_end_);
-    out.put(profile_assign_);
-    out.put(sweet_.tbs);
-    w.f64(sweet_.theoretical_ws);
-    out.put(sweet_.predicted_norm_ipc);
-    out.put(partition_);
-    w.unit(now_);
-    w.unit(measured_start_);
-    w.u64(last_progress_sig_);
-    w.unit(last_progress_cycle_);
-    fault_injector_.snapshot(w);
-    w.u64(umons_.size());
-    for (const auto &row : umons_)
-        for (const UmonMonitor &m : row)
-            m.snapshot(w);
-    mem_.snapshot(w);
-    for (const auto &sm : sms_)
-        sm->snapshot(w);
+    state(w, *this);
 
     GpuSnapshot snap;
     snap.version = kSnapshotFormatVersion;
@@ -645,30 +651,7 @@ Gpu::decode(const GpuSnapshot &snap)
 {
     const SimCtx ctx = gpuCtx(now_);
     SnapshotReader r(snap);
-    FieldReader in(r);
-    r.section("gpu");
-    profiling_ = r.boolean();
-    profile_end_ = r.unit<Cycle>();
-    in.get(profile_assign_);
-    in.get(sweet_.tbs);
-    sweet_.theoretical_ws = r.f64();
-    in.get(sweet_.predicted_norm_ipc);
-    in.get(partition_);
-    now_ = r.unit<Cycle>();
-    measured_start_ = r.unit<Cycle>();
-    last_progress_sig_ = r.u64();
-    last_progress_cycle_ = r.unit<Cycle>();
-    fault_injector_.restore(r);
-    const std::uint64_t numons = r.u64();
-    SIM_CHECK(numons == umons_.size(), ctx,
-              "snapshot holds " << numons
-                  << " UMON rows, this GPU has " << umons_.size());
-    for (auto &row : umons_)
-        for (UmonMonitor &m : row)
-            m.restore(r);
-    mem_.restore(r);
-    for (const auto &sm : sms_)
-        sm->restore(r);
+    state(r, *this);
     SIM_CHECK(r.atEnd(), ctx,
               "snapshot payload has " << (snap.plain_size - r.offset())
                   << " trailing byte(s) after restore");

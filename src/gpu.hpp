@@ -277,6 +277,10 @@ class Gpu
     void checkPins(const GpuSnapshot &snap, std::uint64_t recorded,
                    std::uint64_t setup, const char *what) const;
     void decode(const GpuSnapshot &snap);
+    /** Checkpoint walk of the whole machine (sim/snapshot.hpp
+     *  archives): snapshot() writes it, decode() reads it. */
+    template <class Ar, ObjectOf<Gpu> Self>
+    static void state(Ar &ar, Self &self);
     static void accessTap(void *opaque, KernelId k, LineAddr line);
 
     // Cycle stepping (shared by run and the audit drain).
@@ -290,9 +294,9 @@ class Gpu
     void checkInvariants();
     [[noreturn]] void raiseWatchdog();
 
-    GpuConfig cfg_;      // fixed at construction
-    Workload workload_;  // fixed at construction
-    SchemeSpec spec_;    // fixed at construction
+    GpuConfig cfg_;      // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction; pinned by digest
+    Workload workload_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction; pinned by digest
+    SchemeSpec spec_;    // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction; pinned by digest
     MemorySystem mem_;
     std::vector<std::unique_ptr<Sm>> sms_;
 

@@ -58,14 +58,15 @@ xorSetIndex(LineAddr line, int num_sets)
     return static_cast<int>((n ^ (x >> 4)) & mask);
 }
 
-/** Partition interleave granularity: 16 lines (one 2KB row) per chunk, so a
- *  warp's coalesced burst lands in one channel and sequential streams
- *  retain DRAM row locality (GPGPU-Sim-style address mapping). */
+/** Partition interleave granularity: 16 lines (1 KB with 64 B lines,
+ *  half of a 2 KB DRAM row) per chunk, so a warp's coalesced burst
+ *  lands in one channel and sequential streams retain DRAM row
+ *  locality (GPGPU-Sim-style address mapping). */
 inline constexpr int kPartitionChunkLines = 16;
 
 /**
- * L2 partition (== DRAM channel) owning a line. 512B chunks
- * interleave across partitions, with an xor fold so power-of-two
+ * L2 partition (== DRAM channel) owning a line. 16-line (1 KB)
+ * chunks interleave across partitions, with an xor fold so power-of-two
  * kernel strides do not camp on one partition.
  */
 inline int

@@ -179,50 +179,29 @@ CacheArray::occupancyOf(KernelId kernel) const
     return n;
 }
 
+template <class Ar, ObjectOf<CacheArray> Self>
 void
-CacheArray::snapshot(SnapshotWriter &w) const
+CacheArray::state(Ar &ar, Self &self)
 {
-    w.section("cache_array");
-    w.u64(sets_.size());
-    for (const CacheLine &l : sets_) {
-        w.unit(l.line_addr);
-        w.boolean(l.valid);
-        w.boolean(l.reserved);
-        w.boolean(l.dirty);
-        w.id(l.owner);
-        w.u64(l.lru);
+    ar.section("cache_array");
+    ar.fixedLength(self.sets_);
+    for (auto &l : self.sets_) {
+        ar.unit(l.line_addr);
+        ar.boolean(l.valid);
+        ar.boolean(l.reserved);
+        ar.boolean(l.dirty);
+        ar.id(l.owner);
+        ar.u64(l.lru);
     }
-    w.u64(tick_);
-    w.u64(restrictions_.size());
-    for (const WayRange &r : restrictions_) {
-        w.i64(r.first);
-        w.i64(r.count);
+    ar.u64(self.tick_);
+    ar.length(self.restrictions_);
+    for (auto &range : self.restrictions_) {
+        ar.i64(range.first);
+        ar.i64(range.count);
     }
 }
 
-void
-CacheArray::restore(SnapshotReader &r)
-{
-    r.section("cache_array");
-    const std::uint64_t n = r.u64();
-    SIM_CHECK(n == sets_.size(), cacheCtx(),
-              "snapshot holds " << n << " cache lines, array has "
-                                << sets_.size());
-    for (CacheLine &l : sets_) {
-        l.line_addr = r.unit<LineAddr>();
-        l.valid = r.boolean();
-        l.reserved = r.boolean();
-        l.dirty = r.boolean();
-        l.owner = r.id<KernelId>();
-        l.lru = r.u64();
-    }
-    tick_ = r.u64();
-    const std::uint64_t nr = r.u64();
-    restrictions_.assign(static_cast<std::size_t>(nr), WayRange{});
-    for (WayRange &range : restrictions_) {
-        range.first = static_cast<int>(r.i64());
-        range.count = static_cast<int>(r.i64());
-    }
-}
+template void CacheArray::state(SnapshotWriter &, const CacheArray &);
+template void CacheArray::state(SnapshotReader &, CacheArray &);
 
 } // namespace ckesim

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mem/address.hpp"
+#include "sim/fields.hpp"
 #include "sim/types.hpp"
 
 namespace ckesim {
@@ -115,11 +116,10 @@ class CacheArray
     /** Number of valid lines currently owned by @p kernel. */
     int occupancyOf(KernelId kernel) const;
 
-    /** Serialize tag/state/LRU and way restrictions (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an array of identical geometry. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of tag/state/LRU and way restrictions
+     *  (sim/snapshot.hpp archives; geometry fixed at construction). */
+    template <class Ar, ObjectOf<CacheArray> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     std::size_t idx(int set, int way) const

@@ -119,56 +119,32 @@ DramChannel::drainFills(Cycle now, std::vector<MemRequest> &out)
     }
 }
 
+template <class Ar, ObjectOf<DramChannel> Self>
 void
-DramChannel::snapshot(SnapshotWriter &w) const
+DramChannel::state(Ar &ar, Self &self)
 {
-    w.section("dram_channel");
-    queue_.snapshot(w, [](SnapshotWriter &sw, const Txn &t) {
-        snapshotMemRequest(sw, t.req);
-        sw.i64(t.bank);
-        sw.u64(t.row);
-        sw.unit(t.arrival);
+    ar.section("dram_channel");
+    RingBuf<Txn>::state(ar, self.queue_, [](auto &a, auto &t) {
+        walkMemRequest(a, t.req);
+        a.i64(t.bank);
+        a.u64(t.row);
+        a.unit(t.arrival);
     });
-    FieldWriter(w).put(open_row_);
-    w.unit(busy_until_);
-    fills_.snapshot(w, [](SnapshotWriter &sw, const Fill &f) {
-        sw.unit(f.ready);
-        snapshotMemRequest(sw, f.req);
+    // The field-table encoding of a vector: its count, then each row
+    // through the table.
+    ar.fixedLength(self.open_row_);
+    for (auto &row : self.open_row_)
+        ar.fields(row);
+    ar.unit(self.busy_until_);
+    RingBuf<Fill>::state(ar, self.fills_, [](auto &a, auto &f) {
+        a.unit(f.ready);
+        walkMemRequest(a, f.req);
     });
-    w.u64(row_hits_);
-    w.u64(row_misses_);
+    ar.u64(self.row_hits_);
+    ar.u64(self.row_misses_);
 }
 
-void
-DramChannel::restore(SnapshotReader &r)
-{
-    r.section("dram_channel");
-    queue_.restore(r, [](SnapshotReader &sr) {
-        Txn t;
-        t.req = restoreMemRequest(sr);
-        t.bank = static_cast<int>(sr.i64());
-        t.row = sr.u64();
-        t.arrival = sr.unit<Cycle>();
-        return t;
-    });
-    std::vector<std::uint64_t> rows;
-    FieldReader(r).get(rows);
-    SimCtx ctx;
-    ctx.module = "dram";
-    SIM_CHECK(rows.size() == open_row_.size(), ctx,
-              "snapshot holds " << rows.size()
-                                << " bank rows, channel has "
-                                << open_row_.size());
-    open_row_ = std::move(rows);
-    busy_until_ = r.unit<Cycle>();
-    fills_.restore(r, [](SnapshotReader &sr) {
-        Fill f;
-        f.ready = sr.unit<Cycle>();
-        f.req = restoreMemRequest(sr);
-        return f;
-    });
-    row_hits_ = r.u64();
-    row_misses_ = r.u64();
-}
+template void DramChannel::state(SnapshotWriter &, const DramChannel &);
+template void DramChannel::state(SnapshotReader &, DramChannel &);
 
 } // namespace ckesim

@@ -72,11 +72,10 @@ class DramChannel
     /** Occupancy-bound invariants (integrity sweep). */
     void checkInvariants(Cycle now, int channel_index) const;
 
-    /** Serialize queue, open rows, busy timer and pending fills. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a channel of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of queue, open rows, busy timer and pending
+     *  fills (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<DramChannel> Self>
+    static void state(Ar &ar, Self &self);
 
     /** Row-buffer hit-rate observed so far (diagnostics). */
     double rowHitRate() const

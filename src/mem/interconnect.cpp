@@ -41,40 +41,22 @@ Crossbar::drain(int dest, Cycle now, int max_count,
     }
 }
 
+template <class Ar, ObjectOf<Crossbar> Self>
 void
-Crossbar::snapshot(SnapshotWriter &w) const
+Crossbar::state(Ar &ar, Self &self)
 {
-    w.section("crossbar");
-    w.u64(ports_.size());
-    for (const Port &port : ports_) {
-        w.unit(port.next_free);
-        port.queue.snapshot(w, [](SnapshotWriter &sw,
-                                  const Packet &p) {
-            sw.unit(p.ready);
-            snapshotMemRequest(sw, p.req);
+    ar.section("crossbar");
+    ar.fixedLength(self.ports_);
+    for (auto &port : self.ports_) {
+        ar.unit(port.next_free);
+        RingBuf<Packet>::state(ar, port.queue, [](auto &a, auto &p) {
+            a.unit(p.ready);
+            walkMemRequest(a, p.req);
         });
     }
 }
 
-void
-Crossbar::restore(SnapshotReader &r)
-{
-    r.section("crossbar");
-    const std::uint64_t n = r.u64();
-    SimCtx ctx;
-    ctx.module = "icnt";
-    SIM_CHECK(n == ports_.size(), ctx,
-              "snapshot holds " << n << " crossbar ports, model has "
-                                << ports_.size());
-    for (Port &port : ports_) {
-        port.next_free = r.unit<Cycle>();
-        port.queue.restore(r, [](SnapshotReader &sr) {
-            Packet p;
-            p.ready = sr.unit<Cycle>();
-            p.req = restoreMemRequest(sr);
-            return p;
-        });
-    }
-}
+template void Crossbar::state(SnapshotWriter &, const Crossbar &);
+template void Crossbar::state(SnapshotReader &, Crossbar &);
 
 } // namespace ckesim

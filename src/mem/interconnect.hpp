@@ -63,11 +63,10 @@ class Crossbar
 
     int numDests() const { return static_cast<int>(ports_.size()); }
 
-    /** Serialize every port's queue and wire timer. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a crossbar of identical geometry. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of every port's queue and wire timer
+     *  (sim/snapshot.hpp archives; geometry fixed at construction). */
+    template <class Ar, ObjectOf<Crossbar> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     struct Packet

@@ -221,28 +221,9 @@ L1Dcache::checkInvariants(Cycle now) const
                       << mshrs_.size());
 }
 
-void
-L1Dcache::snapshot(SnapshotWriter &w) const
+std::vector<std::pair<LineAddr, KernelId>>
+L1Dcache::missOwners() const
 {
-    w.section("l1d");
-    tags_.snapshot(w);
-    mshrs_.snapshot(w, [](SnapshotWriter &sw, const L1Target &t) {
-        sw.id(t.warp_slot);
-        sw.id(t.kernel);
-    });
-    miss_queue_.snapshot(w, [](SnapshotWriter &sw,
-                               const MemRequest &req) {
-        snapshotMemRequest(sw, req);
-    });
-    w.u64(mshr_quota_.size());
-    for (int q : mshr_quota_)
-        w.i64(q);
-    w.u64(mshr_held_.size());
-    for (int h : mshr_held_)
-        w.i64(h);
-    // Per-miss owners, derived from the MSHR entries' first targets,
-    // in sorted line order — byte-identical to the owner map the
-    // pre-§14 format serialized here.
     std::vector<std::pair<LineAddr, KernelId>> owners;
     owners.reserve(static_cast<std::size_t>(mshrs_.size()));
     mshrs_.forEach([&owners](LineAddr line,
@@ -250,55 +231,48 @@ L1Dcache::snapshot(SnapshotWriter &w) const
         owners.emplace_back(line, targets.front().kernel);
     });
     std::sort(owners.begin(), owners.end());
-    w.u64(owners.size());
-    for (const auto &[line_number, owner] : owners) {
-        w.unit(line_number);
-        w.id(owner);
-    }
-    w.vecBool(bypass_);
+    return owners;
 }
 
+template <class Ar, ObjectOf<L1Dcache> Self>
 void
-L1Dcache::restore(SnapshotReader &r)
+L1Dcache::state(Ar &ar, Self &self)
 {
-    r.section("l1d");
-    rsfail_memo_.reason = RsFailReason::None;
-    tags_.restore(r);
-    mshrs_.restore(r, [](SnapshotReader &sr) {
-        L1Target t;
-        t.warp_slot = sr.id<WarpSlot>();
-        t.kernel = sr.id<KernelId>();
-        return t;
+    ar.section("l1d");
+    CacheArray::state(ar, self.tags_);
+    MshrTable<L1Target>::state(ar, self.mshrs_, [](auto &a, auto &t) {
+        a.id(t.warp_slot);
+        a.id(t.kernel);
     });
-    miss_queue_.restore(
-        r, [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    const std::uint64_t nquota = r.u64();
-    mshr_quota_.assign(static_cast<std::size_t>(nquota), 0);
-    for (int &q : mshr_quota_)
-        q = static_cast<int>(r.i64());
-    const std::uint64_t nheld = r.u64();
-    mshr_held_.assign(static_cast<std::size_t>(nheld), 0);
-    for (int &h : mshr_held_)
-        h = static_cast<int>(r.i64());
-    // Owners are derived state now; read the pairs the format still
-    // carries and verify them against the restored MSHR entries.
-    const SimCtx ctx = l1dCtx(sm_id_);
-    const std::uint64_t nowner = r.u64();
-    SIM_CHECK(nowner == static_cast<std::uint64_t>(mshrs_.size()), ctx,
-              "snapshot holds " << nowner
-                                << " miss owners, MSHR table has "
-                                << mshrs_.size());
-    for (std::uint64_t i = 0; i < nowner; ++i) {
-        const LineAddr line_number = r.unit<LineAddr>();
-        const KernelId kernel = r.id<KernelId>();
-        SIM_CHECK(mshrs_.firstTarget(line_number).kernel == kernel,
-                  ctx,
-                  "snapshot miss owner for line "
-                      << line_number << " (" << kernel
-                      << ") disagrees with MSHR first target");
+    RingBuf<MemRequest>::state(ar, self.miss_queue_, walkMemRequest);
+    ar.length(self.mshr_quota_);
+    for (auto &q : self.mshr_quota_)
+        ar.i64(q);
+    ar.length(self.mshr_held_);
+    for (auto &h : self.mshr_held_)
+        ar.i64(h);
+    // The per-miss owner map of the pre-§14 format, now derived from
+    // the MSHRs on both sides; a restore requires the stream's copy
+    // to match the restored MSHRs.
+    const auto owners = self.missOwners();
+    auto walked = owners;
+    ar.fixedLength(walked);
+    for (auto &[line, owner] : walked) {
+        ar.unit(line);
+        ar.id(owner);
     }
-    bypass_ = r.vecBool();
+    if constexpr (Ar::kLoading) {
+        SIM_CHECK(walked == owners, l1dCtx(self.sm_id_),
+                  "snapshot miss owners disagree with the MSHR first "
+                  "targets");
+    }
+    ar.vecBool(self.bypass_);
+    if constexpr (Ar::kLoading)
+        self.afterRestore();
 }
+
+template void L1Dcache::state(SnapshotWriter &, const L1Dcache &);
+template void L1Dcache::state(SnapshotReader &, L1Dcache &);
 
 void
 L1Dcache::checkDrained(Cycle now) const

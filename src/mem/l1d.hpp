@@ -193,11 +193,10 @@ class L1Dcache
     /** Drained-state check for Gpu::audit(): nothing outstanding. */
     void checkDrained(Cycle now) const;
 
-    /** Serialize tags, MSHRs, miss queue and quota state. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a cache of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of tags, MSHRs, miss queue and quota state
+     *  (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<L1Dcache> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     /** The last reservation failure and the access it answers. */
@@ -216,9 +215,13 @@ class L1Dcache
         return kernel.idx() < bypass_.size() && bypass_[kernel.idx()];
     }
     bool mshrQuotaExceeded(KernelId kernel) const;
+    /** (line, kernel of the first target) per MSHR, in line order. */
+    std::vector<std::pair<LineAddr, KernelId>> missOwners() const;
+    /** After a restore: the memo answers no access yet. */
+    void afterRestore() { rsfail_memo_.reason = RsFailReason::None; }
 
     L1dConfig cfg_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
-    SmId sm_id_;    // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    SmId sm_id_;    // fixed at construction
     CacheArray tags_;
     MshrTable<L1Target> mshrs_;
     RingBuf<MemRequest> miss_queue_;

@@ -178,42 +178,23 @@ L2Partition::drainReplies(Cycle now, std::vector<MemRequest> &out)
     }
 }
 
+template <class Ar, ObjectOf<L2Partition> Self>
 void
-L2Partition::snapshot(SnapshotWriter &w) const
+L2Partition::state(Ar &ar, Self &self)
 {
-    w.section("l2_partition");
-    tags_.snapshot(w);
-    mshrs_.snapshot(w, [](SnapshotWriter &sw, const MemRequest &req) {
-        snapshotMemRequest(sw, req);
+    ar.section("l2_partition");
+    CacheArray::state(ar, self.tags_);
+    MshrTable<MemRequest>::state(ar, self.mshrs_, walkMemRequest);
+    RingBuf<MemRequest>::state(ar, self.input_, walkMemRequest);
+    RingBuf<Reply>::state(ar, self.replies_, [](auto &a, auto &rep) {
+        a.unit(rep.ready);
+        walkMemRequest(a, rep.req);
     });
-    input_.snapshot(w, [](SnapshotWriter &sw, const MemRequest &req) {
-        snapshotMemRequest(sw, req);
-    });
-    replies_.snapshot(w, [](SnapshotWriter &sw, const Reply &rep) {
-        sw.unit(rep.ready);
-        snapshotMemRequest(sw, rep.req);
-    });
-    w.u64(accesses_);
-    w.u64(misses_);
+    ar.u64(self.accesses_);
+    ar.u64(self.misses_);
 }
 
-void
-L2Partition::restore(SnapshotReader &r)
-{
-    r.section("l2_partition");
-    tags_.restore(r);
-    mshrs_.restore(r,
-                   [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    input_.restore(
-        r, [](SnapshotReader &sr) { return restoreMemRequest(sr); });
-    replies_.restore(r, [](SnapshotReader &sr) {
-        Reply rep;
-        rep.ready = sr.unit<Cycle>();
-        rep.req = restoreMemRequest(sr);
-        return rep;
-    });
-    accesses_ = r.u64();
-    misses_ = r.u64();
-}
+template void L2Partition::state(SnapshotWriter &, const L2Partition &);
+template void L2Partition::state(SnapshotReader &, L2Partition &);
 
 } // namespace ckesim

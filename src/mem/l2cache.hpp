@@ -85,11 +85,10 @@ class L2Partition
     /** Occupancy-bound and MSHR-ledger invariants (integrity sweep). */
     void checkInvariants(Cycle now) const;
 
-    /** Serialize tags, MSHRs, input queue and pending replies. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a partition of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of tags, MSHRs, input queue and pending
+     *  replies (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<L2Partition> Self>
+    static void state(Ar &ar, Self &self);
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }

@@ -252,82 +252,37 @@ MemorySystem::checkDrained(Cycle now) const
                             << dropped_fills_ << ")");
 }
 
+template <class Ar, ObjectOf<MemorySystem> Self>
 void
-MemorySystem::snapshot(SnapshotWriter &w) const
+MemorySystem::state(Ar &ar, Self &self)
 {
-    w.section("memsys");
-    fwd_.snapshot(w);
-    reply_.snapshot(w);
-    for (const auto &part : partitions_)
-        part->snapshot(w);
-    for (const auto &chan : channels_)
-        chan->snapshot(w);
-    w.u64(reply_retry_.size());
-    for (const RingBuf<MemRequest> &retry : reply_retry_) {
-        retry.snapshot(w, [](SnapshotWriter &sw,
-                             const MemRequest &req) {
-            snapshotMemRequest(sw, req);
-        });
-    }
-    w.u64(delayed_.size());
-    // SIMCHECK-ALLOW(hotpath): snapshot serialization, not a per-cycle walk
-    for (const std::deque<DelayedFill> &held : delayed_) {
-        w.u64(held.size());
-        for (const DelayedFill &f : held) {
-            w.unit(f.ready);
-            snapshotMemRequest(w, f.req);
+    ar.section("memsys");
+    Crossbar::state(ar, self.fwd_);
+    Crossbar::state(ar, self.reply_);
+    for (const auto &part : self.partitions_)
+        L2Partition::state(ar, likeSelf<Self>(*part));
+    for (const auto &chan : self.channels_)
+        DramChannel::state(ar, likeSelf<Self>(*chan));
+    ar.fixedLength(self.reply_retry_);
+    for (auto &retry : self.reply_retry_)
+        RingBuf<MemRequest>::state(ar, retry, walkMemRequest);
+    ar.fixedLength(self.delayed_);
+    for (auto &held : self.delayed_) {
+        ar.length(held);
+        for (auto &f : held) {
+            ar.unit(f.ready);
+            walkMemRequest(ar, f.req);
         }
     }
-    w.u64(inflight_);
-    w.u64(injected_reads_);
-    w.u64(injected_writes_);
-    w.u64(delivered_fills_);
-    w.u64(dropped_fills_);
+    ar.u64(self.inflight_);
+    ar.u64(self.injected_reads_);
+    ar.u64(self.injected_writes_);
+    ar.u64(self.delivered_fills_);
+    ar.u64(self.dropped_fills_);
 }
 
-void
-MemorySystem::restore(SnapshotReader &r)
-{
-    r.section("memsys");
-    fwd_.restore(r);
-    reply_.restore(r);
-    for (const auto &part : partitions_)
-        part->restore(r);
-    for (const auto &chan : channels_)
-        chan->restore(r);
-    const SimCtx ctx = memCtx();
-    const std::uint64_t nretry = r.u64();
-    SIM_CHECK(nretry == reply_retry_.size(), ctx,
-              "snapshot holds " << nretry
-                                << " reply-retry queues, model has "
-                                << reply_retry_.size());
-    for (RingBuf<MemRequest> &retry : reply_retry_) {
-        retry.restore(r, [](SnapshotReader &sr) {
-            return restoreMemRequest(sr);
-        });
-    }
-    const std::uint64_t ndelayed = r.u64();
-    SIM_CHECK(ndelayed == delayed_.size(), ctx,
-              "snapshot holds " << ndelayed
-                                << " delayed-fill queues, model has "
-                                << delayed_.size());
-    // SIMCHECK-ALLOW(hotpath): snapshot restore, not a per-cycle walk
-    for (std::deque<DelayedFill> &held : delayed_) {
-        held.clear();
-        const std::uint64_t m = r.u64();
-        for (std::uint64_t i = 0; i < m; ++i) {
-            DelayedFill f;
-            f.ready = r.unit<Cycle>();
-            f.req = restoreMemRequest(r);
-            held.push_back(std::move(f));
-        }
-    }
-    inflight_ = r.u64();
-    injected_reads_ = r.u64();
-    injected_writes_ = r.u64();
-    delivered_fills_ = r.u64();
-    dropped_fills_ = r.u64();
-}
+template void MemorySystem::state(SnapshotWriter &, const MemorySystem &);
+template void MemorySystem::state(SnapshotReader &, MemorySystem &);
 
 std::string
 MemorySystem::describeState() const

@@ -106,11 +106,10 @@ class MemorySystem
     /** Multi-line occupancy dump for watchdog diagnostics. */
     std::string describeState() const;
 
-    /** Serialize every component below the L1s plus the ledger. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into a memory system of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of every component below the L1s plus the
+     *  ledger (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<MemorySystem> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     GpuConfig cfg_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
@@ -132,7 +131,7 @@ class MemorySystem
     std::vector<std::deque<DelayedFill>> delayed_;
     /** Reused by tick() for per-partition drains. */
     std::vector<MemRequest> tick_scratch_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between drains
-    FaultInjector *faults_ = nullptr; // rebound by owner; injector state snapshotted by Gpu
+    FaultInjector *faults_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by owner; the Gpu walks the injector
     Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t inflight_ = 0; ///< read requests below the L1s
     std::uint64_t injected_reads_ = 0;

@@ -239,63 +239,31 @@ class MshrTable
 
     // ---- checkpointing --------------------------------------------------
     /**
-     * Serialize outstanding entries in sorted key order (slot order
-     * depends on insertion history and must never reach the
-     * payload). @p write_target emits one Target: (writer, target).
+     * Checkpoint walk (sim/snapshot.hpp): the outstanding entries in
+     * sorted line order (slot order depends on insertion history and
+     * must never reach the payload), then the lifetime ledger. On
+     * load the entries are allocated and merged again. @p target
+     * walks one Target: (archive, target).
      */
-    template <typename WriteTarget>
-    void
-    snapshot(SnapshotWriter &w, const WriteTarget &write_target) const
+    template <class Ar, ObjectOf<MshrTable> Self, class Walk>
+    static void
+    state(Ar &ar, Self &self, const Walk &target)
     {
-        w.section("mshr");
-        std::vector<LineAddr> keys;
-        keys.reserve(static_cast<std::size_t>(size_));
-        for (const Slot &s : slots_)
-            if (s.used)
-                keys.push_back(s.line);
-        std::sort(keys.begin(), keys.end());
-        w.u64(keys.size());
-        for (LineAddr key : keys) {
-            const std::size_t i = findSlot(key);
-            const std::vector<Target> &targets = slots_[i].targets;
-            w.unit(key);
-            w.u64(targets.size());
-            for (const Target &t : targets)
-                write_target(w, t);
+        ar.section("mshr");
+        Entries entries;
+        if constexpr (!Ar::kLoading)
+            entries = self.sortedEntries();
+        ar.length(entries, static_cast<std::size_t>(self.capacity_));
+        for (auto &[line, targets] : entries) {
+            ar.unit(line);
+            ar.length(targets, static_cast<std::size_t>(self.max_merge_));
+            for (Target &t : targets)
+                target(ar, t);
         }
-        w.u64(allocated_);
-        w.u64(released_);
-    }
-
-    /** Inverse of snapshot(); @p read_target parses one Target. */
-    template <typename ReadTarget>
-    void
-    restore(SnapshotReader &r, const ReadTarget &read_target)
-    {
-        for (Slot &s : slots_) {
-            s.used = false;
-            s.targets.clear();
-        }
-        size_ = 0;
-        r.section("mshr");
-        const std::uint64_t n = r.u64();
-        SIM_CHECK(n <= static_cast<std::uint64_t>(capacity_), ctx_,
-                  "snapshot holds " << n << " MSHR entries, capacity "
-                                    << capacity_);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const LineAddr key = r.unit<LineAddr>();
-            const std::uint64_t m = r.u64();
-            SIM_CHECK(m >= 1, ctx_,
-                      "snapshot MSHR entry for line "
-                          << key << " has no targets");
-            Target first = read_target(r);
-            allocate(key, std::move(first));
-            --allocated_; // allocate() ledger bump; totals restored below
-            for (std::uint64_t j = 1; j < m; ++j)
-                merge(key, read_target(r));
-        }
-        allocated_ = r.u64();
-        released_ = r.u64();
+        if constexpr (Ar::kLoading)
+            self.reload(entries);
+        ar.u64(self.allocated_);
+        ar.u64(self.released_);
     }
 
   private:
@@ -307,6 +275,9 @@ class MshrTable
     };
 
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** (line, merged targets) per outstanding miss: the payload. */
+    using Entries = std::vector<std::pair<LineAddr, std::vector<Target>>>;
 
     /** Deterministic multiply-shift hash: host-independent. */
     std::size_t
@@ -328,6 +299,41 @@ class MshrTable
             i = (i + 1) & mask_;
         }
         return kNoSlot;
+    }
+
+    /** Outstanding (line, targets) entries in line order. */
+    Entries
+    sortedEntries() const
+    {
+        Entries out;
+        out.reserve(static_cast<std::size_t>(size_));
+        for (const Slot &s : slots_)
+            if (s.used)
+                out.emplace_back(s.line, s.targets);
+        std::sort(out.begin(), out.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        return out;
+    }
+
+    /** Replace the table's entries with @p entries (restore). */
+    void
+    reload(Entries &entries)
+    {
+        for (Slot &s : slots_) {
+            s.used = false;
+            s.targets.clear();
+        }
+        size_ = 0;
+        for (auto &[line, targets] : entries) {
+            SIM_CHECK(!targets.empty(), ctx_,
+                      "snapshot MSHR entry for line "
+                          << line << " has no targets");
+            allocate(line, std::move(targets.front()));
+            for (std::size_t j = 1; j < targets.size(); ++j)
+                merge(line, std::move(targets[j]));
+        }
     }
 
     /**
@@ -357,15 +363,15 @@ class MshrTable
         slots_[hole].targets.clear();
     }
 
-    int capacity_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
-    int max_merge_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    int capacity_;  // fixed at construction
+    int max_merge_; // fixed at construction
     std::vector<Slot> slots_; ///< open-addressing flat table
     std::size_t mask_ = 0;    // fixed at construction
     int shift_ = 0;           // fixed at construction
     int size_ = 0;            ///< outstanding entries
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
-    SimCtx ctx_; // SIMCHECK-ALLOW(snapshot-coverage): diagnostic context, rebound by owner
+    SimCtx ctx_; ///< diagnostic context, rebound by owner
 };
 
 } // namespace ckesim

@@ -29,29 +29,16 @@ struct MemRequest
     Cycle birth{};                    ///< cycle the L1D emitted it
 };
 
-/** Serialize one request (sim/snapshot checkpoint payloads). */
-inline void
-snapshotMemRequest(SnapshotWriter &w, const MemRequest &req)
-{
-    w.unit(req.line_addr);
-    w.id(req.sm_id);
-    w.id(req.kernel);
-    w.u8(static_cast<std::uint8_t>(req.kind));
-    w.unit(req.birth);
-}
-
-/** Inverse of snapshotMemRequest(). */
-inline MemRequest
-restoreMemRequest(SnapshotReader &r)
-{
-    MemRequest req;
-    req.line_addr = r.unit<LineAddr>();
-    req.sm_id = r.id<SmId>();
-    req.kernel = r.id<KernelId>();
-    req.kind = static_cast<ReqKind>(r.u8());
-    req.birth = r.unit<Cycle>();
-    return req;
-}
+/** Checkpoint walk of one request (sim/snapshot.hpp archives); an
+ *  object, so it can walk the elements of a RingBuf or MshrTable. */
+inline constexpr auto walkMemRequest =
+    []<class Ar, ObjectOf<MemRequest> Req>(Ar &ar, Req &req) {
+        ar.unit(req.line_addr);
+        ar.id(req.sm_id);
+        ar.id(req.kernel);
+        ar.u8(req.kind);
+        ar.unit(req.birth);
+    };
 
 } // namespace ckesim
 

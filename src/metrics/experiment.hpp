@@ -21,12 +21,13 @@
 namespace ckesim {
 
 /**
- * Is CKESIM_FULL set? Full mode runs the paper-scale configuration
- * (16 SMs, all 78 suite pairs, longer windows).
+ * Is CKESIM_FULL set? Full mode runs 400K measured cycles instead of
+ * 60K, all 78 suite pairs instead of 17, and Figure 9's full limit
+ * grid; the machine is the same.
  */
 bool fullMode();
 
-/** Bench GPU configuration (16 SMs full / 8 SMs quick). */
+/** Bench GPU configuration: always the 16-SM Table 1 machine. */
 GpuConfig benchConfig();
 
 /** Measurement cycles per simulation (env CKESIM_CYCLES overrides;

@@ -31,38 +31,6 @@ journalFail(const std::string &what)
     raiseSimError("Journal", journalCtx(), what);
 }
 
-void
-putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /** magic + version + key + payload_len + crc32. */
 constexpr std::size_t kHeaderBytes = 4 + 1 + 8 + 4 + 4;
 
@@ -264,7 +232,7 @@ fsckJournal(const std::string &path)
             break;
         }
         const std::uint8_t *h = data.data() + pos;
-        if (getU32(h) != kJournalMagic) {
+        if (getLE<std::uint32_t>(h) != kJournalMagic) {
             rec.status = JournalRecordStatus::BadMagic;
             rec.detail = "record does not start with the journal "
                          "magic; the file is not a journal or an "
@@ -274,9 +242,9 @@ fsckJournal(const std::string &path)
             break; // no way to resynchronize safely
         }
         const std::uint8_t version = h[4];
-        rec.key = getU64(h + 5);
-        rec.payload_len = getU32(h + 13);
-        const std::uint32_t crc = getU32(h + 17);
+        rec.key = getLE<std::uint64_t>(h + 5);
+        rec.payload_len = getLE<std::uint32_t>(h + 13);
+        const std::uint32_t crc = getLE<std::uint32_t>(h + 17);
         if (version != kSnapshotFormatVersion) {
             rec.status = JournalRecordStatus::BadVersion;
             rec.detail = "format version " +
@@ -379,7 +347,7 @@ ResultJournal::open(const std::string &path)
     bool torn = false;
     while (data.size() - pos >= kHeaderBytes) {
         const std::uint8_t *h = data.data() + pos;
-        if (getU32(h) != kJournalMagic) {
+        if (getLE<std::uint32_t>(h) != kJournalMagic) {
             torn = true;
             break;
         }
@@ -394,9 +362,9 @@ ResultJournal::open(const std::string &path)
             torn = true;
             break;
         }
-        const std::uint64_t key = getU64(h + 5);
-        const std::uint32_t len = getU32(h + 13);
-        const std::uint32_t crc = getU32(h + 17);
+        const std::uint64_t key = getLE<std::uint64_t>(h + 5);
+        const std::uint32_t len = getLE<std::uint32_t>(h + 13);
+        const std::uint32_t crc = getLE<std::uint32_t>(h + 17);
         if (data.size() - pos - kHeaderBytes < len) {
             torn = true;
             break;
@@ -437,11 +405,11 @@ ResultJournal::append(std::uint64_t key, const SimResult &result)
 
     std::vector<std::uint8_t> record;
     record.reserve(kHeaderBytes + payload.size());
-    putU32(record, kJournalMagic);
+    putLE<std::uint32_t>(record, kJournalMagic);
     record.push_back(kSnapshotFormatVersion);
-    putU64(record, key);
-    putU32(record, static_cast<std::uint32_t>(payload.size()));
-    putU32(record, crc32(payload.data(), payload.size()));
+    putLE<std::uint64_t>(record, key);
+    putLE(record, static_cast<std::uint32_t>(payload.size()));
+    putLE(record, crc32(payload.data(), payload.size()));
     record.insert(record.end(), payload.begin(), payload.end());
 
     std::lock_guard<std::mutex> lk(mu_);

@@ -82,32 +82,20 @@ FaultInjector::anyFired() const
     return false;
 }
 
+template <class Ar, ObjectOf<FaultInjector> Self>
 void
-FaultInjector::snapshot(SnapshotWriter &w) const
+FaultInjector::state(Ar &ar, Self &self)
 {
-    w.section("fault_injector");
-    w.u64(faults_.size());
-    for (const FaultSpec &f : faults_)
-        w.i64(f.budget);
-    for (std::uint64_t n : fired_)
-        w.u64(n);
+    ar.section("fault_injector");
+    ar.fixedLength(self.faults_);
+    for (auto &f : self.faults_)
+        ar.i64(f.budget);
+    for (auto &n : self.fired_)
+        ar.u64(n);
 }
 
-void
-FaultInjector::restore(SnapshotReader &r)
-{
-    r.section("fault_injector");
-    const std::uint64_t n = r.u64();
-    SimCtx ctx;
-    ctx.module = "fault";
-    SIM_CHECK(n == faults_.size(), ctx,
-              "snapshot holds " << n << " fault specs, injector has "
-                                << faults_.size());
-    for (FaultSpec &f : faults_)
-        f.budget = static_cast<int>(r.i64());
-    for (std::uint64_t &c : fired_)
-        c = r.u64();
-}
+template void FaultInjector::state(SnapshotWriter &, const FaultInjector &);
+template void FaultInjector::state(SnapshotReader &, FaultInjector &);
 
 void
 validateFaultSpec(const FaultSpec &spec, int num_sms,

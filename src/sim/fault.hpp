@@ -115,12 +115,11 @@ class FaultInjector
     /** Any fault fired at all (audit exempts faulted runs). */
     bool anyFired() const;
 
-    /** Serialize mutable state (per-spec budgets, fired counters). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore mutable state; the spec list itself is configuration
-     *  and must match what was captured. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of the mutable state: per-spec budgets and
+     *  fired counters (sim/snapshot.hpp archives). The spec list
+     *  itself is configuration and must match what was captured. */
+    template <class Ar, ObjectOf<FaultInjector> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     /** Find an armed spec of @p kind covering (@p target, @p now);

@@ -15,9 +15,9 @@
  *  - FIFO deque subset: push_back / pop_front / front / back /
  *    operator[] / eraseAt (order-preserving, for FR-FCFS picks).
  *  - Iteration visits elements oldest-first, exactly like std::deque.
- *  - snapshot()/restore() serialize as (u64 count, elements in FIFO
- *    order) — byte-identical to the std::deque loops they replaced,
- *    so pre-existing snapshot fingerprints are preserved.
+ *  - state() walks (u64 count, elements in FIFO order) —
+ *    byte-identical to the std::deque loops it replaced, so
+ *    pre-existing snapshot fingerprints are preserved.
  */
 
 #ifndef CKESIM_SIM_RINGBUF_HPP
@@ -132,6 +132,19 @@ class RingBuf
         size_ = 0;
     }
 
+    /** std::deque::resize: drop from the back, or append
+     *  value-initialized elements (raises SimError when full). */
+    void
+    resize(std::size_t n)
+    {
+        while (size_ > n) {
+            data_[slot(size_ - 1)] = T{};
+            --size_;
+        }
+        while (size_ < n)
+            push_back(T{});
+    }
+
     /** Forward iterator over logical (oldest-first) order. */
     template <bool Const>
     class Iter
@@ -178,34 +191,17 @@ class RingBuf
 
     // ---- checkpointing --------------------------------------------------
     /**
-     * Serialize as (u64 count, elements oldest-first) — the exact
-     * byte layout of the std::deque loops this type replaced.
-     * @p write_elem emits one element: (writer, element).
+     * Checkpoint walk (sim/snapshot.hpp): (u64 count, elements
+     * oldest-first), the byte layout of the std::deque loops this type
+     * replaced. @p elem walks one element: (archive, element).
      */
-    template <typename WriteElem>
-    void
-    snapshot(SnapshotWriter &w, const WriteElem &write_elem) const
+    template <class Ar, ObjectOf<RingBuf> Self, class Elem>
+    static void
+    state(Ar &ar, Self &self, const Elem &elem)
     {
-        w.u64(size_);
-        for (std::size_t i = 0; i < size_; ++i)
-            write_elem(w, data_[slot(i)]);
-    }
-
-    /** Inverse of snapshot(); @p read_elem parses one element. */
-    template <typename ReadElem>
-    void
-    restore(SnapshotReader &r, const ReadElem &read_elem)
-    {
-        clear();
-        const std::uint64_t n = r.u64();
-        SimCtx ctx;
-        ctx.module = "ringbuf";
-        SIM_CHECK(n <= static_cast<std::uint64_t>(cap_), ctx,
-                  "snapshot holds " << n
-                                    << " elements, ring capacity is "
-                                    << cap_);
-        for (std::uint64_t i = 0; i < n; ++i)
-            push_back(read_elem(r));
+        ar.length(self, self.cap_);
+        for (std::size_t i = 0; i < self.size_; ++i)
+            elem(ar, self.data_[self.slot(i)]);
     }
 
   private:

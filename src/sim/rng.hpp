@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "sim/fields.hpp"
+
 namespace ckesim {
 
 /** One step of SplitMix64; good for deriving independent seeds. */
@@ -70,29 +72,25 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Raw generator state, for checkpointing (sim/snapshot). */
-    struct State
-    {
-        std::uint64_t s0 = 0;
-        std::uint64_t s1 = 0;
-    };
-
-    State state() const { return State{s0_, s1_}; }
-
-    /** Restore a previously captured state verbatim. */
-    void
-    setState(State st)
-    {
-        s0_ = st.s0;
-        s1_ = st.s1;
-        if (s0_ == 0 && s1_ == 0)
-            s1_ = 1;
-    }
+    /** Checkpoint walk of the raw state (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<Rng> R>
+    friend void walkRng(Ar &ar, R &rng);
 
   private:
     std::uint64_t s0_;
     std::uint64_t s1_;
 };
+
+template <class Ar, ObjectOf<Rng> R>
+void
+walkRng(Ar &ar, R &rng)
+{
+    ar.u64(rng.s0_);
+    ar.u64(rng.s1_);
+    if constexpr (Ar::kLoading)
+        if (rng.s0_ == 0 && rng.s1_ == 0)
+            rng.s1_ = 1; // the all-zero state is a fixed point
+}
 
 } // namespace ckesim
 

@@ -95,7 +95,13 @@ SnapshotWriter::raw(const void *p, std::size_t n)
 {
     const auto *b = static_cast<const std::uint8_t *>(p);
     buf_.insert(buf_.end(), b, b + n);
-    fp_.bytes(b, n);
+    appended(n);
+}
+
+void
+SnapshotWriter::appended(std::size_t n)
+{
+    fp_.bytes(buf_.data() + buf_.size() - n, n);
     plain_size_ += n;
     if (z_ && buf_.size() >= kStage)
         drain(/*finish=*/false);
@@ -146,33 +152,24 @@ SnapshotWriter::u8(std::uint8_t v)
 }
 
 void
-SnapshotWriter::le(std::uint64_t v, std::size_t n)
-{
-    std::uint8_t b[8];
-    for (std::size_t i = 0; i < n; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    raw(b, n);
-}
-
-void
 SnapshotWriter::u32(std::uint32_t v)
 {
     tag(SnapTag::U32);
-    le(v, 4);
+    le(v);
 }
 
 void
 SnapshotWriter::u64(std::uint64_t v)
 {
     tag(SnapTag::U64);
-    le(v, 8);
+    le(v);
 }
 
 void
 SnapshotWriter::i64(std::int64_t v)
 {
     tag(SnapTag::I64);
-    le(static_cast<std::uint64_t>(v), 8);
+    le(static_cast<std::uint64_t>(v));
 }
 
 void
@@ -189,14 +186,14 @@ SnapshotWriter::f64(double v)
     // Bit pattern, never text: restore must be exact for every value
     // including -0.0, subnormals, and NaN payloads.
     tag(SnapTag::F64);
-    le(std::bit_cast<std::uint64_t>(v), 8);
+    le(std::bit_cast<std::uint64_t>(v));
 }
 
 void
 SnapshotWriter::str(const std::string &v)
 {
     tag(SnapTag::Str);
-    le(v.size(), 4);
+    le(static_cast<std::uint32_t>(v.size()));
     raw(v.data(), v.size());
 }
 
@@ -205,7 +202,7 @@ SnapshotWriter::section(const char *name)
 {
     tag(SnapTag::Section);
     const std::size_t n = std::strlen(name);
-    le(n, 4);
+    le(static_cast<std::uint32_t>(n));
     raw(name, n);
 }
 
@@ -327,35 +324,25 @@ SnapshotReader::u8()
     return *take(1);
 }
 
-std::uint64_t
-SnapshotReader::le(std::size_t n)
-{
-    const std::uint8_t *b = take(n);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
 std::uint32_t
 SnapshotReader::u32()
 {
     expect(SnapTag::U32);
-    return static_cast<std::uint32_t>(le(4));
+    return getLE<std::uint32_t>(take(4));
 }
 
 std::uint64_t
 SnapshotReader::u64()
 {
     expect(SnapTag::U64);
-    return le(8);
+    return getLE<std::uint64_t>(take(8));
 }
 
 std::int64_t
 SnapshotReader::i64()
 {
     expect(SnapTag::I64);
-    return static_cast<std::int64_t>(le(8));
+    return static_cast<std::int64_t>(getLE<std::uint64_t>(take(8)));
 }
 
 bool
@@ -372,14 +359,14 @@ double
 SnapshotReader::f64()
 {
     expect(SnapTag::F64);
-    return std::bit_cast<double>(le(8));
+    return std::bit_cast<double>(getLE<std::uint64_t>(take(8)));
 }
 
 std::string
 SnapshotReader::str()
 {
     expect(SnapTag::Str);
-    const auto n = static_cast<std::size_t>(le(4));
+    const std::size_t n = getLE<std::uint32_t>(take(4));
     return std::string(reinterpret_cast<const char *>(take(n)), n);
 }
 
@@ -387,7 +374,7 @@ void
 SnapshotReader::section(const char *name)
 {
     expect(SnapTag::Section);
-    const auto n = static_cast<std::size_t>(le(4));
+    const std::size_t n = getLE<std::uint32_t>(take(4));
     const std::string got(reinterpret_cast<const char *>(take(n)), n);
     if (got != name)
         fail("section mismatch: expected '" + std::string(name) +
@@ -395,12 +382,24 @@ SnapshotReader::section(const char *name)
 }
 
 std::size_t
-SnapshotReader::length()
+SnapshotReader::length(std::size_t most)
 {
     const std::uint64_t n = u64();
     if (n > size_ - pos_)
         fail("vector length implausibly large");
+    if (n > most)
+        fail("snapshot holds " + std::to_string(n) +
+             " elements, at most " + std::to_string(most) + " fit");
     return static_cast<std::size_t>(n);
+}
+
+void
+SnapshotReader::expectLength(std::size_t want)
+{
+    const std::uint64_t n = u64();
+    if (n != want)
+        fail("snapshot holds " + std::to_string(n) +
+             " elements, this model has " + std::to_string(want));
 }
 
 std::vector<bool>

@@ -11,11 +11,21 @@
  *
  * The encoding is a flat tagged stream: every value is prefixed with a
  * one-byte type tag, and components bracket their state in named
- * sections. A reader that drifts out of alignment (a field added on
- * one side only, a truncated file) hits a tag or section-name mismatch
+ * sections. A reader that drifts out of alignment (a stream from
+ * another layout, a truncated file) hits a tag or section-name mismatch
  * within a few bytes and throws a SimError of kind "Snapshot" with the
  * offset. The writer maintains a running FNV-1a fingerprint over the
  * payload; two checkpoints are equal iff their fingerprints are.
+ *
+ * Each checkpointed component lists its members once, in a state
+ * walk: `template <class Ar, ObjectOf<C> Self> static void
+ * state(Ar &ar, Self &self)`. The two codec classes are its archives.
+ * A SnapshotWriter (Self const) writes each value the walk visits,
+ * and a SnapshotReader (Self mutable) assigns it, so one body serves
+ * both directions and a member cannot reach one side only. Every
+ * visit names its wire type (`ar.u64(x)`, `ar.id(k)`, `ar.fields(s)`
+ * for a field-tabled struct). Work that only a restore needs runs
+ * under `if constexpr (Ar::kLoading)`, at the end of the walk.
  *
  * Journal records and wire frames use the plain stream. A GpuSnapshot
  * holds its stream deflated: the writer passes it through a small
@@ -35,10 +45,14 @@
 #ifndef CKESIM_SIM_SNAPSHOT_HPP
 #define CKESIM_SIM_SNAPSHOT_HPP
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/fields.hpp"
@@ -61,6 +75,47 @@ enum class SnapTag : std::uint8_t {
 struct GpuSnapshot;
 class ZStream;
 
+/** Append @p v to @p out, little-endian: the byte order of snapshot,
+ *  journal and wire encodings. */
+template <std::unsigned_integral U>
+void
+putLE(std::vector<std::uint8_t> &out, U v)
+{
+    std::uint8_t b[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out.insert(out.end(), b, b + sizeof(U));
+}
+
+/** The little-endian @p U at @p p (inverse of putLE). */
+template <std::unsigned_integral U>
+U
+getLE(const std::uint8_t *p)
+{
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+        v |= static_cast<U>(p[i]) << (8 * i);
+    return v;
+}
+
+/** "No bound" for a content-sized count (SnapshotReader::length). */
+inline constexpr std::size_t kAnyLength =
+    std::numeric_limits<std::size_t>::max();
+
+/**
+ * @p x, const when @p Self is. A state walk reaches the components
+ * it owns through pointers with it, so the save side stays const.
+ */
+template <class Self, class T>
+constexpr auto &
+likeSelf(T &x)
+{
+    if constexpr (std::is_const_v<Self>)
+        return std::as_const(x);
+    else
+        return x;
+}
+
 /** How a SnapshotWriter stores what it encodes. */
 enum class SnapshotCodec {
     Plain,   ///< bytes() is the stream itself
@@ -75,6 +130,9 @@ enum class SnapshotCodec {
 class SnapshotWriter
 {
   public:
+    /** State walks read the members they visit. */
+    static constexpr bool kLoading = false;
+
     explicit SnapshotWriter(SnapshotCodec codec = SnapshotCodec::Plain);
     ~SnapshotWriter();
     SnapshotWriter(const SnapshotWriter &) = delete;
@@ -87,6 +145,15 @@ class SnapshotWriter
     void boolean(bool v);
     void f64(double v);
     void str(const std::string &v);
+
+    /** Enum: serialized as its u8 value. */
+    template <class E>
+        requires std::is_enum_v<E>
+    void
+    u8(E e)
+    {
+        u8(static_cast<std::uint8_t>(e));
+    }
 
     /** Named section marker; the reader must ask for the same name. */
     void section(const char *name);
@@ -110,6 +177,32 @@ class SnapshotWriter
     /** Length-prefixed vector<bool> (bypass masks). */
     void vecBool(const std::vector<bool> &v);
 
+    /** A value with a field table, encoded as FieldWriter does. */
+    template <class M>
+    void
+    fields(const M &m)
+    {
+        FieldWriter(*this).put(m);
+    }
+
+    /** Count of a container sized at construction; the reader
+     *  requires the same count. */
+    template <class C>
+    void
+    fixedLength(const C &c)
+    {
+        u64(c.size());
+    }
+
+    /** Count of a container sized by its content; the reader resizes
+     *  to it and refuses more than the bound. */
+    template <class C>
+    void
+    length(const C &c, std::size_t = kAnyLength)
+    {
+        u64(c.size());
+    }
+
     /** FNV-1a over every plain byte appended so far. */
     std::uint64_t fingerprint() const { return fp_.value(); }
 
@@ -125,8 +218,18 @@ class SnapshotWriter
   private:
     void tag(SnapTag t);
     void raw(const void *p, std::size_t n);
-    /** The low @p n bytes of @p v, little-endian. */
-    void le(std::uint64_t v, std::size_t n);
+
+    /** Append @p v little-endian. */
+    template <std::unsigned_integral U>
+    void
+    le(U v)
+    {
+        putLE(buf_, v);
+        appended(sizeof(U));
+    }
+
+    /** Fingerprint and count the last @p n bytes of buf_. */
+    void appended(std::size_t n);
     /** Deflate the staged bytes into out_ (@p finish ends the stream). */
     void drain(bool finish);
 
@@ -145,6 +248,9 @@ class SnapshotWriter
 class SnapshotReader
 {
   public:
+    /** State walks assign the members they visit. */
+    static constexpr bool kLoading = true;
+
     /** Reader over a plain stream. */
     explicit SnapshotReader(const std::vector<std::uint8_t> &bytes);
 
@@ -170,6 +276,33 @@ class SnapshotReader
     double f64();
     std::string str();
 
+    // The same reads, assigned through a reference: what a state walk
+    // calls where the writer takes the value.
+    template <std::integral I>
+    void
+    u64(I &x)
+    {
+        x = static_cast<I>(u64());
+    }
+
+    template <std::integral I>
+    void
+    i64(I &n)
+    {
+        n = static_cast<I>(i64());
+    }
+
+    void boolean(bool &b) { b = boolean(); }
+    void f64(double &d) { d = f64(); }
+
+    template <class E>
+        requires std::is_enum_v<E>
+    void
+    u8(E &e)
+    {
+        e = static_cast<E>(u8());
+    }
+
     /** Consume a section marker; @p name must match what was written. */
     void section(const char *name);
 
@@ -180,6 +313,13 @@ class SnapshotReader
         return IdT(static_cast<typename IdT::rep_type>(i64()));
     }
 
+    template <class Tag, class Rep>
+    void
+    id(StrongId<Tag, Rep> &k)
+    {
+        k = id<StrongId<Tag, Rep>>();
+    }
+
     template <class UnitT>
     UnitT
     unit()
@@ -187,11 +327,43 @@ class SnapshotReader
         return UnitT(static_cast<typename UnitT::rep_type>(u64()));
     }
 
+    template <class Tag, class Rep>
+    void
+    unit(StrongUnit<Tag, Rep> &c)
+    {
+        c = unit<StrongUnit<Tag, Rep>>();
+    }
+
     std::vector<bool> vecBool();
+    void vecBool(std::vector<bool> &v) { v = vecBool(); }
+
+    /** Reads what SnapshotWriter::fields wrote (defined below). */
+    template <class M>
+    void fields(M &m);
 
     /** A u64 element count, rejected when the rest of the plain
-     *  payload cannot hold that many elements (each takes >= 1 byte). */
-    std::size_t length();
+     *  payload cannot hold that many elements (each takes >= 1 byte)
+     *  or when it exceeds @p most. */
+    std::size_t length(std::size_t most = kAnyLength);
+
+    /** SnapshotWriter::fixedLength: the count must equal c.size(). */
+    template <class C>
+    void
+    fixedLength(const C &c)
+    {
+        expectLength(c.size());
+    }
+
+    /** SnapshotWriter::length: @p c becomes that many
+     *  value-initialized elements, for the walk to fill in. */
+    template <class C>
+    void
+    length(C &c, std::size_t most = kAnyLength)
+    {
+        const std::size_t n = length(most);
+        c.clear();
+        c.resize(n);
+    }
 
     /** Entire plain payload consumed? restore() asserts this at the
      *  end. */
@@ -205,8 +377,8 @@ class SnapshotReader
     const std::uint8_t *take(std::size_t n);
     /** Inflate until at least @p n bytes are staged at cur_. */
     void refill(std::size_t n);
-    /** Inverse of SnapshotWriter::le. */
-    std::uint64_t le(std::size_t n);
+    /** A u64 count that must equal @p want. */
+    void expectLength(std::size_t want);
     [[noreturn]] void fail(const std::string &detail) const;
 
     const std::uint8_t *cur_ = nullptr; ///< next unread plain byte
@@ -258,6 +430,13 @@ class FieldReader
   private:
     SnapshotReader &r_;
 };
+
+template <class M>
+void
+SnapshotReader::fields(M &m)
+{
+    FieldReader(*this).get(m);
+}
 
 /**
  * A complete GPU checkpoint: the versioned payload plus enough

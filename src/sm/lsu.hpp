@@ -75,11 +75,10 @@ class Lsu
     /** Attach a cycle-cost profiler (nullptr detaches). */
     void setProfiler(Profiler *prof) { prof_ = prof; }
 
-    /** Serialize the queue (entries, line lists, progress cursors). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an LSU of identical configuration. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of the queue: entries, line lists, progress
+     *  cursors (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<Lsu> Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     struct Entry
@@ -93,7 +92,7 @@ class Lsu
 
     int depth_;       // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     int hit_latency_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
-    SmId sm_id_;      // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    SmId sm_id_;      // fixed at construction
     Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Sm
     RingBuf<Entry> queue_; ///< flat hot queue (DESIGN.md §14)
 };

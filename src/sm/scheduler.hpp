@@ -56,18 +56,13 @@ class WarpScheduler
     /** 64-bit words in an eligible set. */
     std::size_t maskWords() const { return (slots_.size() + 63) / 64; }
 
-    void
-    snapshot(SnapshotWriter &w) const
+    /** Checkpoint walk (sim/snapshot.hpp archives). */
+    template <class Ar, ObjectOf<WarpScheduler> Self>
+    static void
+    state(Ar &ar, Self &self)
     {
-        w.id(greedy_);
-        w.u64(rr_next_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        greedy_ = r.id<WarpSlot>();
-        rr_next_ = static_cast<std::size_t>(r.u64());
+        ar.id(self.greedy_);
+        ar.u64(self.rr_next_);
     }
 
   private:

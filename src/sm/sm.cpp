@@ -609,222 +609,140 @@ Sm::describeState() const
     return os.str();
 }
 
-// ---- snapshot / restore -------------------------------------------------
+// ---- checkpointing -----------------------------------------------------
 
 namespace {
 
+template <class Ar, ObjectOf<AddrGenState> St>
 void
-snapshotAddrGen(SnapshotWriter &w, const AddrGenState &st)
+walkAddrGen(Ar &ar, St &st)
 {
-    const Rng::State rs = st.rng.state();
-    w.u64(rs.s0);
-    w.u64(rs.s1);
-    w.u64(st.stream_cursor);
-    w.u64(st.stream_base_line);
-    w.u64(st.stream_region_lines);
-    w.u64(st.stream_stride);
-    w.u64(st.stream_offset);
-    w.u64(st.footprint_base_line);
-    w.u64(st.footprint_lines);
-    for (const std::uint64_t line : st.ring)
-        w.u64(line);
-    w.i64(st.ring_count);
-    w.i64(st.ring_pos);
+    walkRng(ar, st.rng);
+    ar.u64(st.stream_cursor);
+    ar.u64(st.stream_base_line);
+    ar.u64(st.stream_region_lines);
+    ar.u64(st.stream_stride);
+    ar.u64(st.stream_offset);
+    ar.u64(st.footprint_base_line);
+    ar.u64(st.footprint_lines);
+    for (auto &line : st.ring)
+        ar.u64(line);
+    ar.i64(st.ring_count);
+    ar.i64(st.ring_pos);
 }
 
+/** The stream-fact cache and the stream's profile are not walked:
+ *  Sm::afterRestore derives them. */
+template <class Ar, ObjectOf<Warp> W>
 void
-restoreAddrGen(SnapshotReader &r, AddrGenState &st)
+walkWarp(Ar &ar, W &warp)
 {
-    Rng::State rs;
-    rs.s0 = r.u64();
-    rs.s1 = r.u64();
-    st.rng.setState(rs);
-    st.stream_cursor = r.u64();
-    st.stream_base_line = r.u64();
-    st.stream_region_lines = r.u64();
-    st.stream_stride = r.u64();
-    st.stream_offset = r.u64();
-    st.footprint_base_line = r.u64();
-    st.footprint_lines = r.u64();
-    for (std::uint64_t &line : st.ring)
-        line = r.u64();
-    st.ring_count = static_cast<int>(r.i64());
-    st.ring_pos = static_cast<int>(r.i64());
-}
-
-void
-snapshotWarp(SnapshotWriter &w, const Warp &warp)
-{
-    w.u8(static_cast<std::uint8_t>(warp.state));
-    w.id(warp.kernel);
-    w.i64(warp.tb_index);
-    w.unit(warp.ready_at);
-    w.i64(warp.pending_requests);
-    w.u64(warp.age);
-    warp.stream.snapshot(w);
-    snapshotAddrGen(w, warp.addr);
-    for (const int n : warp.load_ring)
-        w.i64(n);
-    w.i64(warp.load_head);
-    w.i64(warp.outstanding_loads);
-}
-
-void
-restoreWarp(SnapshotReader &r, Warp &warp, const KernelProfile *prof)
-{
-    warp.state = static_cast<WarpState>(r.u8());
-    warp.kernel = r.id<KernelId>();
-    warp.tb_index = static_cast<int>(r.i64());
-    warp.ready_at = r.unit<Cycle>();
-    warp.pending_requests = static_cast<int>(r.i64());
-    warp.age = r.u64();
-    warp.stream.restore(r, prof);
-    restoreAddrGen(r, warp.addr);
-    for (int &n : warp.load_ring)
-        n = static_cast<int>(r.i64());
-    warp.load_head = static_cast<int>(r.i64());
-    warp.outstanding_loads = static_cast<int>(r.i64());
-    // Derived fields: not in the snapshot, recomputed here.
-    warp.refreshStreamCache();
+    ar.u8(warp.state);
+    ar.id(warp.kernel);
+    ar.i64(warp.tb_index);
+    ar.unit(warp.ready_at);
+    ar.i64(warp.pending_requests);
+    ar.u64(warp.age);
+    InstrStream::state(ar, warp.stream);
+    walkAddrGen(ar, warp.addr);
+    for (auto &n : warp.load_ring)
+        ar.i64(n);
+    ar.i64(warp.load_head);
+    ar.i64(warp.outstanding_loads);
 }
 
 } // namespace
 
+template <class Ar, ObjectOf<Sm> Self>
 void
-Sm::snapshot(SnapshotWriter &w) const
+Sm::state(Ar &ar, Self &self)
 {
-    w.section("sm");
-    controller_.snapshot(w);
-    l1d_.snapshot(w);
-    lsu_.snapshot(w);
-    for (const WarpScheduler &sched : schedulers_)
-        sched.snapshot(w);
+    ar.section("sm");
+    IssueController::state(ar, self.controller_);
+    L1Dcache::state(ar, self.l1d_);
+    Lsu::state(ar, self.lsu_);
+    for (auto &sched : self.schedulers_)
+        WarpScheduler::state(ar, sched);
 
-    w.u64(ctx_.size());
-    for (const KernelCtx &c : ctx_) {
-        w.i64(c.quota);
-        w.i64(c.resident);
-        w.u64(c.tb_seq);
-        FieldWriter(w).put(c.stats);
+    ar.fixedLength(self.ctx_);
+    for (auto &c : self.ctx_) {
+        ar.i64(c.quota);
+        ar.i64(c.resident);
+        ar.u64(c.tb_seq);
+        ar.fields(c.stats);
     }
 
-    w.u64(warps_.size());
-    for (const Warp &warp : warps_)
-        snapshotWarp(w, warp);
+    ar.fixedLength(self.warps_);
+    for (auto &warp : self.warps_)
+        walkWarp(ar, warp);
 
-    w.u64(tbs_.size());
-    for (const ThreadBlock &tb : tbs_) {
-        w.boolean(tb.active);
-        w.id(tb.kernel);
-        w.u64(tb.seq);
-        w.i64(tb.warps_left);
-        w.i64(tb.num_warps);
+    ar.fixedLength(self.tbs_);
+    for (auto &tb : self.tbs_) {
+        ar.boolean(tb.active);
+        ar.id(tb.kernel);
+        ar.u64(tb.seq);
+        ar.i64(tb.warps_left);
+        ar.i64(tb.num_warps);
     }
 
-    w.i64(used_.regs);
-    w.i64(used_.smem);
-    w.i64(used_.threads);
-    w.i64(used_.tbs);
-    w.i64(used_.warps);
-    FieldWriter(w).put(sm_stats_);
-    w.u64(age_counter_);
-    w.i64(dispatch_rr_);
-    w.unit(now_);
+    ar.i64(self.used_.regs);
+    ar.i64(self.used_.smem);
+    ar.i64(self.used_.threads);
+    ar.i64(self.used_.tbs);
+    ar.i64(self.used_.warps);
+    ar.fields(self.sm_stats_);
+    ar.u64(self.age_counter_);
+    ar.i64(self.dispatch_rr_);
+    ar.unit(self.now_);
 
-    // The wake heap pops in deterministic (cycle, slot) order; a copy
-    // drained to a flat list re-heapifies identically on restore.
-    auto heap = wakes_;
-    w.u64(heap.size());
-    while (!heap.empty()) {
-        w.unit(heap.top().first);
-        w.id(heap.top().second);
-        heap.pop();
+    // The wake heap as the flat (cycle, slot) list it pops in; a
+    // restore pushes the list back in that order.
+    std::vector<WakeEvent> wakes;
+    if constexpr (!Ar::kLoading) {
+        auto heap = self.wakes_;
+        wakes.reserve(heap.size());
+        for (; !heap.empty(); heap.pop())
+            wakes.push_back(heap.top());
+    }
+    ar.length(wakes);
+    for (auto &[at, slot] : wakes) {
+        ar.unit(at);
+        ar.id(slot);
     }
 
-    w.u64(lifetime_issued_);
-    w.u64(lifetime_returns_);
+    ar.u64(self.lifetime_issued_);
+    ar.u64(self.lifetime_returns_);
+    if constexpr (Ar::kLoading) {
+        self.wakes_ = decltype(self.wakes_)(std::greater<WakeEvent>{},
+                                            std::move(wakes));
+        self.afterRestore();
+    }
 }
 
+template void Sm::state(SnapshotWriter &, const Sm &);
+template void Sm::state(SnapshotReader &, Sm &);
+
 void
-Sm::restore(SnapshotReader &r)
+Sm::afterRestore()
 {
-    r.section("sm");
-    const SimCtx ctx = smCtx(sm_id_);
-    controller_.restore(r);
-    l1d_.restore(r);
-    lsu_.restore(r);
-    for (WarpScheduler &sched : schedulers_)
-        sched.restore(r);
-
-    const std::uint64_t nk = r.u64();
-    SIM_CHECK(nk == ctx_.size(), ctx,
-              "snapshot holds " << nk << " kernel contexts, SM has "
-                                << ctx_.size());
-    for (KernelCtx &c : ctx_) {
-        c.quota = static_cast<int>(r.i64());
-        c.resident = static_cast<int>(r.i64());
-        c.tb_seq = r.u64();
-        FieldReader(r).get(c.stats);
-    }
-
-    const std::uint64_t nw = r.u64();
-    SIM_CHECK(nw == warps_.size(), ctx,
-              "snapshot holds " << nw << " warp slots, SM has "
-                                << warps_.size());
     for (Warp &warp : warps_) {
-        restoreWarp(r, warp, nullptr);
-        // The warp's kernel is known only after its record is read;
-        // rebind the stream's profile from it (stale-but-unused
-        // pointers on Invalid/Done slots stay null harmlessly).
-        if (warp.kernel.valid())
-            warp.stream.rebindProfile(ctx_[warp.kernel.idx()].prof);
+        // Invalid and Done slots keep a null profile; their streams
+        // are reset before their next use.
+        warp.stream.rebindProfile(
+            warp.kernel.valid() ? ctx_[warp.kernel.idx()].prof : nullptr);
+        warp.refreshStreamCache();
     }
-    // Rebuild the dense scan mirrors and Ready bitsets (derived; not
-    // serialized). Clearing first makes syncScan's incremental bitset
-    // maintenance start from a blank slate.
+    // Rebuild the dense scan mirrors and Ready bitsets. Clearing first
+    // makes syncScan's incremental bitset maintenance start from a
+    // blank slate.
     std::fill(scan_meta_.begin(), scan_meta_.end(),
               static_cast<std::uint8_t>(0));
     std::fill(ready_bits_.begin(), ready_bits_.end(), std::uint64_t{0});
     for (std::size_t s = 0; s < warps_.size(); ++s)
         syncScan(s);
-
-    const std::uint64_t nt = r.u64();
-    SIM_CHECK(nt == tbs_.size(), ctx,
-              "snapshot holds " << nt << " TB slots, SM has "
-                                << tbs_.size());
-    for (ThreadBlock &tb : tbs_) {
-        tb.active = r.boolean();
-        tb.kernel = r.id<KernelId>();
-        tb.seq = r.u64();
-        tb.warps_left = static_cast<int>(r.i64());
-        tb.num_warps = static_cast<int>(r.i64());
-    }
-
-    used_.regs = static_cast<int>(r.i64());
-    used_.smem = static_cast<int>(r.i64());
-    used_.threads = static_cast<int>(r.i64());
-    used_.tbs = static_cast<int>(r.i64());
-    used_.warps = static_cast<int>(r.i64());
-    FieldReader(r).get(sm_stats_);
-    age_counter_ = r.u64();
-    dispatch_rr_ = static_cast<int>(r.i64());
-    now_ = r.unit<Cycle>();
-
-    wakes_ = decltype(wakes_){};
-    const std::uint64_t nwakes = r.u64();
-    for (std::uint64_t i = 0; i < nwakes; ++i) {
-        const Cycle at = r.unit<Cycle>();
-        const WarpSlot slot = r.id<WarpSlot>();
-        wakes_.emplace(at, slot);
-    }
-
-    lifetime_issued_ = r.u64();
-    lifetime_returns_ = r.u64();
-
-    // Refile every Busy warp in the due-wheel (derived; needs the
-    // restored now_). A warp already due — possible only in exotic
-    // snapshots — files at the next tick, matching the old full
-    // scan's pickup time.
+    // Refile every Busy warp in the due-wheel. A warp already due —
+    // possible only in exotic snapshots — files at the next tick,
+    // matching the old full scan's pickup time.
     for (std::vector<WarpSlot> &bucket : due_wheel_)
         bucket.clear();
     for (std::size_t s = 0; s < warps_.size(); ++s) {

@@ -135,12 +135,11 @@ class Sm : public LsuHost
         access_observer_opaque_ = opaque;
     }
 
-    /** Serialize the SM's entire mutable state (checkpointing). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restore into an SM of identical construction. Warp instruction
-     *  streams have their profile pointers rebound from ctx_. */
-    void restore(SnapshotReader &r);
+    /** Checkpoint walk of the SM's entire mutable state
+     *  (sim/snapshot.hpp archives), for an SM of identical
+     *  construction. */
+    template <class Ar, ObjectOf<Sm> Self>
+    static void state(Ar &ar, Self &self);
 
     // ---- LsuHost --------------------------------------------------------
     void lsuHitReturn(WarpSlot warp_slot, KernelId k,
@@ -197,6 +196,9 @@ class Sm : public LsuHost
     void issueFrom(WarpSlot slot, Cycle now);
     void requestReturned(WarpSlot warp_slot, Cycle now);
     void retireWarp(WarpSlot slot);
+    /** After a restore: rebind each warp stream's profile from ctx_
+     *  and rebuild the derived stream, scan and due-wheel state. */
+    void afterRestore();
 
     // ---- dense scan block (DESIGN.md §14) ---------------------------
     // Reading the ~176-byte Warp records costs one cache line per slot
@@ -319,7 +321,7 @@ class Sm : public LsuHost
     AccessObserver access_observer_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
     void *access_observer_opaque_ = nullptr;   // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
 
-    FaultInjector *faults_ = nullptr; // rebound by the Gpu; injector state snapshotted there
+    FaultInjector *faults_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by the Gpu, which walks the injector
     Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t lifetime_issued_ = 0;
     std::uint64_t lifetime_returns_ = 0;

@@ -12,18 +12,6 @@
 
 using Cycle = unsigned long long;
 
-class SnapshotWriter
-{
-  public:
-    void u64(unsigned long long v);
-};
-
-class SnapshotReader
-{
-  public:
-    unsigned long long u64();
-};
-
 /* Never seed with rand() or read std::chrono::steady_clock here, and
    never keep a std::map on this path. */
 class Pipeline
@@ -36,8 +24,8 @@ class Pipeline
         std::printf("head=%llu\n", head_); // SIMCHECK-ALLOW(stdio): debugger-only dump, never called by the run loop
     }
 
-    void snapshot(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    template <class Ar, class Self>
+    static void state(Ar &ar, Self &self);
 
     unsigned long long population() const
     {
@@ -51,47 +39,33 @@ class Pipeline
     }
 
   private:
-    void snapshotLanes(SnapshotWriter &w) const;
-    void restoreLanes(SnapshotReader &r);
+    template <class Ar, class Self>
+    static void walkLanes(Ar &ar, Self &self);
 
     unsigned long long head_ = 0;
     unsigned long long lanes_ = 0;
     int capacity_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     std::unordered_set<int> members_; // SIMCHECK-ALLOW(snapshot-coverage): membership cache, rebuilt on restore
-    // SIMCHECK-ALLOW(hotpath): read only by snapshot/restore, never per cycle
+    // SIMCHECK-ALLOW(hotpath): read only by the state walk, never per cycle
     std::map<int, unsigned long long> by_id_;
 };
 
+template <class Ar, class Self>
 void
-Pipeline::snapshot(SnapshotWriter &w) const
+Pipeline::state(Ar &ar, Self &self)
 {
-    w.u64(head_);
-    snapshotLanes(w);
-    w.u64(by_id_.size());
-    for (const auto &kv : by_id_)
-        w.u64(kv.second);
+    ar.u64(self.head_);
+    walkLanes(ar, self);
+    ar.fixedLength(self.by_id_);
+    for (auto &kv : self.by_id_)
+        ar.u64(kv.second);
 }
 
+// Helper indirection: lanes_ is visited here, one call deep from the
+// walk — coverage must see through it.
+template <class Ar, class Self>
 void
-Pipeline::restore(SnapshotReader &r)
+Pipeline::walkLanes(Ar &ar, Self &self)
 {
-    head_ = r.u64();
-    restoreLanes(r);
-    const unsigned long long n = r.u64();
-    for (unsigned long long i = 0; i < n; ++i)
-        by_id_[static_cast<int>(i)] = r.u64();
-}
-
-// Helper indirection: lanes_ is serialized here, two calls deep from
-// the snapshot entry points — coverage must see through it.
-void
-Pipeline::snapshotLanes(SnapshotWriter &w) const
-{
-    w.u64(lanes_);
-}
-
-void
-Pipeline::restoreLanes(SnapshotReader &r)
-{
-    lanes_ = r.u64();
+    ar.u64(self.lanes_);
 }

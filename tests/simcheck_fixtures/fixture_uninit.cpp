@@ -4,17 +4,14 @@
 // list. Restoring a snapshot into a freshly constructed object would
 // leave that field holding garbage that the restore may never
 // overwrite.
-class SnapshotWriter;
-class SnapshotReader;
-
 class Counter
 {
   public:
     Counter() : ticks_(0) {}
     explicit Counter(int start) : ticks_(start) {}
 
-    void snapshot(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    template <class Ar, class Self>
+    static void state(Ar &ar, Self &self);
 
   private:
     unsigned long long ticks_; // covered by both ctor init lists

@@ -8,14 +8,16 @@ each violation fixture, simcheck runs restricted to the rule under
 test, and the set of (file, line, rule) findings must equal the set
 of `EXPECT[rule]` markers planted in the fixture — exact: a missed
 planted violation fails, and so does any extra finding (over-fire).
-The waiver fixture runs every rule, so its unused waivers surface.
+The waiver and snapshot fixtures run every rule, so their unused
+waivers surface.
 The clean control (fixture_clean.cpp and .hpp) runs every rule and
 must come back empty, with every waiver in it used.
 
 Mutations of the clean control then prove the analyzer sees through
-helpers and preprocessor structure: deleting one snapshot field write
-must produce a snapshot-coverage finding, and deleting the header's
-guard #define or #ifndef an include-guard finding.
+helpers and preprocessor structure: deleting one visit from the
+state walk must produce exactly one snapshot-coverage finding, and
+deleting the header's guard #define or #ifndef exactly one
+include-guard finding.
 """
 
 import argparse
@@ -37,7 +39,7 @@ FIXTURES = [
     ("fixture_determinism.cpp", "determinism-hazard", None),
     ("fixture_rng.hpp", "determinism-hazard", "src/sim/rng.hpp"),
     ("fixture_uninit.cpp", "uninit-member", None),
-    ("fixture_snapshot.cpp", "snapshot-coverage", None),
+    ("fixture_snapshot.cpp", None, None),
     ("fixture_simerror.cpp", "simerror-discipline", None),
     ("fixture_stdio.cpp", "stdio", None),
     ("fixture_table.cpp", "stdio", "src/metrics/table.cpp"),
@@ -52,10 +54,11 @@ CLEAN = [
     ("fixture_clean.hpp", "src/sm/fixture_clean.hpp"),
 ]
 
-# (label, rule, clean fixture, start of the first line deleted from it)
+# (label, rule, clean fixture, start of the first line deleted from
+# it); each mutation must produce exactly one finding of its rule
 MUTATIONS = [
-    ("drop snapshot-side field write", "snapshot-coverage",
-     "fixture_clean.cpp", "    w.u64(head_);"),
+    ("drop one visit from the state walk", "snapshot-coverage",
+     "fixture_clean.cpp", "    ar.u64(self.head_);"),
     ("drop the header guard's #define", "include-guard",
      "fixture_clean.hpp", "#define"),
     ("drop the header guard's #ifndef", "include-guard",
@@ -159,13 +162,12 @@ def main():
             rel = dict(CLEAN)[fname]
             place(tmp, rel, "".join(lines[:k] + lines[k + 1:]))
             _, payload = run_simcheck(tmp, ["--rule", rule, rel])
-            got = {f["rule"] for f in payload["findings"]}
-            if rule in got:
+            got = sorted(f["rule"] for f in payload["findings"])
+            if got == [rule]:
                 print(f"PASS  mutation: {label} -> [{rule}]")
             else:
-                print(f"FAIL  mutation: {label} — expected a "
-                      f"[{rule}] finding, got {sorted(got)}",
-                      file=sys.stderr)
+                print(f"FAIL  mutation: {label} — expected one "
+                      f"[{rule}] finding, got {got}", file=sys.stderr)
                 ok = False
 
     if not ok:

@@ -320,11 +320,11 @@ TEST(L1DcacheMemo, RestoreClearsMemo)
 {
     L1Dcache l1(smallL1(/*mshrs=*/1, /*missq=*/8), SmId{0});
     SnapshotWriter empty;
-    l1.snapshot(empty);
+    L1Dcache::state(empty, std::as_const(l1));
     read(l1, LineAddr{1});
     expectFailsTwice(l1, LineAddr{2}, RsFailReason::Mshr);
     SnapshotReader r(empty.bytes());
-    l1.restore(r);
+    L1Dcache::state(r, l1);
     EXPECT_EQ(read(l1, LineAddr{2}), L1Outcome::Kind::MissToL2);
 }
 
@@ -364,7 +364,7 @@ TEST(L1DcacheMemo, RandomOpsMatchMemoFreeReplica)
     std::vector<LineAddr> outstanding;
     const auto state = [](const L1Dcache &c) {
         SnapshotWriter w;
-        c.snapshot(w);
+        L1Dcache::state(w, c);
         return w.take();
     };
     int failures = 0;
@@ -377,7 +377,7 @@ TEST(L1DcacheMemo, RandomOpsMatchMemoFreeReplica)
             const std::vector<std::uint8_t> before = state(l1);
             L1Dcache replica(cfg, SmId{0});
             SnapshotReader r(before);
-            replica.restore(r);
+            L1Dcache::state(r, replica);
             const L1Outcome got =
                 l1.access(line, k, write, tgt(1, k), Cycle{});
             const L1Outcome want =

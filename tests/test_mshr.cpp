@@ -250,16 +250,13 @@ TEST(MshrOracle, SnapshotRoundTripCollisionHeavy)
     }
     t.release(chain[1]); // leave a backward-shifted chain behind
 
+    const auto walkInt = [](auto &ar, auto &v) { ar.i64(v); };
     SnapshotWriter w;
-    t.snapshot(w, [](SnapshotWriter &sw, const int &v) {
-        sw.i64(v);
-    });
+    IntMshr::state(w, std::as_const(t), walkInt);
 
     IntMshr back(kCapacity, 4);
     SnapshotReader r(w.bytes());
-    back.restore(r, [](SnapshotReader &sr) {
-        return static_cast<int>(sr.i64());
-    });
+    IntMshr::state(r, back, walkInt);
 
     EXPECT_EQ(dumpTable(back), dumpTable(t));
     EXPECT_EQ(back.size(), t.size());
@@ -267,9 +264,7 @@ TEST(MshrOracle, SnapshotRoundTripCollisionHeavy)
     EXPECT_EQ(back.totalReleased(), t.totalReleased());
 
     SnapshotWriter w2;
-    back.snapshot(w2, [](SnapshotWriter &sw, const int &v) {
-        sw.i64(v);
-    });
+    IntMshr::state(w2, std::as_const(back), walkInt);
     EXPECT_EQ(w.bytes(), w2.bytes());
 }
 

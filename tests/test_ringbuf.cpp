@@ -95,15 +95,15 @@ TEST(RingBuf, SnapshotRoundTripPreservesWrappedState)
     rb.push_back(100);
     rb.push_back(101); // logical: 2 3 4 100 101
 
+    using Ring = RingBuf<std::uint64_t>;
+    const auto walkU64 = [](auto &ar, auto &v) { ar.u64(v); };
     SnapshotWriter w;
-    rb.snapshot(w, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
+    Ring::state(w, std::as_const(rb), walkU64);
 
-    RingBuf<std::uint64_t> back(5);
-    back.push_back(999); // restore() must clear stale content
+    Ring back(5);
+    back.push_back(999); // a restore must clear stale content
     SnapshotReader r(w.bytes());
-    back.restore(r, [](SnapshotReader &sr) { return sr.u64(); });
+    Ring::state(r, back, walkU64);
 
     const std::vector<std::uint64_t> seen(back.begin(), back.end());
     EXPECT_EQ(seen,
@@ -112,26 +112,22 @@ TEST(RingBuf, SnapshotRoundTripPreservesWrappedState)
     // Re-serializing the restored buffer yields identical bytes —
     // the fingerprint gate every converted queue relies on.
     SnapshotWriter w2;
-    back.snapshot(w2, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
+    Ring::state(w2, std::as_const(back), walkU64);
     EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
 TEST(RingBuf, RestoreRefusesOversizedSnapshot)
 {
-    RingBuf<std::uint64_t> big(4);
+    using Ring = RingBuf<std::uint64_t>;
+    const auto walkU64 = [](auto &ar, auto &v) { ar.u64(v); };
+    Ring big(4);
     for (std::uint64_t i = 0; i < 4; ++i)
         big.push_back(i);
     SnapshotWriter w;
-    big.snapshot(w, [](SnapshotWriter &sw, const std::uint64_t &v) {
-        sw.u64(v);
-    });
-    RingBuf<std::uint64_t> small(2);
+    Ring::state(w, std::as_const(big), walkU64);
+    Ring small(2);
     SnapshotReader r(w.bytes());
-    EXPECT_THROW(
-        small.restore(r, [](SnapshotReader &sr) { return sr.u64(); }),
-        SimError);
+    EXPECT_THROW(Ring::state(r, small, walkU64), SimError);
 }
 
 TEST(RingBuf, DequeOracleRandomizedOps)

@@ -24,25 +24,21 @@ SCALAR_HEADS = frozenset(
 )
 
 
+def state_walks(cls):
+    """The class's checkpoint walks: static `state(ar, self, ...)`
+    members (the in-class declaration and any attached out-of-line
+    definition)."""
+    return [
+        m
+        for m in cls.methods
+        if m.name == "state" and m.is_static and len(m.params) >= 2
+    ]
+
+
 def is_snapshot_bearing(cls):
-    """Declares the snapshot/restore member pair (either the
-    SnapshotWriter/Reader form or the Gpu-level GpuSnapshot form)."""
-    has_snap = False
-    has_restore = False
-    for m in cls.methods:
-        if m.name == "snapshot":
-            if any(
-                "SnapshotWriter" in p.type_spelling for p in m.params
-            ) or "GpuSnapshot" in (m.return_type or ""):
-                has_snap = True
-        elif m.name == "restore":
-            if any(
-                "SnapshotReader" in p.type_spelling
-                or "GpuSnapshot" in p.type_spelling
-                for p in m.params
-            ):
-                has_restore = True
-    return has_snap and has_restore
+    """Declares a checkpoint walk: `static void state(Ar &ar, Self
+    &self)` (sim/snapshot.hpp)."""
+    return bool(state_walks(cls))
 
 
 def _is_scalar_type(type_sp, enum_names):
