@@ -1,7 +1,5 @@
 #include "campaign/campaign_engine.hpp"
 
-#include <unistd.h>
-
 #include <cinttypes>
 #include <cstdio>
 
@@ -87,27 +85,6 @@ formatCampaignTable(const std::string &name, std::uint64_t cycles,
         out += line;
     }
     return out;
-}
-
-std::string
-CampaignEngine::shardPath(const std::string &base, int slot)
-{
-    return base + ".shard" + std::to_string(slot);
-}
-
-std::string
-CampaignEngine::mergedPath(const std::string &base)
-{
-    return base + ".merged";
-}
-
-void
-CampaignEngine::removeJournal(const std::string &base)
-{
-    for (int slot = 0;; ++slot)
-        if (::unlink(shardPath(base, slot).c_str()) != 0)
-            break;
-    (void)::unlink(mergedPath(base).c_str());
 }
 
 CampaignEngine::CampaignEngine(CampaignOptions opts)

@@ -24,12 +24,14 @@
  *  - SIGTERM (via requestDrain()) finishes in-flight jobs, marks the
  *    rest Drained, and shuts the fleet down cleanly.
  *
- * Durability: with a journal base set, every received result is
- * appended to one journal shard per worker slot (fsync'd, CRC'd — the
- * metrics/journal format), so an orchestrator crash loses nothing
- * that was handed back; on completion the shards are merged in job
- * submission order into a canonical merged journal whose bytes are
- * identical for any worker count and any crash/redispatch history.
+ * Durability: with a journal path set, the loop appends every
+ * received result to that one journal (fsync'd, CRC'd: the
+ * metrics/journal format) before anyone sees it, so an orchestrator
+ * crash loses nothing that was handed back, and a rerun serves the
+ * journaled results without dispatching them. What is byte-identical
+ * for any worker count and any crash/redispatch history is the
+ * result table (formatCampaignTable), whose per-job key and result
+ * CRC certify every result.
  */
 
 #ifndef CKESIM_CAMPAIGN_CAMPAIGN_ENGINE_HPP
@@ -52,9 +54,8 @@ struct FleetOptions
     /** Worker processes to fork; values < 1 are clamped to 1. */
     int workers = 1;
 
-    /** Journal base path; shards land at <base>.shard<N>, and a batch
-     *  run writes the merged journal at <base>.merged. Empty =
-     *  in-memory only. */
+    /** Path of the fleet's one journal file. Empty = in-memory
+     *  only. */
     std::string journal_base;
 
     /** Minimum gap between worker heartbeats. */
@@ -103,7 +104,7 @@ struct CampaignJobOutcome
     std::string error_kind;   ///< SimError kind / "Poisoned" / ...
     std::string error_detail; ///< human-readable failure story
     int attempts = 0;         ///< dispatch attempts consumed
-    bool from_journal = false; ///< served from a shard/merged journal
+    bool from_journal = false; ///< served from the journal
 
     bool ok() const { return state == CampaignJobState::Completed; }
 };
@@ -163,9 +164,9 @@ class CampaignEngine
 
     /**
      * Run @p jobs to terminal states on the service loop (fork fleet,
-     * dispatch, recover), then merge. Results already in the journal
-     * are served from it. Not reentrant; one campaign per call.
-     * Defined in service.cpp, beside the loop.
+     * dispatch, recover). Results already in the journal are served
+     * from it. Not reentrant; one campaign per call. Defined in
+     * service.cpp, beside the loop.
      */
     CampaignOutcome run(const std::vector<SimJob> &jobs);
 
@@ -179,16 +180,6 @@ class CampaignEngine
     {
         drain_.store(true, std::memory_order_relaxed);
     }
-
-    /** Shard journal path for worker slot @p slot. */
-    static std::string shardPath(const std::string &base, int slot);
-
-    /** Merged (canonical) journal path. */
-    static std::string mergedPath(const std::string &base);
-
-    /** Delete the shards and the merged journal under @p base, so a
-     *  fresh run cannot be satisfied by an earlier one's results. */
-    static void removeJournal(const std::string &base);
 
   private:
     CampaignOptions opts_;

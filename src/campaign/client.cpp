@@ -298,31 +298,14 @@ runAttempt(const ClientOptions &opts, ProcFaultPlan &faults,
         if (rc == 0)
             continue; // deadline re-checked above
 
-        std::uint8_t buf[65536];
-        for (;;) {
-            const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-            if (n > 0) {
-                parser.feed(buf, static_cast<std::size_t>(n));
-                if (static_cast<std::size_t>(n) < sizeof buf)
-                    break;
-                continue;
-            }
-            if (n == 0) {
-                ::close(fd);
-                outcome.status = ClientStatus::ConnectionLost;
-                outcome.report.error =
-                    "service closed the connection mid-stream";
-                res.end = AttemptEnd::Retry;
-                return res;
-            }
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                break;
+        const IoStatus read = parser.readFrom(fd);
+        if (read != IoStatus::Ok) {
+            outcome.report.error =
+                read == IoStatus::Eof
+                    ? "service closed the connection mid-stream"
+                    : std::string("recv(): ") + std::strerror(errno);
             ::close(fd);
             outcome.status = ClientStatus::ConnectionLost;
-            outcome.report.error =
-                std::string("recv(): ") + std::strerror(errno);
             res.end = AttemptEnd::Retry;
             return res;
         }

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "campaign/campaign_spec.hpp"
@@ -39,10 +38,6 @@ constexpr int kMaxWorkerRespawns = 64;
 
 /** Retry-after hint attached to overload Rejects. */
 constexpr std::uint64_t kRejectRetryMs = 200;
-
-/** Largest shard slot replayed beyond the current worker count, so
- *  shrinking the fleet never hides a durable result. */
-constexpr int kMaxShards = 256;
 
 /** How long Shutdown waits for workers to exit before SIGKILL. */
 constexpr Millis kShutdownGrace{2000};
@@ -135,7 +130,7 @@ class Fleet
     Fleet &operator=(const Fleet &) = delete;
 
     void bindSocket();
-    void openJournals();
+    void openJournal();
     void startFleet();
 
     /** Admit @p jobs as the in-process submission, whose per-index
@@ -165,10 +160,8 @@ class Fleet
     // ---- jobs ------------------------------------------------------------
     void admit(std::uint64_t campaign_id);
     const SimJob &jobOf(const Subscriber &sub) const;
-    bool findInJournals(std::uint64_t key, SimResult &out) const;
     void reclaimJob(std::uint64_t key);
-    void completeJob(std::uint64_t key, const SimResult &result,
-                     int slot);
+    void completeJob(std::uint64_t key, const SimResult &result);
     void failJob(std::uint64_t key, CampaignJobState state,
                  const std::string &kind, const std::string &detail);
     void publish(std::uint64_t key, JobEntry &entry);
@@ -212,9 +205,9 @@ class Fleet
     std::uint64_t next_campaign_id_ = 1;
     std::uint64_t inproc_id_ = 0; ///< the in-process submission, if any
 
-    /** The first opts_.workers journals take appends, one per worker
-     *  slot; the rest are replayed only. */
-    std::vector<std::unique_ptr<ResultJournal>> journals_;
+    /** Every completed result, appended before anyone hears of it;
+     *  not open when the fleet has no journal path. */
+    ResultJournal journal_;
 
     ServiceReport report_;
 };
@@ -277,30 +270,14 @@ Fleet::bindSocket()
 }
 
 void
-Fleet::openJournals()
+Fleet::openJournal()
 {
-    const std::string &base = opts_.journal_base;
-    if (base.empty())
+    const std::string &path = opts_.journal_base;
+    if (path.empty())
         return;
     if (!opts_.resume)
-        CampaignEngine::removeJournal(base);
-    // Every shard a previous (possibly larger) fleet left, and a
-    // merged journal, is replayed too, so no durable result is
-    // invisible.
-    std::vector<std::string> paths;
-    for (int slot = 0; slot < kMaxShards; ++slot) {
-        const std::string path = CampaignEngine::shardPath(base, slot);
-        if (slot >= opts_.workers && ::access(path.c_str(), F_OK) != 0)
-            break;
-        paths.push_back(path);
-    }
-    const std::string merged = CampaignEngine::mergedPath(base);
-    if (::access(merged.c_str(), F_OK) == 0)
-        paths.push_back(merged);
-    for (const std::string &path : paths) {
-        journals_.push_back(std::make_unique<ResultJournal>());
-        journals_.back()->open(path);
-    }
+        (void)::unlink(path.c_str());
+    journal_.open(path);
 }
 
 void
@@ -442,23 +419,13 @@ void
 Fleet::handleWorkerInput(int slot)
 {
     WorkerSlot &ws = slots_[static_cast<std::size_t>(slot)];
-    std::uint8_t buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(ws.fd, buf, sizeof buf, 0);
-        if (n > 0) {
-            ws.parser.feed(buf, static_cast<std::size_t>(n));
-            if (static_cast<std::size_t>(n) < sizeof buf)
-                break;
-            continue;
-        }
-        if (n == 0) {
-            workerLost(slot, "socket closed");
-            return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
+    switch (ws.parser.readFrom(ws.fd)) {
+      case IoStatus::Ok:
+        break;
+      case IoStatus::Eof:
+        workerLost(slot, "socket closed");
+        return;
+      case IoStatus::Error:
         workerLost(slot, "read error");
         return;
     }
@@ -510,7 +477,7 @@ Fleet::handleWorkerFrame(int slot, const Frame &frame)
     ws.busy = false;
     ws.busy_key = 0;
     if (result)
-        completeJob(key, value, slot);
+        completeJob(key, value);
     else
         failJob(key, CampaignJobState::Failed, kind, detail);
 }
@@ -578,7 +545,7 @@ Fleet::runOneInProcess()
         failJob(key, CampaignJobState::Failed, e.kind(), e.what());
         return;
     }
-    completeJob(key, result, 0);
+    completeJob(key, result);
 }
 
 // ---- jobs ----------------------------------------------------------------
@@ -607,7 +574,7 @@ Fleet::admit(std::uint64_t campaign_id)
             continue;
         }
         SimResult replayed;
-        if (findInJournals(key, replayed)) {
+        if (journal_.find(key, replayed)) {
             entry.phase = JobPhase::Done;
             entry.outcome.state = CampaignJobState::Completed;
             entry.outcome.result = std::move(replayed);
@@ -625,15 +592,6 @@ const SimJob &
 Fleet::jobOf(const Subscriber &sub) const
 {
     return campaigns_.at(sub.campaign_id).jobs[sub.index];
-}
-
-bool
-Fleet::findInJournals(std::uint64_t key, SimResult &out) const
-{
-    for (const auto &journal : journals_)
-        if (journal->find(key, out))
-            return true;
-    return false;
 }
 
 void
@@ -662,7 +620,7 @@ Fleet::reclaimJob(std::uint64_t key)
 }
 
 void
-Fleet::completeJob(std::uint64_t key, const SimResult &result, int slot)
+Fleet::completeJob(std::uint64_t key, const SimResult &result)
 {
     JobEntry &entry = jobs_.at(key);
     entry.phase = JobPhase::Done;
@@ -673,8 +631,8 @@ Fleet::completeJob(std::uint64_t key, const SimResult &result, int slot)
     // cannot strand a client with a result the resume cannot replay.
     // One append per key per journal history: only freshly computed
     // results land here, and a key runs at most once.
-    if (!journals_.empty())
-        journals_[static_cast<std::size_t>(slot)]->append(key, result);
+    if (journal_.isOpen())
+        journal_.append(key, result);
     ++report_.jobs_completed;
     publish(key, entry);
 }
@@ -804,23 +762,13 @@ Fleet::handleClientInput(int fd)
     Client &client = it->second;
     client.last_activity = Clock::now(); // traffic refreshes idle
 
-    std::uint8_t buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n > 0) {
-            client.parser.feed(buf, static_cast<std::size_t>(n));
-            if (static_cast<std::size_t>(n) < sizeof buf)
-                break;
-            continue;
-        }
-        if (n == 0) {
-            dropClient(fd, "disconnected");
-            return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
+    switch (client.parser.readFrom(fd)) {
+      case IoStatus::Ok:
+        break;
+      case IoStatus::Eof:
+        dropClient(fd, "disconnected");
+        return;
+      case IoStatus::Error:
         dropClient(fd, "read error");
         return;
     }
@@ -926,7 +874,7 @@ Fleet::handleSubmit(int fd, const Frame &frame)
             if (std::find(seen.begin(), seen.end(), key) !=
                 seen.end())
                 continue;
-            if (findInJournals(key, scratch))
+            if (journal_.find(key, scratch))
                 continue;
             seen.push_back(key);
             ++new_jobs;
@@ -1125,7 +1073,7 @@ CampaignService::serve()
 {
     Fleet fleet(opts_, drain_);
     fleet.bindSocket();
-    fleet.openJournals();
+    fleet.openJournal();
     fleet.startFleet();
     std::fprintf(stderr, "campaignd: serving on %s (workers=%d%s)\n",
                  opts_.socket_path.c_str(), std::max(opts_.workers, 1),
@@ -1145,7 +1093,7 @@ CampaignEngine::run(const std::vector<SimJob> &jobs)
     ServiceReport fleet_report;
     {
         Fleet fleet(sopts, drain_);
-        fleet.openJournals();
+        fleet.openJournal();
         fleet.submitInProcess(jobs, outcome.jobs);
         if (!opts_.force_in_process && fleet.queued())
             fleet.startFleet();
@@ -1182,21 +1130,6 @@ CampaignEngine::run(const std::vector<SimJob> &jobs)
     r.heartbeats = fleet_report.heartbeats;
     r.degraded_in_process = fleet_report.degraded_in_process;
     r.drain_requested = fleet_report.drain_requested;
-
-    if (!opts_.journal_base.empty()) {
-        // Rebuilt from scratch every run so the merged journal is a
-        // pure function of (job list, results): submission order,
-        // duplicate keys collapsed to their first occurrence.
-        const std::string path = mergedPath(opts_.journal_base);
-        (void)::unlink(path.c_str());
-        ResultJournal merged;
-        merged.open(path);
-        std::unordered_set<std::uint64_t> written;
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            if (outcome.jobs[i].ok() &&
-                written.insert(jobs[i].key()).second)
-                merged.append(jobs[i].key(), outcome.jobs[i].result);
-    }
     return outcome;
 }
 

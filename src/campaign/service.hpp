@@ -33,14 +33,14 @@
  *    liveness deadline, bounded attempts, poison quarantine, and
  *    in-process runs once no worker is left;
  *  - client disconnect mid-stream orphans nothing: the dead client's
- *    jobs keep running and their results land in the fsync'd journal
- *    shards, so an idempotent resubmission replays completed results
+ *    jobs keep running and their results land in the fsync'd
+ *    journal, so an idempotent resubmission replays completed results
  *    (JobResult aux bit 0 set) instead of re-running them;
  *  - SIGTERM (requestDrain()) refuses new submissions, finishes
  *    in-flight jobs, fails queued jobs as Drained, notifies every
  *    client, and shuts the fleet down cleanly;
  *  - SIGKILL loses nothing durable: `--serve --resume` replays the
- *    journal shards, so completed work survives the crash.
+ *    journal, so completed work survives the crash.
  */
 
 #ifndef CKESIM_CAMPAIGN_SERVICE_HPP
@@ -60,8 +60,7 @@ struct ServiceOptions : FleetOptions
     /** AF_UNIX socket path to listen on (unlinked + rebound). */
     std::string socket_path;
 
-    /** Replay an existing journal (shards and merged) instead of
-     *  removing it. */
+    /** Replay an existing journal instead of removing it. */
     bool resume = false;
 
     /** Admission control: queued-but-undispatched jobs beyond this

@@ -217,6 +217,29 @@ FrameParser::feed(const std::uint8_t *bytes, std::size_t n)
     }
 }
 
+IoStatus
+FrameParser::readFrom(int fd)
+{
+    std::uint8_t buf[65536];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+        if (n > 0) {
+            feed(buf, static_cast<std::size_t>(n));
+            // A short read emptied the socket: skip the EAGAIN probe.
+            if (static_cast<std::size_t>(n) < sizeof buf)
+                return IoStatus::Ok;
+            continue;
+        }
+        if (n == 0)
+            return IoStatus::Eof;
+        if (errno == EINTR)
+            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return IoStatus::Ok;
+        return IoStatus::Error;
+    }
+}
+
 bool
 FrameParser::next(Frame &out)
 {

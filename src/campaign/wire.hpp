@@ -18,10 +18,10 @@
  *   len        u32  payload byte count
  *   crc        u32  CRC-32 over the payload
  *
- * The orchestrator reads its ends non-blocking and feeds bytes into a
- * FrameParser (a hung worker can stall mid-frame; the orchestrator
- * must never block on it). Workers read blocking — they trust the
- * orchestrator and die on EOF.
+ * The orchestrator and the client read their ends non-blocking
+ * through FrameParser::readFrom (a hung worker can stall mid-frame;
+ * the orchestrator must never block on it). Workers read blocking —
+ * they trust the orchestrator and die on EOF.
  */
 
 #ifndef CKESIM_CAMPAIGN_WIRE_HPP
@@ -104,10 +104,11 @@ std::vector<std::uint8_t> encodeFrame(const Frame &frame);
 
 // ---- shared low-level I/O (every socket loop routes through these) ------
 
-/** What a full-buffer read produced. */
+/** What a socket read produced. */
 enum class IoStatus {
-    Ok,    ///< the whole buffer was transferred
-    Eof,   ///< orderly close before the buffer completed
+    Ok,    ///< readFully: the whole buffer was transferred;
+           ///< FrameParser::readFrom: nothing more to read for now
+    Eof,   ///< orderly close (before readFully's buffer completed)
     Error, ///< unrecoverable errno (peer gone, bad fd, ...)
 };
 
@@ -152,6 +153,14 @@ class FrameParser
 {
   public:
     void feed(const std::uint8_t *bytes, std::size_t n);
+
+    /**
+     * Feed everything @p fd has to read, without blocking: recv until
+     * EAGAIN, retrying EINTR. Eof = the peer closed; Error = any other
+     * errno, which is left set. Frames fed before either are still
+     * buffered.
+     */
+    IoStatus readFrom(int fd);
 
     /** Pop the next complete frame; false when none is buffered. */
     bool next(Frame &out);

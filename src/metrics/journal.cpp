@@ -184,6 +184,102 @@ journalRecordStatusName(JournalRecordStatus status)
     return "unknown";
 }
 
+namespace {
+
+/** Read @p fd from its current offset to EOF into @p data: journals
+ *  are result tables, not traces. Returns 0, or the failed read's
+ *  errno. */
+int
+readAll(int fd, std::vector<std::uint8_t> &data)
+{
+    std::uint8_t chunk[1 << 16];
+    for (;;) {
+        const ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n < 0)
+            return errno;
+        if (n == 0)
+            return 0;
+        data.insert(data.end(), chunk, chunk + n);
+    }
+}
+
+/**
+ * The one record scanner, shared by fsckJournal and
+ * ResultJournal::open. Walks @p data from offset 0 and hands every
+ * intact record, with its decoded result, to @p intact. Returns the
+ * first record that is not intact, where the walk stopped: there is
+ * no safe way to resynchronize past it. A walk that consumed every
+ * byte returns an Ok record at offset data.size().
+ */
+template <class OnIntact>
+JournalFsckRecord
+scanRecords(const std::vector<std::uint8_t> &data, OnIntact &&intact)
+{
+    std::size_t pos = 0;
+    for (;;) {
+        JournalFsckRecord rec;
+        rec.offset = pos;
+        const auto stop = [&rec](JournalRecordStatus status,
+                                 std::string detail) {
+            rec.status = status;
+            rec.detail = std::move(detail);
+            return rec;
+        };
+        const std::size_t left = data.size() - pos;
+        if (left == 0)
+            return rec;
+        if (left < kHeaderBytes)
+            // Not even a full header: a crash mid-append.
+            return stop(JournalRecordStatus::Torn,
+                        "only " + std::to_string(left) + " of " +
+                            std::to_string(kHeaderBytes) +
+                            " header bytes present");
+        const std::uint8_t *h = data.data() + pos;
+        if (getLE<std::uint32_t>(h) != kJournalMagic)
+            return stop(JournalRecordStatus::BadMagic,
+                        "record does not start with the journal "
+                        "magic; the file is not a journal or an "
+                        "earlier length field lied");
+        const std::uint8_t version = h[4];
+        rec.key = getLE<std::uint64_t>(h + 5);
+        rec.payload_len = getLE<std::uint32_t>(h + 13);
+        const std::uint32_t crc = getLE<std::uint32_t>(h + 17);
+        if (version != kSnapshotFormatVersion)
+            return stop(JournalRecordStatus::BadVersion,
+                        "format version " + std::to_string(version) +
+                            " (this build reads " +
+                            std::to_string(kSnapshotFormatVersion) +
+                            ")");
+        if (left - kHeaderBytes < rec.payload_len)
+            // Payload cut off at EOF: an interrupted append.
+            return stop(JournalRecordStatus::Torn,
+                        "payload claims " +
+                            std::to_string(rec.payload_len) +
+                            " bytes but only " +
+                            std::to_string(left - kHeaderBytes) +
+                            " remain");
+        const std::uint8_t *payload = h + kHeaderBytes;
+        if (crc32(payload, rec.payload_len) != crc)
+            return stop(JournalRecordStatus::BadCrc,
+                        "payload bytes all present but CRC32 "
+                        "mismatch: flipped bits, not a torn tail");
+        SimResult result;
+        try {
+            result = decodeSimResult(std::vector<std::uint8_t>(
+                payload, payload + rec.payload_len));
+        } catch (const SimError &e) {
+            return stop(JournalRecordStatus::BadPayload,
+                        std::string("CRC fine but SimResult decode "
+                                    "failed: ") +
+                            e.what());
+        }
+        pos += kHeaderBytes + rec.payload_len;
+        intact(rec, std::move(result));
+    }
+}
+
+} // namespace
+
 JournalFsckReport
 fsckJournal(const std::string &path)
 {
@@ -195,107 +291,33 @@ fsckJournal(const std::string &path)
         journalFail("fsck cannot open '" + path +
                     "': " + std::strerror(errno));
     std::vector<std::uint8_t> data;
-    std::uint8_t chunk[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n < 0) {
-            const int err = errno;
-            ::close(fd);
-            journalFail("fsck read('" + path +
-                        "') failed: " + std::strerror(err));
-        }
-        if (n == 0)
-            break;
-        data.insert(data.end(), chunk, chunk + n);
-    }
+    const int err = readAll(fd, data);
     ::close(fd);
+    if (err != 0)
+        journalFail("fsck read('" + path +
+                    "') failed: " + std::strerror(err));
     report.file_bytes = data.size();
 
     // Key-sorted on purpose: fsck accounting must not depend on
     // hash-bucket order, and a future "dump distinct keys" walk
     // inherits a deterministic order for free.
     std::set<std::uint64_t> keys;
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-        JournalFsckRecord rec;
-        rec.offset = pos;
-        const std::size_t left = data.size() - pos;
-
-        if (left < kHeaderBytes) {
-            // Not even a full header: a crash mid-append. Benign.
-            rec.status = JournalRecordStatus::Torn;
-            rec.detail = "only " + std::to_string(left) +
-                         " of " + std::to_string(kHeaderBytes) +
-                         " header bytes present";
-            report.torn_bytes = left;
-            report.records.push_back(std::move(rec));
-            break;
-        }
-        const std::uint8_t *h = data.data() + pos;
-        if (getLE<std::uint32_t>(h) != kJournalMagic) {
-            rec.status = JournalRecordStatus::BadMagic;
-            rec.detail = "record does not start with the journal "
-                         "magic; the file is not a journal or an "
-                         "earlier length field lied";
-            report.hard_corrupt = true;
-            report.records.push_back(std::move(rec));
-            break; // no way to resynchronize safely
-        }
-        const std::uint8_t version = h[4];
-        rec.key = getLE<std::uint64_t>(h + 5);
-        rec.payload_len = getLE<std::uint32_t>(h + 13);
-        const std::uint32_t crc = getLE<std::uint32_t>(h + 17);
-        if (version != kSnapshotFormatVersion) {
-            rec.status = JournalRecordStatus::BadVersion;
-            rec.detail = "format version " +
-                         std::to_string(version) +
-                         " (this build reads " +
-                         std::to_string(kSnapshotFormatVersion) +
-                         ")";
-            report.hard_corrupt = true;
-            report.records.push_back(std::move(rec));
-            break;
-        }
-        if (left - kHeaderBytes < rec.payload_len) {
-            // Payload cut off at EOF: interrupted append. Benign.
-            rec.status = JournalRecordStatus::Torn;
-            rec.detail =
-                "payload claims " + std::to_string(rec.payload_len) +
-                " bytes but only " +
-                std::to_string(left - kHeaderBytes) + " remain";
-            report.torn_bytes = left;
-            report.records.push_back(std::move(rec));
-            break;
-        }
-        const std::uint8_t *payload = h + kHeaderBytes;
-        if (crc32(payload, rec.payload_len) != crc) {
-            rec.status = JournalRecordStatus::BadCrc;
-            rec.detail = "payload bytes all present but CRC32 "
-                         "mismatch: flipped bits, not a torn tail";
-            report.hard_corrupt = true;
-            report.records.push_back(std::move(rec));
-            break;
-        }
-        std::vector<std::uint8_t> bytes(payload,
-                                        payload + rec.payload_len);
-        try {
-            (void)decodeSimResult(bytes);
-        } catch (const SimError &e) {
-            rec.status = JournalRecordStatus::BadPayload;
-            rec.detail = std::string("CRC fine but SimResult "
-                                     "decode failed: ") +
-                         e.what();
-            report.hard_corrupt = true;
-            report.records.push_back(std::move(rec));
-            break;
-        }
-        rec.status = JournalRecordStatus::Ok;
-        ++report.ok_records;
-        keys.insert(rec.key);
-        pos += kHeaderBytes + rec.payload_len;
-        report.records.push_back(std::move(rec));
-    }
+    JournalFsckRecord stop = scanRecords(
+        data, [&](const JournalFsckRecord &rec, SimResult &&) {
+            ++report.ok_records;
+            keys.insert(rec.key);
+            report.records.push_back(rec);
+        });
     report.distinct_keys = keys.size();
+    if (stop.status == JournalRecordStatus::Ok)
+        return report;
+    // A torn tail is a crash mid-append, which is benign; a failure on
+    // bytes that are all present is hard corruption.
+    if (stop.status == JournalRecordStatus::Torn)
+        report.torn_bytes = data.size() - stop.offset;
+    else
+        report.hard_corrupt = true;
+    report.records.push_back(std::move(stop));
     return report;
 }
 
@@ -328,72 +350,32 @@ ResultJournal::open(const std::string &path)
     if (fd_ < 0)
         journalFail("cannot open '" + path +
                     "': " + std::strerror(errno));
-
-    // Slurp the whole file: journals are result tables, not traces.
     std::vector<std::uint8_t> data;
-    std::uint8_t chunk[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-        if (n < 0)
-            journalFail("read('" + path +
-                        "') failed: " + std::strerror(errno));
-        if (n == 0)
-            break;
-        data.insert(data.end(), chunk, chunk + n);
-    }
+    if (const int err = readAll(fd_, data); err != 0)
+        journalFail("read('" + path +
+                    "') failed: " + std::strerror(err));
 
-    // Replay intact records; stop at (and truncate away) a torn tail.
-    std::size_t pos = 0;
-    bool torn = false;
-    while (data.size() - pos >= kHeaderBytes) {
-        const std::uint8_t *h = data.data() + pos;
-        if (getLE<std::uint32_t>(h) != kJournalMagic) {
-            torn = true;
-            break;
-        }
-        const std::uint8_t version = h[4];
-        if (version != kSnapshotFormatVersion) {
-            if (pos == 0)
-                journalFail(
-                    "'" + path + "' was written by format version " +
-                    std::to_string(version) + ", this build is " +
+    // Replay the intact records; truncate away the first record that
+    // is not intact, and everything after it.
+    const JournalFsckRecord stop = scanRecords(
+        data, [this](const JournalFsckRecord &rec, SimResult &&result) {
+            records_[rec.key] = std::move(result);
+            ++stats_.loaded;
+        });
+    if (stop.status == JournalRecordStatus::BadVersion &&
+        stop.offset == 0)
+        journalFail("'" + path + "' was written by format version " +
+                    std::to_string(data[4]) + ", this build is " +
                     std::to_string(kSnapshotFormatVersion) +
                     " (delete the journal and re-run)");
-            torn = true;
-            break;
-        }
-        const std::uint64_t key = getLE<std::uint64_t>(h + 5);
-        const std::uint32_t len = getLE<std::uint32_t>(h + 13);
-        const std::uint32_t crc = getLE<std::uint32_t>(h + 17);
-        if (data.size() - pos - kHeaderBytes < len) {
-            torn = true;
-            break;
-        }
-        const std::uint8_t *payload = h + kHeaderBytes;
-        if (crc32(payload, len) != crc) {
-            torn = true;
-            break;
-        }
-        std::vector<std::uint8_t> bytes(payload, payload + len);
-        try {
-            records_[key] = decodeSimResult(bytes);
-        } catch (const SimError &) {
-            torn = true;
-            break;
-        }
-        ++stats_.loaded;
-        pos += kHeaderBytes + len;
-    }
-    if (pos < data.size())
-        torn = true;
-
-    if (torn) {
-        stats_.truncated_bytes = data.size() - pos;
-        if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0)
+    const auto end = static_cast<off_t>(stop.offset);
+    if (stop.status != JournalRecordStatus::Ok) {
+        stats_.truncated_bytes = data.size() - stop.offset;
+        if (::ftruncate(fd_, end) != 0)
             journalFail("ftruncate('" + path +
                         "') failed: " + std::strerror(errno));
     }
-    if (::lseek(fd_, static_cast<off_t>(pos), SEEK_SET) < 0)
+    if (::lseek(fd_, end, SEEK_SET) < 0)
         journalFail("lseek('" + path +
                     "') failed: " + std::strerror(errno));
 }

@@ -48,10 +48,11 @@ class ResultJournal
 
     /**
      * Open @p path for resuming (creating it if absent): replay every
-     * intact record into memory, truncate any torn tail, and position
-     * for appending. Throws SimError (kind "Journal") when the file
-     * cannot be opened or its header belongs to a different format
-     * version.
+     * intact record into memory, truncate the file at the first
+     * record that is not intact (the scan fsckJournal reports), and
+     * position for appending. Throws SimError (kind "Journal") when
+     * the file cannot be opened or its first record belongs to a
+     * different format version.
      */
     void open(const std::string &path);
 
@@ -130,11 +131,12 @@ struct JournalFsckReport
 };
 
 /**
- * Read-only integrity scan of the journal at @p path: walk every
- * record, validate magic/version/CRC/payload, and distinguish a
- * benign torn tail from hard corruption. Never modifies the file
- * (unlike ResultJournal::open, which truncates torn tails). Throws
- * SimError (kind "Journal") only when the file cannot be read at all.
+ * Read-only integrity scan of the journal at @p path: walk the
+ * records up to the first that is not intact, validating
+ * magic/version/CRC/payload, and tell a benign torn tail from hard
+ * corruption. ResultJournal::open runs the same scan and truncates
+ * where it stops; this never modifies the file. Throws SimError
+ * (kind "Journal") only when the file cannot be read at all.
  */
 JournalFsckReport fsckJournal(const std::string &path);
 

@@ -36,27 +36,21 @@
 namespace ckesim {
 namespace {
 
-class TempBase
+/** Scratch journal path, removed on entry and exit. */
+class TempJournal
 {
   public:
-    explicit TempBase(const std::string &tag)
-        : base_(std::string(::testing::TempDir()) +
+    explicit TempJournal(const std::string &tag)
+        : path_(std::string(::testing::TempDir()) +
                 "ckesim_campaign_" + tag)
     {
-        cleanup();
+        std::remove(path_.c_str());
     }
-    ~TempBase() { cleanup(); }
-    const std::string &base() const { return base_; }
+    ~TempJournal() { std::remove(path_.c_str()); }
+    const std::string &path() const { return path_; }
 
   private:
-    void cleanup()
-    {
-        for (int slot = 0; slot < 16; ++slot)
-            std::remove(
-                CampaignEngine::shardPath(base_, slot).c_str());
-        std::remove(CampaignEngine::mergedPath(base_).c_str());
-    }
-    std::string base_;
+    std::string path_;
 };
 
 std::vector<std::uint8_t>
@@ -500,10 +494,10 @@ TEST(Campaign, PreRequestedDrainMarksEverythingDrained)
 
 // ---- durability + fsck -------------------------------------------------
 
-TEST(Campaign, ShardsAndMergedJournalPassFsck)
+TEST(Campaign, JournalPassesFsck)
 {
     const std::vector<SimJob> jobs = buildJobs();
-    TempBase tmp("fsck");
+    TempJournal tmp("fsck");
     ProcFaultSpec kill;
     kill.kind = ProcFaultKind::KillWorkerMidJob;
     kill.job_index = 1;
@@ -511,49 +505,38 @@ TEST(Campaign, ShardsAndMergedJournalPassFsck)
 
     CampaignOptions opts = fastOptions();
     opts.workers = 2;
-    opts.journal_base = tmp.base();
+    opts.journal_base = tmp.path();
     opts.faults = ProcFaultPlan({kill});
     CampaignEngine engine(opts);
     const CampaignOutcome outcome = engine.run(jobs);
     ASSERT_TRUE(outcome.allCompleted());
 
-    std::uint64_t shard_keys = 0;
-    for (int slot = 0; slot < 2; ++slot) {
-        const JournalFsckReport report =
-            fsckJournal(CampaignEngine::shardPath(tmp.base(), slot));
-        EXPECT_TRUE(report.clean()) << report.path;
-        EXPECT_EQ(report.torn_bytes, 0u);
-        shard_keys += report.distinct_keys;
-    }
-    const JournalFsckReport merged =
-        fsckJournal(CampaignEngine::mergedPath(tmp.base()));
-    EXPECT_TRUE(merged.clean());
-    // 5 jobs, one duplicate pair -> 4 distinct keys everywhere.
-    EXPECT_EQ(merged.distinct_keys, 4u);
-    EXPECT_EQ(merged.ok_records, 4u);
-    EXPECT_EQ(shard_keys, 4u);
+    const JournalFsckReport report = fsckJournal(tmp.path());
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.torn_bytes, 0u);
+    // 5 jobs, one duplicate pair -> 4 distinct keys, each appended
+    // once although the worker running job 1 was killed.
+    EXPECT_EQ(report.distinct_keys, 4u);
+    EXPECT_EQ(report.ok_records, 4u);
 }
 
 TEST(Campaign, ResumeServesFromJournalWithoutDispatch)
 {
     const std::vector<SimJob> jobs = buildJobs();
-    TempBase tmp("resume");
+    TempJournal tmp("resume");
     CampaignOptions opts = fastOptions();
     opts.workers = 2;
-    opts.journal_base = tmp.base();
-    std::vector<std::vector<std::uint8_t>> first_merged;
+    opts.journal_base = tmp.path();
     {
         CampaignEngine engine(opts);
         const CampaignOutcome outcome = engine.run(jobs);
         ASSERT_TRUE(outcome.allCompleted());
     }
-    const auto merged_bytes =
-        slurp(CampaignEngine::mergedPath(tmp.base()));
-    ASSERT_FALSE(merged_bytes.empty());
+    const auto journal_bytes = slurp(tmp.path());
+    ASSERT_FALSE(journal_bytes.empty());
     {
-        // Second run over the same base: everything is a journal
-        // hit, nothing is dispatched, and the merged journal is
-        // rewritten byte-identically.
+        // Second run over the same journal: everything is a journal
+        // hit, nothing is dispatched, and nothing is appended.
         CampaignEngine engine(opts);
         const CampaignOutcome outcome = engine.run(jobs);
         ASSERT_TRUE(outcome.allCompleted());
@@ -561,14 +544,13 @@ TEST(Campaign, ResumeServesFromJournalWithoutDispatch)
         EXPECT_EQ(outcome.report.journal_hits, jobs.size());
         EXPECT_EQ(encodeOutcome(outcome), groundTruth());
     }
-    EXPECT_EQ(slurp(CampaignEngine::mergedPath(tmp.base())),
-              merged_bytes);
+    EXPECT_EQ(slurp(tmp.path()), journal_bytes);
 }
 
 TEST(Fsck, DetectsTornTailAsBenignAndBitFlipAsHard)
 {
-    TempBase tmp("fsckbits");
-    const std::string path = tmp.base() + ".shard0";
+    TempJournal tmp("fsckbits");
+    const std::string &path = tmp.path();
     // Build a two-record journal by hand through ResultJournal.
     SweepEngine engine(1);
     const std::vector<SimJob> jobs = buildJobs();

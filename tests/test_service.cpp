@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +42,7 @@ namespace {
 constexpr const char *kCampaign = "smoke";
 constexpr std::uint64_t kCycles = 2000;
 
-/** Scratch paths (socket + journal shards) wiped on entry/exit. */
+/** Scratch paths (socket + journal) wiped on entry/exit. */
 class TempBase
 {
   public:
@@ -60,9 +59,7 @@ class TempBase
   private:
     void cleanup()
     {
-        for (int slot = 0; slot < 16; ++slot)
-            std::remove(CampaignEngine::shardPath(journal(), slot)
-                            .c_str());
+        std::remove(journal().c_str());
         std::remove(socket().c_str());
     }
     std::string base_;
@@ -198,27 +195,16 @@ clientTable(const ClientOutcome &outcome, const ClientOptions &opts)
                                outcome.jobs, outcome.outcomes);
 }
 
-/** Distinct keys and total records across every journal shard —
- *  "no job ran twice" is total == distinct. */
+/** Records and distinct keys of the service's one journal — "no job
+ *  ran twice" is records == distinct. */
 void
-countJournalRecords(const std::string &base, std::uint64_t &records,
+countJournalRecords(const std::string &path, std::uint64_t &records,
                     std::uint64_t &distinct)
 {
-    records = 0;
-    std::set<std::uint64_t> keys;
-    for (int slot = 0; slot < 16; ++slot) {
-        const std::string p =
-            CampaignEngine::shardPath(base, slot);
-        if (::access(p.c_str(), F_OK) != 0)
-            continue;
-        const JournalFsckReport report = fsckJournal(p);
-        EXPECT_TRUE(report.clean()) << p << " is hard-corrupt";
-        records += report.ok_records;
-        for (const JournalFsckRecord &rec : report.records)
-            if (rec.status == JournalRecordStatus::Ok)
-                keys.insert(rec.key);
-    }
-    distinct = keys.size();
+    const JournalFsckReport report = fsckJournal(path);
+    EXPECT_TRUE(report.clean()) << path << " is hard-corrupt";
+    records = report.ok_records;
+    distinct = report.distinct_keys;
 }
 
 /** Raw-socket client for protocol-level probes (Ping, bad refs). */

@@ -20,19 +20,19 @@
  *
  * Usage:
  *   ckesim-campaignd [--campaign smoke] [--cycles N] [--workers N]
- *                    [--journal BASE] [--resume] [--in-process]
+ *                    [--journal PATH] [--resume] [--in-process]
  *                    [--chaos kill-worker] [--heartbeat-ms N]
  *                    [--liveness-ms N] [--max-attempts N]
  *                    [--poison-deaths N]
- *   ckesim-campaignd --serve SOCKET [--workers N] [--journal BASE]
+ *   ckesim-campaignd --serve SOCKET [--workers N] [--journal PATH]
  *                    [--resume] [--max-pending-jobs N]
  *                    [--max-client-campaigns N] [--idle-timeout-ms N]
  *                    [--chaos kill-worker] [--heartbeat-ms N]
  *                    [--liveness-ms N] [--max-attempts N]
  *                    [--poison-deaths N]
  *
- *   --journal BASE   durable shard journals at BASE.shard<N>
- *   --resume         keep existing journals (default wipes them);
+ *   --journal PATH   durable results journal at PATH
+ *   --resume         keep an existing journal (default wipes it);
  *                    in service mode this is the SIGKILL-recovery
  *                    path — completed results replay instead of
  *                    re-running
@@ -50,6 +50,7 @@
  */
 
 #include <signal.h>
+#include <unistd.h>
 
 #include <cinttypes>
 #include <cstdio>
@@ -88,14 +89,14 @@ usage()
         stderr,
         "usage: ckesim-campaignd [--campaign smoke|pairs] "
         "[--cycles N] [--workers N]\n"
-        "                        [--journal BASE] [--resume] "
+        "                        [--journal PATH] [--resume] "
         "[--in-process]\n"
         "                        [--chaos kill-worker] "
         "[--heartbeat-ms N] [--liveness-ms N]\n"
         "                        [--max-attempts N] "
         "[--poison-deaths N]\n"
         "       ckesim-campaignd --serve SOCKET [--workers N] "
-        "[--journal BASE] [--resume]\n"
+        "[--journal PATH] [--resume]\n"
         "                        [--max-pending-jobs N] "
         "[--max-client-campaigns N]\n"
         "                        [--idle-timeout-ms N] "
@@ -339,7 +340,7 @@ main(int argc, char **argv)
     }
 
     if (!sopts.resume && !sopts.journal_base.empty())
-        CampaignEngine::removeJournal(sopts.journal_base);
+        (void)::unlink(sopts.journal_base.c_str());
 
     CampaignOptions opts;
     static_cast<FleetOptions &>(opts) = sopts;

@@ -1,23 +1,22 @@
 /**
  * @file
- * journal_fsck: standalone integrity checker for result journals and
- * campaign shard sets. Walks every record of every named file,
- * validating magic, format version, payload CRC32 and SimResult
- * decodability, and distinguishes a benign torn tail (a crash cut an
- * append short — expected wear under the kill-soak) from hard
- * corruption (flipped bits, foreign files, undecodable payloads).
+ * journal_fsck: standalone integrity checker for result journals, the
+ * sweep's (`ckesim-eval --resume`) and the campaign fleet's
+ * (`ckesim-campaignd --journal`) alike. Walks the records of every
+ * named file, validating magic, format version, payload CRC32 and
+ * SimResult decodability, and distinguishes a benign torn tail (a
+ * crash cut an append short — expected wear under the kill-soak)
+ * from hard corruption (flipped bits, foreign files, undecodable
+ * payloads).
  *
  * Usage:
  *   journal_fsck [options] <journal>...
- *   journal_fsck [options] --shards <base>
  *
- *   --shards <base>  check <base>.shard0..N and <base>.merged
- *                    (whichever of them exist)
  *   --strict         treat torn tails as failures too
  *   --quiet          summary lines only, no per-record detail
  *
- * Exit codes: 0 = every file clean, 1 = hard corruption (or any torn
- * tail under --strict), 2 = usage / unreadable file.
+ * Exit codes: 0 = every file clean, 1 = hard corruption, an
+ * unreadable file, or any torn tail under --strict, 2 = usage.
  */
 
 #include <cinttypes>
@@ -26,9 +25,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
-#include "campaign/campaign_engine.hpp"
 #include "metrics/journal.hpp"
 #include "sim/check.hpp"
 
@@ -36,16 +32,12 @@ namespace {
 
 using namespace ckesim;
 
-/** Largest shard slot probed by --shards. */
-constexpr int kMaxShards = 256;
-
 void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: journal_fsck [--strict] [--quiet] <journal>...\n"
-        "       journal_fsck [--strict] [--quiet] --shards <base>\n");
+    std::fprintf(stderr,
+                 "usage: journal_fsck [--strict] [--quiet] "
+                 "<journal>...\n");
 }
 
 void
@@ -99,7 +91,6 @@ main(int argc, char **argv)
 {
     bool strict = false;
     bool quiet = false;
-    std::string shards_base;
     std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
@@ -108,12 +99,6 @@ main(int argc, char **argv)
             strict = true;
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (arg == "--shards") {
-            if (i + 1 >= argc) {
-                usage();
-                return 2;
-            }
-            shards_base = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -127,26 +112,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (!shards_base.empty()) {
-        for (int slot = 0; slot < kMaxShards; ++slot) {
-            const std::string p =
-                CampaignEngine::shardPath(shards_base, slot);
-            if (::access(p.c_str(), F_OK) != 0)
-                break;
-            paths.push_back(p);
-        }
-        const std::string merged =
-            CampaignEngine::mergedPath(shards_base);
-        if (::access(merged.c_str(), F_OK) == 0)
-            paths.push_back(merged);
-        if (paths.empty()) {
-            std::fprintf(stderr,
-                         "--shards %s: no shard or merged journal "
-                         "found\n",
-                         shards_base.c_str());
-            return 2;
-        }
-    }
     if (paths.empty()) {
         usage();
         return 2;

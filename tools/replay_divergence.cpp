@@ -12,17 +12,22 @@
  * `replay_divergence` ctest target.
  *
  * Usage: replay_divergence [--trials N] [--seed S]
+ *
+ * N is a whole number above 0 and S a whole number; anything else
+ * (`abc`, `3x`) exits 2 naming it before any trial runs.
  */
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "gpu.hpp"
 #include "kernels/workload.hpp"
+#include "metrics/experiment.hpp"
+#include "sim/check.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
 
@@ -196,6 +201,22 @@ buildCases()
     return cases;
 }
 
+/** --seed: a whole decimal number with nothing after it. */
+std::uint64_t
+parseSeed(const std::string &text)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || stop != end) {
+        SimCtx ctx;
+        ctx.module = "replay_divergence";
+        raiseSimError("ConfigError", ctx,
+                      "--seed='" + text + "' is not a whole number");
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -203,18 +224,23 @@ main(int argc, char **argv)
 {
     int trials = 3;
     std::uint64_t seed = 0x7265706c6179ULL; // "replay", fixed default
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc)
-            trials = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 0));
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--trials N] [--seed S]\n",
-                         argv[0]);
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc)
+                trials = parseCount("--trials", argv[++i]);
+            else if (std::strcmp(argv[i], "--seed") == 0 &&
+                     i + 1 < argc)
+                seed = parseSeed(argv[++i]);
+            else {
+                std::fprintf(stderr,
+                             "usage: %s [--trials N] [--seed S]\n",
+                             argv[0]);
+                return 2;
+            }
         }
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
 
     const GpuConfig cfg = makeSmallConfig(4, 4);
