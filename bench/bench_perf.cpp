@@ -26,15 +26,15 @@
  *    itself. On a busy machine (sms=4, compute-bound bp+hs co-run)
  *    cycles/sec is a direct measure of per-cycle cost. Each scheme
  *    runs --busy-repeats times and reports the median (single runs
- *    on a shared host are ±20-40% noisy). With --prev FILE the
- *    previous artifact's numbers are embedded alongside as
- *    prev_cycles_per_sec / improvement; with --prof the first run of
- *    each scheme attaches the cycle-cost profiler (sim/profiler.hpp)
- *    and reports the component breakdown.
+ *    on a shared host are ±20-40% noisy); with --prof the first run
+ *    of each scheme attaches the cycle-cost profiler
+ *    (sim/profiler.hpp) and reports the component breakdown.
+ *    tools/perf_diff.py pairs artifacts of two builds run
+ *    alternately on one host and gates the median ratio.
  *
  * Usage: bench_perf [--out BENCH_perf.json] [--cycles N]
  *                   [--cycles-large N] [--busy-cycles N]
- *                   [--busy-repeats R] [--prev FILE] [--prof]
+ *                   [--busy-repeats R] [--prof]
  */
 
 #include <algorithm>
@@ -42,8 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -209,8 +207,6 @@ struct BusyCase
     std::string scheme;
     double wall_ms = 0.0;       ///< median over repeats
     double cps = 0.0;           ///< median strict cycles/sec
-    double prev_cps = 0.0;      ///< from --prev (0 = unavailable)
-    double improvement = 0.0;   ///< cps / prev_cps (0 = unavailable)
     double attributed_pct = 0.0; ///< --prof only (0 = not profiled)
 };
 
@@ -253,52 +249,12 @@ runStrictBusy(Cycle cycles, int repeats, bool prof_on)
     return out;
 }
 
-/**
- * Pull the previous artifact's strict-busy cycles/sec per scheme.
- * Hand-rolled scan — the format is emitted by this very program, so
- * the key order is known.
- */
-std::map<std::string, double>
-loadPrevBusy(const std::string &path)
-{
-    std::map<std::string, double> prev;
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_perf: cannot read --prev '%s'\n",
-                     path.c_str());
-        return prev;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    const std::string skey = "\"scheme\": \"";
-    const std::string vkey = "\"cycles_per_sec\": ";
-    std::size_t pos = text.find("\"strict_busy\"");
-    while (pos != std::string::npos &&
-           (pos = text.find(skey, pos)) != std::string::npos) {
-        pos += skey.size();
-        const std::size_t end = text.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        const std::string name = text.substr(pos, end - pos);
-        const std::size_t vp = text.find(vkey, end);
-        if (vp == std::string::npos)
-            break;
-        prev[name] =
-            std::strtod(text.c_str() + vp + vkey.size(), nullptr);
-        pos = vp;
-    }
-    return prev;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_perf.json";
-    std::string prev_path;
     bool prof_on = false;
     long long cycles = 2000;
     long long cycles_large = 20000;
@@ -309,9 +265,6 @@ main(int argc, char **argv)
         long long *slot = nullptr;
         if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-            continue;
-        } else if (arg == "--prev" && i + 1 < argc) {
-            prev_path = argv[++i];
             continue;
         } else if (arg == "--prof") {
             prof_on = true;
@@ -329,7 +282,7 @@ main(int argc, char **argv)
                          "usage: bench_perf [--out FILE] "
                          "[--cycles N] [--cycles-large N] "
                          "[--busy-cycles N] [--busy-repeats R] "
-                         "[--prev FILE] [--prof]\n");
+                         "[--prof]\n");
             return 2;
         }
         *slot = std::strtoll(argv[++i], nullptr, 10);
@@ -345,20 +298,9 @@ main(int argc, char **argv)
         points.push_back(measurePoint("large", cycles_large));
         points.push_back(measureWidePoint(cycles_large));
 
-        std::vector<BusyCase> busy = runStrictBusy(
+        const std::vector<BusyCase> busy = runStrictBusy(
             Cycle{static_cast<std::uint64_t>(busy_cycles)},
             static_cast<int>(busy_repeats), prof_on);
-        if (!prev_path.empty()) {
-            const std::map<std::string, double> prev =
-                loadPrevBusy(prev_path);
-            for (BusyCase &c : busy) {
-                const auto it = prev.find(c.scheme);
-                if (it == prev.end() || it->second <= 0.0)
-                    continue;
-                c.prev_cps = it->second;
-                c.improvement = c.cps / c.prev_cps;
-            }
-        }
 
         std::FILE *f = std::fopen(out_path.c_str(), "w");
         if (f == nullptr) {
@@ -415,11 +357,6 @@ main(int argc, char **argv)
                          "\"wall_ms\": %.3f, "
                          "\"cycles_per_sec\": %.0f",
                          c.scheme.c_str(), c.wall_ms, c.cps);
-            if (c.prev_cps > 0.0)
-                std::fprintf(f,
-                             ", \"prev_cycles_per_sec\": %.0f, "
-                             "\"improvement\": %.3f",
-                             c.prev_cps, c.improvement);
             if (c.attributed_pct > 0.0)
                 std::fprintf(f, ", \"prof_attributed_pct\": %.1f",
                              c.attributed_pct);
@@ -442,9 +379,6 @@ main(int argc, char **argv)
         for (const BusyCase &c : busy) {
             std::printf("busy sms=4 bp+hs %-13s strict %8.0f cyc/s",
                         c.scheme.c_str(), c.cps);
-            if (c.prev_cps > 0.0)
-                std::printf("  prev %8.0f  %.2fx", c.prev_cps,
-                            c.improvement);
             if (c.attributed_pct > 0.0)
                 std::printf("  prof %.1f%%", c.attributed_pct);
             std::printf("\n");

@@ -68,6 +68,9 @@ class IssueController
     /** SMK-(P+W): may kernel @p k issue any instruction? */
     bool admitAnyIssue(KernelId k) const;
 
+    /** SMK warp quotas on: every issue can flip admitAnyIssue. */
+    bool warpQuotasEnabled() const { return cfg_.warp_quota_enabled; }
+
     /** May kernel @p k issue a global-memory instruction now? */
     bool admitMemIssue(KernelId k) const;
 

@@ -68,14 +68,12 @@ initAddrGen(AddrGenState &st, const KernelProfile &prof,
 
 void
 generateAccess(AddrGenState &st, const KernelProfile &prof,
-               int line_bytes, int simd_width,
-               std::vector<Addr> &thread_addrs)
+               int simd_width, std::vector<LineAddr> &lines)
 {
-    thread_addrs.clear();
+    lines.clear();
 
+    // One request per line, at most one line per thread.
     const int r = std::max(1, std::min(prof.req_per_minst, simd_width));
-    // Collect the r line numbers this instruction touches.
-    std::uint64_t lines[32];
 
     // Reuse is decided per line: each of the r requests independently
     // revisits a recently touched line with probability reuse_prob.
@@ -128,6 +126,7 @@ generateAccess(AddrGenState &st, const KernelProfile &prof,
     };
 
     for (int i = 0; i < r; ++i) {
+        std::uint64_t line = 0;
         const bool reuse =
             window > 0 && st.rng.nextDouble() < prof.reuse_prob;
         if (reuse) {
@@ -138,27 +137,21 @@ generateAccess(AddrGenState &st, const KernelProfile &prof,
             const int pos = (st.ring_pos - back +
                              2 * AddrGenState::kRingSize) %
                             AddrGenState::kRingSize;
-            lines[i] = st.ring[static_cast<std::size_t>(pos)];
+            line = st.ring[static_cast<std::size_t>(pos)];
         } else {
-            lines[i] = fresh_line();
+            line = fresh_line();
             // Remember fresh lines for future reuse draws.
-            st.ring[static_cast<std::size_t>(st.ring_pos)] = lines[i];
+            st.ring[static_cast<std::size_t>(st.ring_pos)] = line;
             st.ring_pos = (st.ring_pos + 1) % AddrGenState::kRingSize;
             if (st.ring_count < AddrGenState::kRingSize)
                 ++st.ring_count;
         }
-    }
-
-    // Distribute threads across the r lines in contiguous blocks so
-    // the coalescer reconstructs exactly these transactions.
-    thread_addrs.reserve(static_cast<std::size_t>(simd_width));
-    for (int t = 0; t < simd_width; ++t) {
-        const int li = t * r / simd_width;
-        const std::uint64_t byte_off =
-            static_cast<std::uint64_t>((t * 4) % line_bytes);
-        thread_addrs.push_back(
-            Addr{lines[li] * static_cast<std::uint64_t>(line_bytes) +
-                 byte_off});
+        // Threads take the r lines in contiguous blocks, so the warp
+        // touches them in draw order; a repeated line is the same
+        // transaction.
+        const LineAddr la{line};
+        if (std::find(lines.begin(), lines.end(), la) == lines.end())
+            lines.push_back(la);
     }
 }
 

@@ -4,10 +4,13 @@
  *
  * Each warp owns an AddrGenState seeded deterministically from
  * (kernel instance, TB sequence number, warp index). A call to
- * generateAccess() emits one warp memory instruction's 32 per-thread
- * byte addresses, constructed so they coalesce into exactly the
- * profile's `Req/Minst` line transactions, with temporal locality
- * controlled by `reuse_prob` over a recently-touched-line ring.
+ * generateAccess() emits one warp memory instruction's coalesced line
+ * transactions: the profile's `Req/Minst` lines, with temporal
+ * locality controlled by `reuse_prob` over a recently-touched-line
+ * ring. The warp's threads split the lines into contiguous blocks and
+ * each thread's bytes stay inside its line, so coalescing the
+ * per-thread addresses would give back exactly these lines; the
+ * generator emits them directly (DESIGN.md §14.6).
  */
 
 #ifndef CKESIM_KERNELS_ADDRGEN_HPP
@@ -60,13 +63,12 @@ void initAddrGen(AddrGenState &st, const KernelProfile &prof,
                  int warps_per_tb, std::uint64_t seed, int line_bytes);
 
 /**
- * Emit one memory instruction's per-thread byte addresses (32 threads)
- * into @p thread_addrs (cleared first). Coalesces to exactly
- * prof.req_per_minst lines (fewer only when reuse collides).
+ * Emit one memory instruction's coalesced line requests into @p lines
+ * (cleared first), in first-touch order: min(prof.req_per_minst,
+ * simd_width) lines, fewer only when a reuse draw repeats a line.
  */
 void generateAccess(AddrGenState &st, const KernelProfile &prof,
-                    int line_bytes, int simd_width,
-                    std::vector<Addr> &thread_addrs);
+                    int simd_width, std::vector<LineAddr> &lines);
 
 } // namespace ckesim
 

@@ -4,11 +4,11 @@
  * xor set indexing (Table 1: "xor-indexing" for both cache levels)
  * and the static line-to-L2-partition/DRAM-channel mapping.
  *
- * This header (together with the coalescer, which calls toLineAddr)
- * is the *only* producer of LineAddr values: everything below the
- * coalescer speaks line addresses, everything above speaks byte
- * addresses, and the strong types make an accidental crossing a
- * compile error.
+ * toLineAddr/lineByteBase are the only byte <-> line crossings. The
+ * simulator itself never makes one: the address generator computes
+ * line numbers and emits a memory instruction's coalesced lines as
+ * LineAddr, and everything below it speaks line addresses. The strong
+ * types make an accidental crossing a compile error.
  */
 
 #ifndef CKESIM_MEM_ADDRESS_HPP

@@ -18,8 +18,10 @@ cacheCtx(KernelId kernel = kInvalidKernel)
 
 CacheArray::CacheArray(int num_sets, int assoc)
     : num_sets_(num_sets), assoc_(assoc),
-      sets_(static_cast<std::size_t>(num_sets) *
-            static_cast<std::size_t>(assoc))
+      tags_(static_cast<std::size_t>(num_sets) *
+            static_cast<std::size_t>(assoc)),
+      lru_(tags_.size()), state_(tags_.size()),
+      owners_(tags_.size(), kInvalidKernel)
 {
     SIM_CHECK(num_sets > 0 && (num_sets & (num_sets - 1)) == 0,
               cacheCtx(),
@@ -28,13 +30,30 @@ CacheArray::CacheArray(int num_sets, int assoc)
               "non-positive associativity " << assoc);
 }
 
+CacheLine
+CacheArray::line(int set, int way) const
+{
+    const std::size_t i = idx(set, way);
+    CacheLine l;
+    l.line_addr = tags_[i];
+    l.valid = (state_[i] & kValid) != 0;
+    l.reserved = (state_[i] & kReserved) != 0;
+    l.dirty = (state_[i] & kDirty) != 0;
+    l.owner = owners_[i];
+    l.lru = lru_[i];
+    return l;
+}
+
 int
 CacheArray::probe(LineAddr la) const
 {
-    const int set = setIndex(la);
+    const std::size_t base = idx(setIndex(la), 0);
+    const LineAddr *tags = &tags_[base];
     for (int w = 0; w < assoc_; ++w) {
-        const CacheLine &l = line(set, w);
-        if ((l.valid || l.reserved) && l.line_addr == la)
+        // A free way keeps its last tag, so a match must also be live.
+        if (tags[w] == la &&
+            (state_[base + static_cast<std::size_t>(w)] &
+             (kValid | kReserved)) != 0)
             return w;
     }
     return -1;
@@ -43,57 +62,57 @@ CacheArray::probe(LineAddr la) const
 void
 CacheArray::touch(int set, int way)
 {
-    line(set, way).lru = ++tick_;
+    lru_[idx(set, way)] = ++tick_;
 }
 
-bool
-CacheArray::wayAllowed(KernelId kernel, int way) const
+std::pair<int, int>
+CacheArray::allowedWays(KernelId kernel) const
 {
     if (!kernel.valid() || kernel.idx() >= restrictions_.size())
-        return true;
+        return {0, assoc_};
     const WayRange &r = restrictions_[kernel.idx()];
     if (r.count == 0)
-        return true;
-    return way >= r.first && way < r.first + r.count;
+        return {0, assoc_};
+    return {r.first, r.first + r.count};
 }
 
 VictimResult
 CacheArray::chooseVictim(LineAddr la, KernelId kernel) const
 {
-    const int set = setIndex(la);
+    const std::size_t base = idx(setIndex(la), 0);
+    const std::uint8_t *state = &state_[base];
+    const auto [first, last] = allowedWays(kernel);
     VictimResult res;
 
-    // Prefer an invalid (and allowed) way.
-    for (int w = 0; w < assoc_; ++w) {
-        const CacheLine &l = line(set, w);
-        if (!l.valid && !l.reserved && wayAllowed(kernel, w)) {
+    // Prefer a free way.
+    for (int w = first; w < last; ++w) {
+        if ((state[w] & (kValid | kReserved)) == 0) {
             res.ok = true;
             res.way = w;
             return res;
         }
     }
 
-    // Otherwise the LRU valid, non-reserved, allowed way.
+    // Otherwise the LRU non-reserved way (all of them valid here).
+    const std::uint64_t *lru = &lru_[base];
     int best = -1;
     std::uint64_t best_lru = 0;
-    for (int w = 0; w < assoc_; ++w) {
-        const CacheLine &l = line(set, w);
-        if (l.reserved || !wayAllowed(kernel, w))
+    for (int w = first; w < last; ++w) {
+        if ((state[w] & kReserved) != 0)
             continue;
-        if (best < 0 || l.lru < best_lru) {
+        if (best < 0 || lru[w] < best_lru) {
             best = w;
-            best_lru = l.lru;
+            best_lru = lru[w];
         }
     }
     if (best < 0)
         return res; // every candidate is reserved: reservation failure
 
-    const CacheLine &victim = line(set, best);
     res.ok = true;
     res.way = best;
-    if (victim.valid && victim.dirty) {
+    if ((state[best] & (kValid | kDirty)) == (kValid | kDirty)) {
         res.evicted_dirty = true;
-        res.evicted_line = victim.line_addr;
+        res.evicted_line = tags_[base + static_cast<std::size_t>(best)];
     }
     return res;
 }
@@ -101,48 +120,39 @@ CacheArray::chooseVictim(LineAddr la, KernelId kernel) const
 void
 CacheArray::reserve(int set, int way, LineAddr la, KernelId kernel)
 {
-    CacheLine &l = line(set, way);
-    l.line_addr = la;
-    l.valid = false;
-    l.reserved = true;
-    l.dirty = false;
-    l.owner = kernel;
-    l.lru = ++tick_;
+    const std::size_t i = idx(set, way);
+    tags_[i] = la;
+    state_[i] = kReserved;
+    owners_[i] = kernel;
+    lru_[i] = ++tick_;
 }
 
 void
 CacheArray::fill(int set, int way, bool dirty)
 {
-    CacheLine &l = line(set, way);
-    SIM_INVARIANT(l.reserved, cacheCtx(l.owner),
+    const std::size_t i = idx(set, way);
+    SIM_INVARIANT((state_[i] & kReserved) != 0, cacheCtx(owners_[i]),
                   "fill on a non-reserved line (set " << set << " way "
                                                       << way << ")");
-    l.reserved = false;
-    l.valid = true;
-    l.dirty = dirty;
-    l.lru = ++tick_;
+    state_[i] = dirty ? kValid | kDirty : kValid;
+    lru_[i] = ++tick_;
 }
 
 void
 CacheArray::install(int set, int way, LineAddr la, KernelId kernel,
                     bool dirty)
 {
-    CacheLine &l = line(set, way);
-    l.line_addr = la;
-    l.valid = true;
-    l.reserved = false;
-    l.dirty = dirty;
-    l.owner = kernel;
-    l.lru = ++tick_;
+    const std::size_t i = idx(set, way);
+    tags_[i] = la;
+    state_[i] = dirty ? kValid | kDirty : kValid;
+    owners_[i] = kernel;
+    lru_[i] = ++tick_;
 }
 
 void
 CacheArray::invalidate(int set, int way)
 {
-    CacheLine &l = line(set, way);
-    l.valid = false;
-    l.reserved = false;
-    l.dirty = false;
+    state_[idx(set, way)] = 0;
 }
 
 void
@@ -173,8 +183,8 @@ int
 CacheArray::occupancyOf(KernelId kernel) const
 {
     int n = 0;
-    for (const CacheLine &l : sets_)
-        if (l.valid && l.owner == kernel)
+    for (std::size_t i = 0; i < state_.size(); ++i)
+        if ((state_[i] & kValid) != 0 && owners_[i] == kernel)
             ++n;
     return n;
 }
@@ -184,14 +194,22 @@ void
 CacheArray::state(Ar &ar, Self &self)
 {
     ar.section("cache_array");
-    ar.fixedLength(self.sets_);
-    for (auto &l : self.sets_) {
-        ar.unit(l.line_addr);
-        ar.boolean(l.valid);
-        ar.boolean(l.reserved);
-        ar.boolean(l.dirty);
-        ar.id(l.owner);
-        ar.u64(l.lru);
+    // Line by line, each line's fields in CacheLine order.
+    ar.fixedLength(self.tags_);
+    for (std::size_t i = 0; i < self.tags_.size(); ++i) {
+        ar.unit(self.tags_[i]);
+        bool valid = (self.state_[i] & kValid) != 0;
+        bool reserved = (self.state_[i] & kReserved) != 0;
+        bool dirty = (self.state_[i] & kDirty) != 0;
+        ar.boolean(valid);
+        ar.boolean(reserved);
+        ar.boolean(dirty);
+        ar.id(self.owners_[i]);
+        ar.u64(self.lru_[i]);
+        if constexpr (Ar::kLoading)
+            self.state_[i] = static_cast<std::uint8_t>(
+                (valid ? kValid : 0) | (reserved ? kReserved : 0) |
+                (dirty ? kDirty : 0));
     }
     ar.u64(self.tick_);
     ar.length(self.restrictions_);

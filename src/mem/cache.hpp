@@ -13,6 +13,7 @@
 #define CKESIM_MEM_CACHE_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mem/address.hpp"
@@ -24,7 +25,7 @@ namespace ckesim {
 class SnapshotWriter;
 class SnapshotReader;
 
-/** State of one cache line. */
+/** State of one cache line: a copy, read out of the set's rows. */
 struct CacheLine
 {
     LineAddr line_addr{};  ///< tag (full line address for simplicity)
@@ -46,6 +47,10 @@ struct VictimResult
 
 /**
  * Set-associative tag array.
+ *
+ * Each set is stored as parallel rows — tags, LRU stamps, state bits,
+ * owners — with a set's ways contiguous in each row, so a probe reads
+ * one tag row and a victim search one state row and one LRU row.
  *
  * Way masks: restrictToWays(kernel, first, count) constrains victim
  * selection for @p kernel to ways [first, first+count). Lookups always
@@ -72,12 +77,20 @@ class CacheArray
     /** Probe for @p line. @return way index or -1. */
     int probe(LineAddr line) const;
 
-    /** Direct access to a line. */
-    CacheLine &line(int set, int way) { return sets_[idx(set, way)]; }
-    const CacheLine &line(int set, int way) const
+    /** One line's state, copied out of the rows. */
+    CacheLine line(int set, int way) const;
+
+    bool isValid(int set, int way) const
     {
-        return sets_[idx(set, way)];
+        return (state_[idx(set, way)] & kValid) != 0;
     }
+    bool isReserved(int set, int way) const
+    {
+        return (state_[idx(set, way)] & kReserved) != 0;
+    }
+
+    /** A write hit on a write-back line. */
+    void markDirty(int set, int way) { state_[idx(set, way)] |= kDirty; }
 
     /** Mark a hit: refresh LRU stamp. */
     void touch(int set, int way);
@@ -122,6 +135,11 @@ class CacheArray
     static void state(Ar &ar, Self &self);
 
   private:
+    /** state_ bits. A line that is neither valid nor reserved is free. */
+    static constexpr std::uint8_t kValid = 1;
+    static constexpr std::uint8_t kReserved = 2;
+    static constexpr std::uint8_t kDirty = 4;
+
     std::size_t idx(int set, int way) const
     {
         return static_cast<std::size_t>(set) *
@@ -129,11 +147,16 @@ class CacheArray
                static_cast<std::size_t>(way);
     }
 
-    bool wayAllowed(KernelId kernel, int way) const;
+    /** Ways [first, last) that @p kernel may allocate into. */
+    std::pair<int, int> allowedWays(KernelId kernel) const;
 
     int num_sets_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     int assoc_;    // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
-    std::vector<CacheLine> sets_;
+    // One row per line field, indexed by idx(set, way).
+    std::vector<LineAddr> tags_;
+    std::vector<std::uint64_t> lru_;
+    std::vector<std::uint8_t> state_;
+    std::vector<KernelId> owners_;
     std::uint64_t tick_ = 0;
 
     struct WayRange { int first = 0; int count = 0; };

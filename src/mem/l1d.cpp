@@ -73,10 +73,9 @@ L1Dcache::probeAccess(LineAddr line_number, KernelId kernel, bool write,
             return out;
         }
         const int way = tags_.probe(line_number);
-        if (way >= 0 && tags_.line(tags_.setIndex(line_number),
-                                   way).valid) {
-            tags_.invalidate(tags_.setIndex(line_number), way);
-        }
+        const int set = tags_.setIndex(line_number);
+        if (way >= 0 && tags_.isValid(set, way))
+            tags_.invalidate(set, way);
         MemRequest req;
         req.line_addr = line_number;
         req.sm_id = sm_id_;
@@ -92,8 +91,7 @@ L1Dcache::probeAccess(LineAddr line_number, KernelId kernel, bool write,
     const int way = tags_.probe(line_number);
     if (way >= 0) {
         const int set = tags_.setIndex(line_number);
-        CacheLine &l = tags_.line(set, way);
-        if (l.valid) {
+        if (tags_.isValid(set, way)) {
             tags_.touch(set, way);
             out.kind = L1Outcome::Kind::Hit;
             return out;
@@ -184,7 +182,7 @@ L1Dcache::fill(LineAddr line_number, std::vector<L1Target> &out)
     const int way = tags_.probe(line_number);
     if (way >= 0) {
         const int set = tags_.setIndex(line_number);
-        if (tags_.line(set, way).reserved)
+        if (tags_.isReserved(set, way))
             tags_.fill(set, way);
     }
     // Bypassed misses have no reserved line: nothing is installed.

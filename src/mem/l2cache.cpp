@@ -50,13 +50,12 @@ L2Partition::tick(Cycle now, DramChannel &dram)
     const int way = tags_.probe(req.line_addr);
     if (way >= 0) {
         const int set = tags_.setIndex(req.line_addr);
-        CacheLine &l = tags_.line(set, way);
-        if (l.valid) {
+        if (tags_.isValid(set, way)) {
             // L2 hit.
             ++accesses_;
             tags_.touch(set, way);
             if (is_write) {
-                l.dirty = true; // WBWA write hit
+                tags_.markDirty(set, way); // WBWA write hit
             } else {
                 replies_.push_back(
                     Reply{now + cfg_.latency, req});
@@ -143,7 +142,7 @@ L2Partition::onDramFill(const MemRequest &fill, Cycle now)
                                << fill.line_addr
                                << " that lost its reservation");
     const int set = tags_.setIndex(fill.line_addr);
-    SIM_INVARIANT(tags_.line(set, way).reserved,
+    SIM_INVARIANT(tags_.isReserved(set, way),
                   l2Ctx(now, fill.kernel),
                   "partition " << partition_index_ << ": fill for line "
                                << fill.line_addr

@@ -350,34 +350,44 @@ ResultJournal::open(const std::string &path)
     if (fd_ < 0)
         journalFail("cannot open '" + path +
                     "': " + std::strerror(errno));
-    std::vector<std::uint8_t> data;
-    if (const int err = readAll(fd_, data); err != 0)
-        journalFail("read('" + path +
-                    "') failed: " + std::strerror(err));
+    try {
+        std::vector<std::uint8_t> data;
+        if (const int err = readAll(fd_, data); err != 0)
+            journalFail("read('" + path +
+                        "') failed: " + std::strerror(err));
 
-    // Replay the intact records; truncate away the first record that
-    // is not intact, and everything after it.
-    const JournalFsckRecord stop = scanRecords(
-        data, [this](const JournalFsckRecord &rec, SimResult &&result) {
-            records_[rec.key] = std::move(result);
-            ++stats_.loaded;
-        });
-    if (stop.status == JournalRecordStatus::BadVersion &&
-        stop.offset == 0)
-        journalFail("'" + path + "' was written by format version " +
-                    std::to_string(data[4]) + ", this build is " +
-                    std::to_string(kSnapshotFormatVersion) +
-                    " (delete the journal and re-run)");
-    const auto end = static_cast<off_t>(stop.offset);
-    if (stop.status != JournalRecordStatus::Ok) {
-        stats_.truncated_bytes = data.size() - stop.offset;
-        if (::ftruncate(fd_, end) != 0)
-            journalFail("ftruncate('" + path +
+        // Replay the intact records; truncate away the first record
+        // that is not intact, and everything after it.
+        const JournalFsckRecord stop = scanRecords(
+            data,
+            [this](const JournalFsckRecord &rec, SimResult &&result) {
+                records_[rec.key] = std::move(result);
+                ++stats_.loaded;
+            });
+        if (stop.status == JournalRecordStatus::BadVersion &&
+            stop.offset == 0)
+            journalFail("'" + path + "' was written by format version " +
+                        std::to_string(data[4]) + ", this build is " +
+                        std::to_string(kSnapshotFormatVersion) +
+                        " (delete the journal and re-run)");
+        const auto end = static_cast<off_t>(stop.offset);
+        if (stop.status != JournalRecordStatus::Ok) {
+            stats_.truncated_bytes = data.size() - stop.offset;
+            if (::ftruncate(fd_, end) != 0)
+                journalFail("ftruncate('" + path +
+                            "') failed: " + std::strerror(errno));
+        }
+        if (::lseek(fd_, end, SEEK_SET) < 0)
+            journalFail("lseek('" + path +
                         "') failed: " + std::strerror(errno));
+    } catch (...) {
+        // A refused open leaves the journal closed and empty, so
+        // append() raises instead of writing after a foreign record.
+        close();
+        records_.clear();
+        stats_ = JournalStats{};
+        throw;
     }
-    if (::lseek(fd_, end, SEEK_SET) < 0)
-        journalFail("lseek('" + path +
-                    "') failed: " + std::strerror(errno));
 }
 
 void

@@ -258,10 +258,11 @@ using Addr = StrongUnit<struct AddrTag>;
 
 /**
  * Line-granular address (the byte address divided by the line size):
- * the currency of everything below the coalescer — L1D/L2 tag
+ * the currency of the whole memory path — LSU entries, L1D/L2 tag
  * arrays, MSHR keys, DRAM bank/row mapping, MemRequest routing.
- * Produced only by the coalescer / mem/address.hpp map (toLineAddr);
- * mixing it up with a byte Addr no longer compiles.
+ * The address generator emits each memory instruction's coalesced
+ * lines directly (kernels/addrgen.hpp), and mem/address.hpp's
+ * toLineAddr maps a byte Addr; mixing the two up does not compile.
  */
 using LineAddr = StrongUnit<struct LineAddrTag>;
 

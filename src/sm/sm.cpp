@@ -1,9 +1,9 @@
 #include "sm/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
-#include "mem/coalescer.hpp"
 #include "sim/check.hpp"
 #include "sim/snapshot.hpp"
 
@@ -55,8 +55,6 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
                        0);
     eligible_.assign(mask_words_, 0);
 
-    scratch_thread_addrs_.reserve(
-        static_cast<std::size_t>(cfg.sm.simd_width));
     scratch_lines_.reserve(static_cast<std::size_t>(cfg.sm.simd_width));
 
     // Due-wheel span: the longest dependent-issue latency plus slack
@@ -68,7 +66,8 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
     std::size_t span = 1;
     while (span < static_cast<std::size_t>(max_latency) + 2)
         span <<= 1;
-    due_wheel_.resize(span);
+    due_words_ = (warps_.size() + 63) / 64;
+    due_wheel_.assign(span * due_words_, 0);
     due_mask_ = span - 1;
 }
 
@@ -185,14 +184,19 @@ void
 Sm::preScan(Cycle now)
 {
     // Due warps were filed at issue time; only they can transition
-    // this cycle, so the full-table scan is gone.
-    std::vector<WarpSlot> &due =
-        due_wheel_[static_cast<std::size_t>(now.get()) & due_mask_];
-    if (!due.empty()) {
-        // Ascending slot order: identical transition order to the
-        // full scan this replaces.
-        std::sort(due.begin(), due.end());
-        for (const WarpSlot slot : due) {
+    // this cycle. Walking the bucket's bitset word by word, lowest bit
+    // first, visits them in ascending slot order: the transition order
+    // of a full scan of warps_.
+    std::uint64_t *due =
+        &due_wheel_[(static_cast<std::size_t>(now.get()) & due_mask_) *
+                    due_words_];
+    for (std::size_t word = 0; word < due_words_; ++word) {
+        std::uint64_t bits = due[word];
+        due[word] = 0;
+        for (; bits != 0; bits &= bits - 1) {
+            const WarpSlot slot{
+                word * 64 +
+                static_cast<std::size_t>(std::countr_zero(bits))};
             Warp &w = warps_[slot.idx()];
             SIM_INVARIANT(w.state == WarpState::Busy &&
                               w.ready_at <= now,
@@ -213,7 +217,6 @@ Sm::preScan(Cycle now)
             w.state = WarpState::Ready;
             syncScan(slot.idx());
         }
-        due.clear();
     }
 }
 
@@ -268,13 +271,12 @@ Sm::launchTb(KernelId k)
     if (tb_index < 0)
         return false;
 
-    // Collect free warp slots.
+    // Enough free warp slots? The launch below takes the lowest ones.
     int found = 0;
-    int slots[64];
     for (std::size_t s = 0; s < warps_.size() && found < warps_needed;
          ++s) {
         if (warps_[s].state == WarpState::Invalid)
-            slots[found++] = static_cast<int>(s);
+            ++found;
     }
     if (found < warps_needed)
         return false;
@@ -291,8 +293,11 @@ Sm::launchTb(KernelId k)
     tb.warps_left = warps_needed;
 
     const std::uint64_t age = age_counter_++;
-    for (int i = 0; i < warps_needed; ++i) {
-        Warp &w = warps_[static_cast<std::size_t>(slots[i])];
+    std::size_t slot = 0;
+    for (int i = 0; i < warps_needed; ++i, ++slot) {
+        while (warps_[slot].state != WarpState::Invalid)
+            ++slot;
+        Warp &w = warps_[slot];
         w.state = WarpState::Ready;
         w.kernel = k;
         w.tb_index = tb_index;
@@ -307,7 +312,7 @@ Sm::launchTb(KernelId k)
         w.refreshStreamCache();
         initAddrGen(w.addr, prof, k, tb_seq, i, warps_needed,
                     cfg_.seed, cfg_.l1d.line_bytes);
-        syncScan(static_cast<std::size_t>(slots[i]));
+        syncScan(slot);
     }
 
     used_.regs += prof.regsPerTb();
@@ -406,10 +411,8 @@ Sm::issueFrom(WarpSlot slot, Cycle now)
         break;
       case InstrKind::MemLoad:
       case InstrKind::MemStore: {
-        generateAccess(w.addr, *c.prof, cfg_.l1d.line_bytes,
-                       cfg_.sm.simd_width, scratch_thread_addrs_);
-        coalesce(scratch_thread_addrs_, cfg_.l1d.line_bytes,
-                 scratch_lines_);
+        generateAccess(w.addr, *c.prof, cfg_.sm.simd_width,
+                       scratch_lines_);
         const bool is_store = kind == InstrKind::MemStore;
         lsu_.enqueue(slot, w.kernel, is_store, scratch_lines_);
         controller_.onMemInstrIssued(w.kernel);
@@ -452,16 +455,20 @@ Sm::tick(Cycle now)
 
     tryDispatch(now);
 
+    // Within a cycle the gates move only on a global-memory issue (LSU
+    // room, MIL/BMI state, its kernel's Ready-memory set) or an SMK
+    // quota charge; a compute issue leaves them as they are.
+    const bool quotas_gate = controller_.warpQuotasEnabled();
     IssueGates gates = issueGates();
     for (std::size_t s = 0; s < schedulers_.size(); ++s) {
         if (!gatherEligible(s, gates))
             continue;
         const WarpSlot slot = schedulers_[s].pick(eligible_, scan_age_);
+        const bool mem = warps_[slot.idx()].next_is_mem;
         issueFrom(slot, now);
         schedulers_[s].onIssue(slot);
-        // The issue changed LSU room and controller state, which the
-        // next scheduler's gates must see.
-        gates = issueGates();
+        if (mem || quotas_gate)
+            gates = issueGates();
     }
 
     // Injected fault: the head access fails reservation regardless
@@ -743,8 +750,7 @@ Sm::afterRestore()
     // Refile every Busy warp in the due-wheel. A warp already due —
     // possible only in exotic snapshots — files at the next tick,
     // matching the old full scan's pickup time.
-    for (std::vector<WarpSlot> &bucket : due_wheel_)
-        bucket.clear();
+    std::fill(due_wheel_.begin(), due_wheel_.end(), std::uint64_t{0});
     for (std::size_t s = 0; s < warps_.size(); ++s) {
         const Warp &warp = warps_[s];
         if (warp.state != WarpState::Busy)

@@ -265,9 +265,10 @@ class Sm : public LsuHost
     void
     fileDue(WarpSlot slot, Cycle ready_at)
     {
-        due_wheel_[static_cast<std::size_t>(ready_at.get()) &
-                   due_mask_]
-            .push_back(slot);
+        const std::size_t bucket =
+            static_cast<std::size_t>(ready_at.get()) & due_mask_;
+        due_wheel_[bucket * due_words_ + slot.idx() / 64] |=
+            std::uint64_t{1} << (slot.idx() % 64);
     }
 
     GpuConfig cfg_;     // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
@@ -285,12 +286,15 @@ class Sm : public LsuHost
     std::vector<std::uint64_t> scan_age_; // SIMCHECK-ALLOW(snapshot-coverage): derived age mirror (GTO)
     /** Due-wheel: Busy warps are filed under their ready_at bucket at
      *  issue, so preScan visits only the warps due this cycle instead
-     *  of scanning every slot. No bucket aliasing: the wheel spans
-     *  more cycles than the longest issue latency, a Busy warp never
-     *  changes ready_at, and the run loop ticks every cycle.
+     *  of scanning every slot. Each bucket is a bitset over warp
+     *  slots (due_words_ words, bit s = slot s). No bucket aliasing:
+     *  the wheel spans more cycles than the longest issue latency, a
+     *  Busy warp never changes ready_at, and the run loop ticks every
+     *  cycle.
      *  SIMCHECK-ALLOW(snapshot-coverage): derived; rebuilt from warps_ on restore */
-    std::vector<std::vector<WarpSlot>> due_wheel_;
-    std::size_t due_mask_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    std::vector<std::uint64_t> due_wheel_;
+    std::size_t due_mask_ = 0;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
+    std::size_t due_words_ = 0; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     /** Ready bitsets, indexed through readySet(). Words beyond a
      *  scheduler's slot count stay zero.
      *  SIMCHECK-ALLOW(snapshot-coverage): derived; rebuilt from warps_ on restore */
@@ -310,9 +314,8 @@ class Sm : public LsuHost
                         std::greater<WakeEvent>>
         wakes_;
 
-    // Scratch buffers reused every memory instruction.
-    std::vector<Addr> scratch_thread_addrs_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
-    std::vector<LineAddr> scratch_lines_;    // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
+    // Scratch buffer reused every memory instruction.
+    std::vector<LineAddr> scratch_lines_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
 
     // Scratch buffers reused every drainFills cycle.
     std::vector<MemRequest> scratch_fills_;  // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between cycles

@@ -266,6 +266,32 @@ TEST(ResultJournal, ForeignFormatVersionIsRefused)
     }
 }
 
+TEST(ResultJournal, RefusedOpenLeavesTheJournalClosed)
+{
+    TempFile tmp("refused");
+    {
+        ResultJournal j;
+        j.open(tmp.path());
+        j.append(1, makeIsolated(1.0));
+    }
+    {
+        std::FILE *f = std::fopen(tmp.path().c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 4, SEEK_SET);
+        std::fputc(kSnapshotFormatVersion + 1, f);
+        std::fclose(f);
+    }
+    const JournalFsckReport before = fsckJournal(tmp.path());
+    ResultJournal j;
+    EXPECT_THROW(j.open(tmp.path()), SimError);
+    EXPECT_FALSE(j.isOpen());
+    EXPECT_EQ(j.size(), 0u);
+    // Nothing may be written after the foreign record.
+    EXPECT_THROW(j.append(2, makeIsolated(2.0)), SimError);
+    const JournalFsckReport after = fsckJournal(tmp.path());
+    EXPECT_EQ(after.file_bytes, before.file_bytes);
+}
+
 TEST(ResultJournal, OpenFailsOnUnwritablePath)
 {
     ResultJournal j;

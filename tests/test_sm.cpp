@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for the SM: TB dispatch under static resource limits,
- * per-kernel quotas, warp execution, TB restart semantics and stats.
+ * per-kernel quotas, warp execution, TB restart semantics, stats, the
+ * due-wheel across a checkpoint, and wide machines that
+ * GpuConfig::validate() accepts.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "gpu.hpp"
+#include "kernels/workload.hpp"
 #include "mem/memsys.hpp"
+#include "sim/snapshot.hpp"
 #include "sm/sm.hpp"
 
 namespace ckesim {
@@ -190,6 +197,128 @@ TEST(Sm, ComputeKernelKeepsPipelineBusy)
         (f.cfg.sm.num_schedulers * s.cycles);
     EXPECT_GT(util, 0.2);
     EXPECT_LT(s.lsuStallFraction(), 0.1);
+}
+
+/** Pure-ALU work: bursts far longer than the instruction budget. */
+KernelProfile
+aluOnly(KernelProfile p)
+{
+    p.cinst_per_minst = 1e6;
+    p.sfu_fraction = 0.0;
+    p.smem_fraction = 0.0;
+    p.instrs_per_warp = 1 << 20;
+    return p;
+}
+
+TEST(Sm, EveryWarpDueInACycleWakes)
+{
+    // One TB filling all 96 warp slots with ALU work: each cycle's
+    // four issues fall due together in one bucket, over both words of
+    // its slot bitset. With the ALU latency equal to a scheduler's 24
+    // warps, a scheduler issues every cycle only if every due warp
+    // wakes on time.
+    SmFixture f;
+    f.cfg.sm.alu_latency =
+        f.cfg.sm.max_warps / f.cfg.sm.num_schedulers;
+    KernelProfile p = aluOnly(findProfile("cp"));
+    p.threads_per_tb = f.cfg.sm.max_warps * f.cfg.sm.simd_width;
+    p.regs_per_thread = 16;
+    p.smem_per_tb = 0;
+    auto sm = f.makeSm({&p});
+    sm->setTbQuota(KernelId{0}, 1);
+    f.run(*sm, Cycle{100});
+    ASSERT_EQ(sm->residentTbs(KernelId{0}), 1);
+    const std::uint64_t before = sm->smStats().issue_slots_used;
+    f.run(*sm, Cycle{1000}, Cycle{100});
+    EXPECT_EQ(sm->smStats().issue_slots_used - before,
+              static_cast<std::uint64_t>(f.cfg.sm.num_schedulers) * 1000);
+}
+
+std::vector<std::uint8_t>
+smBytes(const Sm &sm)
+{
+    SnapshotWriter w;
+    Sm::state(w, sm);
+    return w.bytes();
+}
+
+TEST(Sm, RestoredDueWheelResumesBusyWarps)
+{
+    // Checkpoint while warps sit Busy under ALU, SFU and shared-memory
+    // latencies (several due buckets), restore into a fresh SM: the
+    // rebuilt due-wheel must wake them on the same cycles.
+    KernelProfile p = findProfile("bp");
+    p.sfu_fraction = 0.3;
+    p.smem_fraction = 0.3;
+    SmFixture a, b;
+    auto straight = a.makeSm({&p});
+    auto resumed = b.makeSm({&p});
+    straight->setTbQuota(KernelId{0}, 4);
+    resumed->setTbQuota(KernelId{0}, 4);
+    const Cycle at{1237};
+    a.run(*straight, at);
+    {
+        SnapshotWriter w;
+        Sm::state(w, std::as_const(*straight));
+        MemorySystem::state(w, std::as_const(a.mem));
+        SnapshotReader r(w.bytes());
+        Sm::state(r, *resumed);
+        MemorySystem::state(r, b.mem);
+        ASSERT_TRUE(r.atEnd());
+    }
+    ASSERT_EQ(smBytes(*resumed), smBytes(*straight));
+    for (Cycle t = at; t < at + Cycle{2000}; ++t) {
+        straight->tick(t);
+        a.mem.tick(t);
+        resumed->tick(t);
+        b.mem.tick(t);
+        if (t.get() % 100 == 0) {
+            ASSERT_EQ(smBytes(*resumed), smBytes(*straight))
+                << "cycle " << t;
+        }
+    }
+    EXPECT_GT(resumed->kernelStats(KernelId{0}).issued_instructions,
+              0u);
+    EXPECT_EQ(smBytes(*resumed), smBytes(*straight));
+}
+
+/** Run @p p alone on a one-SM @p cfg through the audit. */
+void
+runWideMachine(const GpuConfig &cfg, const KernelProfile &p)
+{
+    cfg.validate();
+    Workload wl;
+    wl.kernels = {&p};
+    Gpu gpu(cfg, wl,
+            makeScheme(PartitionScheme::Spatial, BmiMode::None,
+                       MilMode::None));
+    gpu.run(Cycle{3000});
+    EXPECT_GT(gpu.kernelStatsTotal(KernelId{0}).issued_instructions, 0u);
+    gpu.audit();
+}
+
+TEST(Sm, TbOfMoreThan64WarpsLaunches)
+{
+    // simd_width 8: a 1024-thread TB is 128 warps.
+    GpuConfig cfg = makeSmallConfig(1, 2);
+    cfg.sm.simd_width = 8;
+    cfg.sm.max_warps = 256;
+    cfg.sm.max_threads = 2048;
+    KernelProfile p = findProfile("bp");
+    p.threads_per_tb = 1024;
+    p.regs_per_thread = 16;
+    p.smem_per_tb = 0;
+    runWideMachine(cfg, p);
+}
+
+TEST(Sm, WarpOfMoreThan32LinesIssues)
+{
+    // simd_width 64: one memory instruction may touch 40 lines.
+    GpuConfig cfg = makeSmallConfig(1, 2);
+    cfg.sm.simd_width = 64;
+    KernelProfile p = findProfile("ks");
+    p.req_per_minst = 40;
+    runWideMachine(cfg, p);
 }
 
 } // namespace

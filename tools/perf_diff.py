@@ -1,23 +1,31 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_perf.json artifacts and flag perf regressions.
+"""Gate strict_busy cycles/sec on interleaved parent/change runs.
 
-Intended for the CI perf-smoke job: run bench_perf on the PR build,
-then diff the fresh artifact against the committed baseline:
+    python3 tools/perf_diff.py PARENT CHANGE [PARENT CHANGE ...] > paired.json
 
-    python3 tools/perf_diff.py BENCH_perf.json fresh.json
+Each PARENT CHANGE pair is two bench_perf artifacts measured back to
+back on one host: the parent commit's build and the change's build,
+alternating which side runs first. For every strict_busy scheme the
+tool takes each pair's ratio change / parent of cycles_per_sec (higher
+is faster) and gates the median ratio: below --tolerance is a
+regression. A ratio is only meaningful between runs of one host in
+one session, so both sides are measured together; an artifact recorded
+on another machine says nothing about this one.
 
-It compares strict_busy's cycles_per_sec per scheme (ratio = fresh /
-baseline; higher is faster), the per-cycle cost gate (DESIGN.md §14).
-strict_busy measures a tight, repeat-averaged single-process loop
-that is stable enough on shared runners to be a HARD error gate at
---tolerance 0.90 (a >10% cycles/sec regression fails the job).
+stdout is the BENCH_perf.json record of the comparison: the last
+CHANGE artifact, whose strict_busy section gains the pair count and,
+per scheme, the median of each side, the median ratio ("improvement")
+and its spread (the first and third quartiles of the ratios). stderr
+has one line per scheme and the verdict.
 
-Exit status: 0 clean, 1 if any ratio falls below --tolerance or a
-case is missing from the fresh artifact, 2 on unreadable artifacts.
+Exit status: 0 clean, 1 if a median ratio falls below --tolerance or a
+scheme is missing from an artifact, 2 on unreadable artifacts or an
+odd number of paths.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -31,63 +39,112 @@ def load(path):
 
 
 def busy_cases(doc):
-    out = {}
-    for c in doc.get("strict_busy", {}).get("cases", []):
-        out[c["scheme"]] = c
-    return out
+    return {c["scheme"]: c
+            for c in doc.get("strict_busy", {}).get("cases", [])}
+
+
+def dumps(value, indent=0):
+    """JSON with one line per record: a dict or list holding no
+    container is written on one line, as bench_perf writes its rows."""
+    pad = "  " * (indent + 1)
+    if isinstance(value, dict) and any(
+            isinstance(v, (dict, list)) for v in value.values()):
+        items = [f"{pad}{json.dumps(k)}: {dumps(v, indent + 1)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+    if isinstance(value, list) and any(
+            isinstance(v, (dict, list)) for v in value):
+        items = [pad + dumps(v, indent + 1) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
+    return json.dumps(value)
+
+
+def quartiles(values):
+    """First and third quartiles (inclusive method; one value is its
+    own quartiles)."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", help="committed BENCH_perf.json")
-    ap.add_argument("fresh", help="artifact from the current build")
+    ap = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=__doc__.split("\n", 2)[2])
+    ap.add_argument("artifacts", nargs="+",
+                    help="PARENT CHANGE [PARENT CHANGE ...]")
     ap.add_argument(
-        "--tolerance", type=float, default=0.70,
-        help="minimum fresh/baseline throughput ratio before a case "
-             "counts as a regression (default %(default)s — shared "
-             "CI runners are noisy)")
+        "--tolerance", type=float, default=0.90,
+        help="lowest median change/parent throughput ratio before a "
+             "scheme counts as a regression (default %(default)s)")
     args = ap.parse_args()
+    if len(args.artifacts) % 2:
+        print("perf_diff: artifacts come in PARENT CHANGE pairs",
+              file=sys.stderr)
+        return 2
 
-    base = load(args.baseline)
-    fresh = load(args.fresh)
-
+    docs = [load(p) for p in args.artifacts]
+    pairs = list(zip(docs[0::2], docs[1::2]))
+    last = docs[-1]
     findings = []
-    compared = 0
+    rows = []
+    for scheme, final in busy_cases(last).items():
+        parent_cps, change_cps, change_ms, ratios = [], [], [], []
+        for parent, change in pairs:
+            pc = busy_cases(parent).get(scheme)
+            cc = busy_cases(change).get(scheme)
+            if pc is None or cc is None:
+                findings.append(f"strict_busy {scheme}: missing from a "
+                                "pair's artifact")
+                break
+            parent_cps.append(pc["cycles_per_sec"])
+            change_cps.append(cc["cycles_per_sec"])
+            change_ms.append(cc["wall_ms"])
+            ratios.append(cc["cycles_per_sec"] / pc["cycles_per_sec"])
+        else:
+            ratio = statistics.median(ratios)
+            q1, q3 = quartiles(ratios)
+            row = {"scheme": scheme,
+                   "wall_ms": round(statistics.median(change_ms), 3),
+                   "cycles_per_sec": round(statistics.median(change_cps)),
+                   "prev_cycles_per_sec":
+                       round(statistics.median(parent_cps)),
+                   "improvement": round(ratio, 3),
+                   "ratio_q1": round(q1, 3),
+                   "ratio_q3": round(q3, 3)}
+            if "prof_attributed_pct" in final:
+                row["prof_attributed_pct"] = final["prof_attributed_pct"]
+            rows.append(row)
+            verdict = "REGRESSION" if ratio < args.tolerance else "ok"
+            print(f"strict_busy {scheme:<14} parent "
+                  f"{row['prev_cycles_per_sec']:>9} cyc/s  change "
+                  f"{row['cycles_per_sec']:>9} cyc/s  "
+                  f"{ratio:5.3f}x [q1 {q1:5.3f}, q3 {q3:5.3f}] over "
+                  f"{len(ratios)} pair(s)  {verdict}", file=sys.stderr)
+            if ratio < args.tolerance:
+                findings.append(
+                    f"strict_busy {scheme}: median {ratio:.3f}x of the "
+                    f"parent (tolerance {args.tolerance:.2f})")
 
-    fb = busy_cases(fresh)
-    for scheme, bc in sorted(busy_cases(base).items()):
-        fc = fb.get(scheme)
-        if fc is None:
-            findings.append(
-                f"strict_busy {scheme}: case missing from fresh "
-                "artifact")
-            continue
-        ratio = fc["cycles_per_sec"] / bc["cycles_per_sec"]
-        compared += 1
-        marker = "  REGRESSION" if ratio < args.tolerance else ""
-        print(f"strict_busy {scheme:<14} base "
-              f"{bc['cycles_per_sec']:>9.0f} cyc/s  fresh "
-              f"{fc['cycles_per_sec']:>9.0f} cyc/s  "
-              f"{ratio:5.2f}x{marker}")
-        if ratio < args.tolerance:
-            findings.append(
-                f"strict_busy {scheme}: {ratio:.2f}x of baseline "
-                f"(tolerance {args.tolerance:.2f})")
+    if not rows and not findings:
+        findings.append("no strict_busy cases in the artifacts")
+    if "strict_busy" in last:
+        busy = last["strict_busy"]
+        busy.pop("cases", None)
+        busy["pairs"] = len(pairs)
+        busy["cases"] = rows
+    print(dumps(last))
 
     if findings:
-        print(f"perf_diff: {len(findings)} finding(s):",
-              file=sys.stderr)
+        print(f"perf_diff: {len(findings)} finding(s):", file=sys.stderr)
         for f in findings:
             print(f"  {f}", file=sys.stderr)
         return 1
-    if compared == 0:
-        # Baseline without a strict_busy section: nothing to gate,
-        # but say so instead of printing a silently-empty diff.
-        print("perf_diff: no comparable cases between the artifacts "
-              "(baseline has no strict_busy section?)")
-        return 0
-    print(f"perf_diff: {compared} case(s) within tolerance "
-          f"{args.tolerance:.2f}")
+    print(f"perf_diff: {len(rows)} scheme(s) within tolerance "
+          f"{args.tolerance:.2f} over {len(pairs)} pair(s)",
+          file=sys.stderr)
     return 0
 
 
