@@ -108,17 +108,6 @@ DramChannel::checkInvariants(Cycle now, int channel_index) const
                              << cfg_.queue_depth);
 }
 
-void
-DramChannel::drainFills(Cycle now, std::vector<MemRequest> &out)
-{
-    // Fills complete in enqueue order within a channel: ready times are
-    // monotonic because busy_until_ is monotonic.
-    while (!fills_.empty() && fills_.front().ready <= now) {
-        out.push_back(fills_.front().req);
-        fills_.pop_front();
-    }
-}
-
 template <class Ar, ObjectOf<DramChannel> Self>
 void
 DramChannel::state(Ar &ar, Self &self)

@@ -37,21 +37,20 @@ class DramChannel
     /** Advance to @p now; starts at most one new transaction. */
     void tick(Cycle now);
 
-    /**
-     * Pop fills (completed reads) whose data is available at @p now,
-     * appending them to @p out. Allocation-free; the memory system
-     * calls this every cycle with a reused scratch vector.
-     */
-    void drainFills(Cycle now, std::vector<MemRequest> &out);
-
-    /** Convenience wrapper for tests and cold paths. */
-    std::vector<MemRequest>
-    drainFills(Cycle now)
+    /** The oldest completed read if its data is available at @p now,
+     *  else null. Valid until the next popFill(). */
+    const MemRequest *
+    readyFill(Cycle now) const
     {
-        std::vector<MemRequest> out;
-        drainFills(now, out);
-        return out;
+        // Fills complete in enqueue order within a channel: ready
+        // times are monotonic because busy_until_ is monotonic.
+        if (fills_.empty() || fills_.front().ready > now)
+            return nullptr;
+        return &fills_.front().req;
     }
+
+    /** Remove the fill readyFill() returned. */
+    void popFill() { fills_.pop_front(); }
 
     int queueLength() const
     {
@@ -63,7 +62,7 @@ class DramChannel
     /** No queued transaction and no fill awaiting pickup. */
     bool idle() const { return queue_.empty() && fills_.empty(); }
 
-    /** Completed reads awaiting drainFills() pickup. */
+    /** Completed reads not yet taken with popFill(). */
     int fillsPending() const
     {
         return static_cast<int>(fills_.size());
@@ -109,10 +108,11 @@ class DramChannel
     std::vector<std::uint64_t> open_row_; ///< per bank; ~0 = closed
     Cycle busy_until_{};
     /** Completed reads in the access-latency pipeline. At most one
-     *  fill is produced per tick and each is drained within
+     *  fill is produced per tick and each is taken within
      *  access_latency + service cycles of creation, so the ring's
      *  capacity (queue_depth + access_latency + service slack) can
-     *  never be reached by a consumer that drains every cycle. */
+     *  never be reached by a consumer that takes every ready fill
+     *  each cycle. */
     RingBuf<Fill> fills_;
     std::uint64_t row_hits_ = 0;
     std::uint64_t row_misses_ = 0;

@@ -27,20 +27,6 @@ Crossbar::tryInject(int dest, int flits, const MemRequest &req, Cycle now)
     return true;
 }
 
-void
-Crossbar::drain(int dest, Cycle now, int max_count,
-                std::vector<MemRequest> &out)
-{
-    Port &port = ports_[static_cast<std::size_t>(dest)];
-    int popped = 0;
-    while (!port.queue.empty() && popped < max_count &&
-           port.queue.front().ready <= now) {
-        out.push_back(port.queue.front().req);
-        port.queue.pop_front();
-        ++popped;
-    }
-}
-
 template <class Ar, ObjectOf<Crossbar> Self>
 void
 Crossbar::state(Ar &ar, Self &self)

@@ -168,15 +168,6 @@ L2Partition::checkInvariants(Cycle now) const
     mshrs_.checkBalance(ctx);
 }
 
-void
-L2Partition::drainReplies(Cycle now, std::vector<MemRequest> &out)
-{
-    while (!replies_.empty() && replies_.front().ready <= now) {
-        out.push_back(replies_.front().req);
-        replies_.pop_front();
-    }
-}
-
 template <class Ar, ObjectOf<L2Partition> Self>
 void
 L2Partition::state(Ar &ar, Self &self)

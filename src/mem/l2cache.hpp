@@ -52,21 +52,18 @@ class L2Partition
     /** A DRAM fill for this partition's line arrived. */
     void onDramFill(const MemRequest &fill, Cycle now);
 
-    /**
-     * Pop read replies whose data is ready at @p now, appending them
-     * to @p out. Allocation-free; the memory system calls this every
-     * cycle with a reused scratch vector.
-     */
-    void drainReplies(Cycle now, std::vector<MemRequest> &out);
-
-    /** Convenience wrapper for tests and cold paths. */
-    std::vector<MemRequest>
-    drainReplies(Cycle now)
+    /** The oldest read reply if its data is ready at @p now, else
+     *  null. Valid until the next popReply(). */
+    const MemRequest *
+    readyReply(Cycle now) const
     {
-        std::vector<MemRequest> out;
-        drainReplies(now, out);
-        return out;
+        if (replies_.empty() || replies_.front().ready > now)
+            return nullptr;
+        return &replies_.front().req;
     }
+
+    /** Remove the reply readyReply() returned. */
+    void popReply() { replies_.pop_front(); }
 
     /** No queued input, outstanding miss, or undelivered reply. */
     bool idle() const
@@ -112,7 +109,7 @@ class L2Partition
     MshrTable<MemRequest> mshrs_;
     RingBuf<MemRequest> input_; ///< flat hot queue (DESIGN.md §14)
     /** Replies in flight. Capacity covers the worst burst: every MSHR
-     *  target plus a latency window of hits, all awaiting drain. */
+     *  target plus a latency window of hits, none yet taken. */
     RingBuf<Reply> replies_;
     /** Reused by onDramFill(). */
     std::vector<MemRequest> fill_targets_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between fills

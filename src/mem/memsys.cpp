@@ -73,13 +73,14 @@ MemorySystem::tick(Cycle now)
         DramChannel &chan = *channels_[static_cast<std::size_t>(p)];
 
         // Crossbar -> partition input queue, as room allows.
-        const int room = part.inputRoom();
-        if (room > 0) {
+        if (part.inputRoom() > 0) {
             ProfScope prof_noc(prof_, ProfComp::Noc);
-            tick_scratch_.clear();
-            fwd_.drain(p, now, room, tick_scratch_);
-            for (const MemRequest &req : tick_scratch_)
-                part.acceptInput(req);
+            const MemRequest *req = nullptr;
+            while (part.inputRoom() > 0 &&
+                   (req = fwd_.readyHead(p, now)) != nullptr) {
+                part.acceptInput(*req);
+                fwd_.pop(p);
+            }
         }
 
         const bool frozen = faults_ && faults_->dramFrozen(p, now);
@@ -91,83 +92,82 @@ MemorySystem::tick(Cycle now)
             ProfScope prof_dram(prof_, ProfComp::Dram);
             if (!frozen)
                 chan.tick(now);
-            tick_scratch_.clear();
-            chan.drainFills(now, tick_scratch_);
         }
-        if (!tick_scratch_.empty()) {
+        if (const MemRequest *fill = chan.readyFill(now)) {
             ProfScope prof_l2(prof_, ProfComp::L2);
-            for (const MemRequest &fill : tick_scratch_)
-                part.onDramFill(fill, now);
+            do {
+                part.onDramFill(*fill, now);
+                chan.popFill();
+            } while ((fill = chan.readyFill(now)) != nullptr);
         }
 
-        // Partition replies -> reply crossbar, retrying refused ones.
+        // Partition replies -> reply crossbar. Refused replies retry
+        // first, in order; while one waits, newer replies queue
+        // behind it rather than overtake it.
         ProfScope prof_noc(prof_, ProfComp::Noc);
         RingBuf<MemRequest> &retry =
             reply_retry_[static_cast<std::size_t>(p)];
-        tick_scratch_.clear();
-        part.drainReplies(now, tick_scratch_);
-        for (const MemRequest &r : tick_scratch_)
-            retry.push_back(r);
-        while (!retry.empty()) {
-            const MemRequest &r = retry.front();
-            if (!reply_.tryInject(static_cast<int>(r.sm_id.idx()),
-                                  kReplyFlits, r, now))
-                break;
+        while (!retry.empty() && injectReply(retry.front(), now))
             retry.pop_front();
+        while (const MemRequest *r = part.readyReply(now)) {
+            if (!retry.empty() || !injectReply(*r, now))
+                retry.push_back(*r);
+            part.popReply();
         }
     }
 }
 
-void
-MemorySystem::drainRepliesForSm(SmId sm_id, Cycle now,
-                                std::vector<MemRequest> &out)
+bool
+MemorySystem::injectReply(const MemRequest &r, Cycle now)
 {
-    out.clear();
-    reply_.drain(static_cast<int>(sm_id.idx()), now,
-                 /*max_count=*/64, out);
+    return reply_.tryInject(static_cast<int>(r.sm_id.idx()), kReplyFlits,
+                            r, now);
+}
 
-    if (faults_ && !faults_->empty()) {
-        // Filter in place: compact surviving fills to the front.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            const MemRequest &r = out[i];
-            if (faults_->dropFill(sm_id, now)) {
-                // The read leaves the system without a delivery: the
-                // L1 MSHR is never released — a hard fault the
-                // watchdog (or audit) must report, not mask.
-                ++dropped_fills_;
-                SIM_INVARIANT(inflight_ > 0, memCtx(now),
-                              "dropped a fill for sm "
-                                  << sm_id
-                                  << " with no read in flight");
-                --inflight_;
-                continue;
-            }
-            const Cycle delay = faults_->fillDelay(sm_id, now);
-            if (delay > Cycle{}) {
-                delayed_[sm_id.idx()].push_back(
-                    DelayedFill{now + delay, r});
-                continue;
-            }
-            out[kept++] = r;
-        }
-        out.resize(kept);
+bool
+MemorySystem::popFill(SmId sm_id, Cycle now, int &port_budget)
+{
+    const int port = static_cast<int>(sm_id.idx());
+    const MemRequest *head =
+        port_budget > 0 ? reply_.readyHead(port, now) : nullptr;
+    if (head == nullptr) {
+        delayed_[sm_id.idx()].pop_front();
+    } else {
+        --port_budget;
+        const bool deliver =
+            !faults_ || faults_->empty() || passFaults(sm_id, now, *head);
+        reply_.pop(port);
+        if (!deliver)
+            return false;
     }
+    ++delivered_fills_;
+    SIM_INVARIANT(inflight_ > 0, memCtx(now),
+                  "delivered a fill to sm " << sm_id
+                                            << " with no read in flight");
+    --inflight_;
+    return true;
+}
 
-    // SIMCHECK-ALLOW(hotpath): fault-injection only; untouched on fault-free runs
-    std::deque<DelayedFill> &held = delayed_[sm_id.idx()];
-    while (!held.empty() && held.front().ready <= now) {
-        out.push_back(held.front().req);
-        held.pop_front();
+bool
+MemorySystem::passFaults(SmId sm_id, Cycle now, const MemRequest &fill)
+{
+    if (faults_->dropFill(sm_id, now)) {
+        // The read leaves the system without a delivery: the L1 MSHR
+        // is never released — a hard fault the watchdog (or audit)
+        // must report, not mask.
+        ++dropped_fills_;
+        SIM_INVARIANT(inflight_ > 0, memCtx(now),
+                      "dropped a fill for sm " << sm_id
+                                               << " with no read in flight");
+        --inflight_;
+        return false;
     }
-
-    const std::uint64_t n = static_cast<std::uint64_t>(out.size());
-    delivered_fills_ += n;
-    SIM_INVARIANT(inflight_ >= n, memCtx(now),
-                  "delivered " << n << " fill(s) to sm " << sm_id
-                               << " with only " << inflight_
-                               << " read(s) in flight");
-    inflight_ -= n;
+    const Cycle delay = faults_->fillDelay(sm_id, now);
+    if (delay > Cycle{}) {
+        delayed_[sm_id.idx()].push_back(DelayedFill{now + delay, fill});
+        return false;
+    }
+    return true;
 }
 
 double

@@ -27,7 +27,7 @@ namespace ckesim {
 
 /**
  * Shared L2 + interconnect + DRAM. SMs inject L1 miss / write-through
- * traffic and drain fills addressed to them.
+ * traffic and take the fills addressed to them in place.
  */
 class MemorySystem
 {
@@ -44,22 +44,38 @@ class MemorySystem
     /** Advance every partition, channel and reply port one cycle. */
     void tick(Cycle now);
 
-    /**
-     * Pop read fills delivered to SM @p sm_id by cycle @p now into
-     * @p out (cleared first). Allocation-free; each SM calls this
-     * every cycle with a reused scratch vector.
-     */
-    void drainRepliesForSm(SmId sm_id, Cycle now,
-                           std::vector<MemRequest> &out);
+    /** Reply-port packets one SM takes in one cycle, at most. */
+    static constexpr int kFillsPerCycle = 64;
 
-    /** Convenience wrapper for tests and cold paths. */
-    std::vector<MemRequest>
-    drainRepliesForSm(SmId sm_id, Cycle now)
+    /**
+     * The read fill SM @p sm_id takes next at @p now, or null: the
+     * reply port's ready head while @p port_budget > 0, then the
+     * oldest fill an injected DelayFill held back, once its time has
+     * come. Valid until the next popFill().
+     */
+    const MemRequest *
+    readyFill(SmId sm_id, Cycle now, int port_budget) const
     {
-        std::vector<MemRequest> out;
-        drainRepliesForSm(sm_id, now, out);
-        return out;
+        if (port_budget > 0) {
+            if (const MemRequest *head =
+                    reply_.readyHead(static_cast<int>(sm_id.idx()), now))
+                return head;
+        }
+        const auto &held = delayed_[sm_id.idx()];
+        if (held.empty() || held.front().ready > now)
+            return nullptr;
+        return &held.front().req;
     }
+
+    /**
+     * Take the fill readyFill() returned. A reply-port packet spends
+     * one unit of @p port_budget and first meets the fault injector,
+     * which may drop it or hold it back; popFill then returns false
+     * and the SM must not deliver it. Held fills are served with or
+     * without an injector, so they still reach the SM after the
+     * audit detaches it.
+     */
+    bool popFill(SmId sm_id, Cycle now, int &port_budget);
 
     int numPartitions() const
     {
@@ -112,12 +128,19 @@ class MemorySystem
     static void state(Ar &ar, Self &self);
 
   private:
+    /** Offer @p r to its SM's reply port; false when the port is full. */
+    bool injectReply(const MemRequest &r, Cycle now);
+    /** Consult the injector for a reply-port fill: false when it drops
+     *  the fill or holds it back. */
+    bool passFaults(SmId sm_id, Cycle now, const MemRequest &fill);
+
     GpuConfig cfg_;  // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     Crossbar fwd_;   ///< SM -> partition
     Crossbar reply_; ///< partition -> SM
     std::vector<std::unique_ptr<L2Partition>> partitions_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
-    /** Replies an overloaded reply port refused; retried each cycle.
+    /** Replies an overloaded reply port refused; retried each cycle
+     *  before the partition's newer replies, which queue behind them.
      *  Sized like a partition's reply ring: the retry queue can never
      *  hold more than the partition could have produced. */
     std::vector<RingBuf<MemRequest>> reply_retry_;
@@ -129,8 +152,6 @@ class MemorySystem
     };
     // SIMCHECK-ALLOW(hotpath): fault-injection only; untouched on fault-free runs
     std::vector<std::deque<DelayedFill>> delayed_;
-    /** Reused by tick() for per-partition drains. */
-    std::vector<MemRequest> tick_scratch_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between drains
     FaultInjector *faults_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by owner; the Gpu walks the injector
     Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t inflight_ = 0; ///< read requests below the L1s

@@ -34,6 +34,17 @@ read(LineAddr line)
     return r;
 }
 
+/** Take every fill whose data is available at @p now. */
+std::vector<MemRequest>
+takeFills(DramChannel &ch, Cycle now)
+{
+    std::vector<MemRequest> out;
+    for (const MemRequest *f; (f = ch.readyFill(now)) != nullptr;
+         ch.popFill())
+        out.push_back(*f);
+    return out;
+}
+
 TEST(DramChannel, QueueCapacity)
 {
     DramChannel ch(cfg(), 64);
@@ -51,10 +62,10 @@ TEST(DramChannel, RowMissThenRowHitTiming)
     ch.tick(Cycle{}); // starts first: service 2+10, busy until 12
     EXPECT_TRUE(ch.busy(Cycle{5}));
     ch.tick(Cycle{5}); // still busy, no-op
-    EXPECT_TRUE(ch.drainFills(Cycle{12 + 50 - 1}).empty());
-    EXPECT_EQ(ch.drainFills(Cycle{12 + 50}).size(), 1u);
+    EXPECT_TRUE(takeFills(ch, Cycle{12 + 50 - 1}).empty());
+    EXPECT_EQ(takeFills(ch, Cycle{12 + 50}).size(), 1u);
     ch.tick(Cycle{12}); // second request: row hit, service 2
-    EXPECT_EQ(ch.drainFills(Cycle{12 + 2 + 50}).size(), 1u);
+    EXPECT_EQ(takeFills(ch, Cycle{12 + 2 + 50}).size(), 1u);
     EXPECT_DOUBLE_EQ(ch.rowHitRate(), 0.5);
 }
 
@@ -98,7 +109,7 @@ TEST(DramChannel, WritebacksProduceNoFill)
     wb.kind = ReqKind::Writeback;
     ch.tryEnqueue(wb, Cycle{});
     ch.tick(Cycle{});
-    EXPECT_TRUE(ch.drainFills(Cycle{1000}).empty());
+    EXPECT_TRUE(takeFills(ch, Cycle{1000}).empty());
     EXPECT_TRUE(ch.idle());
 }
 
@@ -127,7 +138,7 @@ TEST(DramChannel, IdleReflectsOutstandingWork)
     EXPECT_FALSE(ch.idle());
     ch.tick(Cycle{});
     EXPECT_FALSE(ch.idle()); // fill not yet drained
-    ch.drainFills(Cycle{10000});
+    takeFills(ch, Cycle{10000});
     EXPECT_TRUE(ch.idle());
 }
 

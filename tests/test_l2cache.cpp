@@ -63,9 +63,21 @@ pump(L2Partition &part, DramChannel &dram, Cycle from, Cycle to)
     for (Cycle t = from; t <= to; ++t) {
         part.tick(t, dram);
         dram.tick(t);
-        for (const MemRequest &f : dram.drainFills(t))
-            part.onDramFill(f, t);
+        for (const MemRequest *f; (f = dram.readyFill(t)) != nullptr;
+             dram.popFill())
+            part.onDramFill(*f, t);
     }
+}
+
+/** Take every reply whose data is ready at @p now. */
+std::vector<MemRequest>
+takeReplies(L2Partition &part, Cycle now)
+{
+    std::vector<MemRequest> out;
+    for (const MemRequest *r; (r = part.readyReply(now)) != nullptr;
+         part.popReply())
+        out.push_back(*r);
+    return out;
 }
 
 TEST(L2Partition, MissFetchesFromDramThenHits)
@@ -75,7 +87,7 @@ TEST(L2Partition, MissFetchesFromDramThenHits)
 
     part.acceptInput(read(LineAddr{7}, /*sm=*/3));
     pump(part, dram, Cycle{}, Cycle{100});
-    const auto replies = part.drainReplies(Cycle{100});
+    const auto replies = takeReplies(part, Cycle{100});
     ASSERT_EQ(replies.size(), 1u);
     EXPECT_EQ(replies[0].sm_id, SmId{3});
     EXPECT_EQ(part.missRate(), 1.0);
@@ -83,8 +95,8 @@ TEST(L2Partition, MissFetchesFromDramThenHits)
     // Second access: L2 hit, reply after latency only.
     part.acceptInput(read(LineAddr{7}, 5));
     part.tick(Cycle{200}, dram);
-    EXPECT_TRUE(part.drainReplies(Cycle{209}).empty());
-    EXPECT_EQ(part.drainReplies(Cycle{210}).size(), 1u);
+    EXPECT_TRUE(takeReplies(part, Cycle{209}).empty());
+    EXPECT_EQ(takeReplies(part, Cycle{210}).size(), 1u);
     EXPECT_DOUBLE_EQ(part.missRate(), 0.5);
 }
 
@@ -99,7 +111,7 @@ TEST(L2Partition, ConcurrentMissesMerge)
     // Only one DRAM fetch for the merged line.
     EXPECT_EQ(dram.queueLength(), 1);
     pump(part, dram, Cycle{2}, Cycle{100});
-    EXPECT_EQ(part.drainReplies(Cycle{100}).size(), 2u);
+    EXPECT_EQ(takeReplies(part, Cycle{100}).size(), 2u);
 }
 
 TEST(L2Partition, WriteMissAllocatesAndMarksDirty)
@@ -109,7 +121,7 @@ TEST(L2Partition, WriteMissAllocatesAndMarksDirty)
     part.acceptInput(write(LineAddr{9}));
     pump(part, dram, Cycle{}, Cycle{100});
     // Writes produce no reply.
-    EXPECT_TRUE(part.drainReplies(Cycle{100}).empty());
+    EXPECT_TRUE(takeReplies(part, Cycle{100}).empty());
     // The line is now dirty: evicting it requires a writeback. Fill
     // the set with reads to force the eviction.
     const int set9 = part.tags().setIndex(LineAddr{9});
@@ -137,7 +149,7 @@ TEST(L2Partition, WriteHitMarksDirtyWithoutDram)
     DramChannel dram(dramcfg(), 64);
     part.acceptInput(read(LineAddr{5}));
     pump(part, dram, Cycle{}, Cycle{100});
-    part.drainReplies(Cycle{100});
+    takeReplies(part, Cycle{100});
     const int dram_q_before = dram.queueLength();
     part.acceptInput(write(LineAddr{5}));
     part.tick(Cycle{200}, dram);
@@ -160,7 +172,7 @@ TEST(L2Partition, StallsWhenDramQueueFull)
     EXPECT_EQ(part.inputRoom(), l2cfg().miss_queue_depth - 1);
     // Drain DRAM; the partition can then proceed.
     pump(part, dram, Cycle{2}, Cycle{200});
-    EXPECT_EQ(part.drainReplies(Cycle{200}).size(), 2u);
+    EXPECT_EQ(takeReplies(part, Cycle{200}).size(), 2u);
 }
 
 TEST(L2Partition, StallsWhenMshrsExhausted)
@@ -173,7 +185,7 @@ TEST(L2Partition, StallsWhenMshrsExhausted)
     part.tick(Cycle{1}, dram); // blocked: MSHR in use
     EXPECT_EQ(dram.queueLength(), 1);
     pump(part, dram, Cycle{2}, Cycle{200});
-    EXPECT_EQ(part.drainReplies(Cycle{200}).size(), 2u);
+    EXPECT_EQ(takeReplies(part, Cycle{200}).size(), 2u);
 }
 
 TEST(L2Partition, InputRoomReflectsQueue)
@@ -193,7 +205,7 @@ TEST(L2Partition, IdleLifecycle)
     EXPECT_FALSE(part.idle());
     pump(part, dram, Cycle{}, Cycle{100});
     EXPECT_FALSE(part.idle()); // reply undelivered
-    part.drainReplies(Cycle{100});
+    takeReplies(part, Cycle{100});
     EXPECT_TRUE(part.idle());
 }
 

@@ -28,6 +28,21 @@ read(LineAddr line, int sm, KernelId k = KernelId{0})
     return r;
 }
 
+/** The fills SM @p sm takes at @p now, through readyFill/popFill as
+ *  the SM does. */
+std::vector<MemRequest>
+takeFills(MemorySystem &mem, int sm, Cycle now)
+{
+    std::vector<MemRequest> out;
+    int budget = MemorySystem::kFillsPerCycle;
+    while (const MemRequest *f = mem.readyFill(SmId{sm}, now, budget)) {
+        const MemRequest fill = *f;
+        if (mem.popFill(SmId{sm}, now, budget))
+            out.push_back(fill);
+    }
+    return out;
+}
+
 TEST(MemorySystem, ReadRoundTrip)
 {
     MemorySystem mem(cfg());
@@ -36,7 +51,7 @@ TEST(MemorySystem, ReadRoundTrip)
     std::vector<MemRequest> got;
     for (Cycle t{}; t < Cycle{2000} && got.empty(); ++t) {
         mem.tick(t);
-        got = mem.drainRepliesForSm(SmId{1}, t);
+        got = takeFills(mem, 1, t);
     }
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].line_addr, LineAddr{1234});
@@ -49,7 +64,7 @@ TEST(MemorySystem, ReplyGoesOnlyToRequester)
     mem.injectFromSm(read(LineAddr{99}, 0), Cycle{});
     for (Cycle t{}; t < Cycle{2000}; ++t) {
         mem.tick(t);
-        ASSERT_TRUE(mem.drainRepliesForSm(SmId{1}, t).empty());
+        ASSERT_TRUE(takeFills(mem, 1, t).empty());
         if (!mem.quiescent() || t < Cycle{10})
             continue;
         break;
@@ -64,7 +79,7 @@ TEST(MemorySystem, SecondAccessIsL2Hit)
     Cycle first_latency{};
     for (; t < Cycle{4000}; ++t) {
         mem.tick(t);
-        if (!mem.drainRepliesForSm(SmId{0}, t).empty()) {
+        if (!takeFills(mem, 0, t).empty()) {
             first_latency = t;
             break;
         }
@@ -76,7 +91,7 @@ TEST(MemorySystem, SecondAccessIsL2Hit)
     Cycle second_latency{};
     for (Cycle u = start2; u < start2 + 4000; ++u) {
         mem.tick(u);
-        if (!mem.drainRepliesForSm(SmId{0}, u).empty()) {
+        if (!takeFills(mem, 0, u).empty()) {
             second_latency = u - start2;
             break;
         }
@@ -96,7 +111,7 @@ TEST(MemorySystem, WritesCompleteSilently)
     ASSERT_TRUE(mem.injectFromSm(w, Cycle{}));
     for (Cycle t{}; t < Cycle{4000}; ++t) {
         mem.tick(t);
-        ASSERT_TRUE(mem.drainRepliesForSm(SmId{0}, t).empty());
+        ASSERT_TRUE(takeFills(mem, 0, t).empty());
         if (t > Cycle{500} && mem.quiescent())
             break;
     }
@@ -111,7 +126,7 @@ TEST(MemorySystem, QuiescentLifecycle)
     EXPECT_FALSE(mem.quiescent());
     for (Cycle t{}; t < Cycle{4000}; ++t) {
         mem.tick(t);
-        mem.drainRepliesForSm(SmId{0}, t);
+        takeFills(mem, 0, t);
     }
     EXPECT_TRUE(mem.quiescent());
 }
@@ -139,6 +154,66 @@ TEST(MemorySystem, BackpressureOnFloodedPort)
     EXPECT_LE(accepted, c.icnt.input_queue_depth);
 }
 
+TEST(MemorySystem, RefusedReplyHoldsBackLaterReplies)
+{
+    // A reply that its SM's full port refuses waits behind earlier
+    // refusals, and a later reply to another SM does not overtake it.
+    GpuConfig c = cfg();
+    c.icnt.input_queue_depth = 2;
+    MemorySystem mem(c);
+    std::vector<LineAddr> lines; // five lines of partition 0
+    for (LineAddr l{}; lines.size() < 5; l += kPartitionChunkLines)
+        if (linePartition(l, c.numL2Partitions()) == 0)
+            lines.push_back(l);
+
+    // Warm the L2 so that the replies below are hits, returned in
+    // request order.
+    Cycle t{};
+    auto send = [&](const std::vector<MemRequest> &reads) {
+        for (std::size_t i = 0; i < reads.size(); ++t) {
+            if (mem.injectFromSm(reads[i], t))
+                ++i;
+            mem.tick(t);
+        }
+    };
+    std::vector<MemRequest> warm;
+    for (LineAddr l : lines)
+        warm.push_back(read(l, 0));
+    send(warm);
+    for (; !mem.quiescent(); ++t) {
+        mem.tick(t);
+        takeFills(mem, 0, t);
+    }
+
+    // SM 0 reads four lines and takes nothing: two replies fill its
+    // port and two are refused.
+    send({read(lines[0], 0), read(lines[1], 0), read(lines[2], 0),
+          read(lines[3], 0)});
+    // SM 1's read to the same partition gets no reply while they wait.
+    send({read(lines[4], 1)});
+    for (const Cycle stop = t + 2000; t < stop; ++t) {
+        mem.tick(t);
+        ASSERT_TRUE(takeFills(mem, 1, t).empty()) << "cycle " << t;
+    }
+    EXPECT_FALSE(mem.quiescent());
+
+    // Once SM 0 takes its fills, all four arrive in order, and SM 1's
+    // reply follows.
+    std::vector<LineAddr> sm0;
+    std::vector<LineAddr> sm1;
+    for (const Cycle stop = t + 2000; t < stop && !mem.quiescent();
+         ++t) {
+        mem.tick(t);
+        for (const MemRequest &f : takeFills(mem, 0, t))
+            sm0.push_back(f.line_addr);
+        for (const MemRequest &f : takeFills(mem, 1, t))
+            sm1.push_back(f.line_addr);
+    }
+    EXPECT_EQ(sm0, std::vector<LineAddr>(lines.begin(), lines.begin() + 4));
+    EXPECT_EQ(sm1, std::vector<LineAddr>{lines[4]});
+    EXPECT_TRUE(mem.quiescent());
+}
+
 TEST(MemorySystem, ManyRequestsAllReturn)
 {
     MemorySystem mem(cfg());
@@ -154,7 +229,7 @@ TEST(MemorySystem, ManyRequestsAllReturn)
         }
         mem.tick(t);
         received += static_cast<int>(
-            mem.drainRepliesForSm(SmId{0}, t).size());
+            takeFills(mem, 0, t).size());
     }
     EXPECT_EQ(received, n);
     EXPECT_TRUE(mem.quiescent());
