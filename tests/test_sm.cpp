@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the SM: TB dispatch under static resource limits,
  * per-kernel quotas, warp execution, TB restart semantics, stats, the
- * due-wheel across a checkpoint, and wide machines that
- * GpuConfig::validate() accepts.
+ * due-wheel and sleeping dispatch across a checkpoint, and wide
+ * machines that GpuConfig::validate() accepts.
  */
 
 #include <gtest/gtest.h>
@@ -279,6 +279,81 @@ TEST(Sm, RestoredDueWheelResumesBusyWarps)
     }
     EXPECT_GT(resumed->kernelStats(KernelId{0}).issued_instructions,
               0u);
+    EXPECT_EQ(smBytes(*resumed), smBytes(*straight));
+}
+
+TEST(Sm, RetiringTbRelaunchesInItsCycle)
+{
+    // Dispatch sleeps after a cycle with no launch. A TB that retires
+    // wakes it, so the free slot is refilled in the retiring cycle:
+    // with a quota of one, the TB is resident after every tick.
+    SmFixture f;
+    KernelProfile p = findProfile("cp");
+    p.instrs_per_warp = 64;
+    auto sm = f.makeSm({&p});
+    sm->setTbQuota(KernelId{0}, 1);
+    for (Cycle t{}; t < Cycle{20000}; ++t) {
+        sm->tick(t);
+        f.mem.tick(t);
+        ASSERT_EQ(sm->residentTbs(KernelId{0}), 1) << "cycle " << t;
+    }
+    EXPECT_GE(sm->kernelStats(KernelId{0}).tbs_completed, 4u);
+}
+
+TEST(Sm, NewQuotaWakesDispatch)
+{
+    // A quota of zero puts dispatch to sleep; a new quota launches at
+    // the next tick, and each further tick launches one more TB.
+    SmFixture f;
+    auto sm = f.makeSm({&findProfile("bp")});
+    sm->setTbQuota(KernelId{0}, 0);
+    f.run(*sm, Cycle{100});
+    ASSERT_EQ(sm->residentTbs(KernelId{0}), 0);
+    sm->setTbQuota(KernelId{0}, 2);
+    f.run(*sm, Cycle{1}, Cycle{100});
+    EXPECT_EQ(sm->residentTbs(KernelId{0}), 1);
+    f.run(*sm, Cycle{1}, Cycle{101});
+    EXPECT_EQ(sm->residentTbs(KernelId{0}), 2);
+}
+
+TEST(Sm, RestoredWhileDispatchSleepsMatchesStraightRun)
+{
+    // Checkpoint with every quota slot filled, so the last dispatch
+    // attempt failed and dispatch sleeps; the flag is not serialized.
+    // A restored SM in fresh objects must track the straight run byte
+    // for byte, through TB retirements that wake dispatch.
+    KernelProfile p = findProfile("bp");
+    p.instrs_per_warp = 100;
+    SmFixture a, b;
+    auto straight = a.makeSm({&p});
+    auto resumed = b.makeSm({&p});
+    straight->setTbQuota(KernelId{0}, 4);
+    resumed->setTbQuota(KernelId{0}, 4);
+    const Cycle at{1500};
+    a.run(*straight, at);
+    ASSERT_EQ(straight->residentTbs(KernelId{0}), 4);
+    {
+        SnapshotWriter w;
+        Sm::state(w, std::as_const(*straight));
+        MemorySystem::state(w, std::as_const(a.mem));
+        SnapshotReader r(w.bytes());
+        Sm::state(r, *resumed);
+        MemorySystem::state(r, b.mem);
+        ASSERT_TRUE(r.atEnd());
+    }
+    const std::uint64_t done_at =
+        straight->kernelStats(KernelId{0}).tbs_completed;
+    for (Cycle t = at; t < at + Cycle{2000}; ++t) {
+        straight->tick(t);
+        a.mem.tick(t);
+        resumed->tick(t);
+        b.mem.tick(t);
+        if (t.get() % 100 == 0) {
+            ASSERT_EQ(smBytes(*resumed), smBytes(*straight))
+                << "cycle " << t;
+        }
+    }
+    EXPECT_GT(straight->kernelStats(KernelId{0}).tbs_completed, done_at);
     EXPECT_EQ(smBytes(*resumed), smBytes(*straight));
 }
 
