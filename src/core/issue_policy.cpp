@@ -40,17 +40,16 @@ IssueController::IssueController(const IssuePolicyConfig &cfg,
 void
 IssueController::replenishQuotas()
 {
-    std::vector<double> rpm;
-    rpm.reserve(static_cast<std::size_t>(num_kernels_));
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(num_kernels_); ++i)
-        rpm.push_back(rpm_[i].value());
-    const std::vector<int> fresh = qbmiQuotas(rpm);
+    const std::size_t n = static_cast<std::size_t>(num_kernels_);
+    std::array<double, kMaxKernelsPerSm> rpm{};
+    for (std::size_t i = 0; i < n; ++i)
+        rpm[i] = rpm_[i].value();
+    const std::array<int, kMaxKernelsPerSm> fresh =
+        qbmiQuotas(std::span<const double>(rpm.data(), n));
     // The paper adds the new set to the current values so a kernel at
     // zero can still issue when no co-runner has a ready memory
     // instruction.
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(num_kernels_); ++i)
+    for (std::size_t i = 0; i < n; ++i)
         quota_[i] += fresh[i];
 }
 

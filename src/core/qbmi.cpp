@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "sim/check.hpp"
+
 namespace ckesim {
 
 std::uint64_t
@@ -14,23 +16,26 @@ lcm64(std::uint64_t a, std::uint64_t b)
     return a / std::gcd(a, b) * b;
 }
 
-std::vector<int>
-qbmiQuotas(const std::vector<double> &req_per_minst)
+std::array<int, kMaxKernelsPerSm>
+qbmiQuotas(std::span<const double> req_per_minst)
 {
-    std::vector<std::uint64_t> r;
-    r.reserve(req_per_minst.size());
-    for (double v : req_per_minst) {
-        const auto rounded =
-            static_cast<std::uint64_t>(std::llround(std::max(v, 1.0)));
-        r.push_back(std::max<std::uint64_t>(rounded, 1));
-    }
+    SimCtx ctx;
+    ctx.module = "qbmi";
+    SIM_CHECK(req_per_minst.size() <= kMaxKernelsPerSm, ctx,
+              "QBMI quotas for " << req_per_minst.size()
+                                 << " kernels (max " << kMaxKernelsPerSm
+                                 << ")");
+    std::array<std::uint64_t, kMaxKernelsPerSm> r{};
     std::uint64_t l = 1;
-    for (std::uint64_t v : r)
-        l = lcm64(l, v);
-    std::vector<int> quotas;
-    quotas.reserve(r.size());
-    for (std::uint64_t v : r)
-        quotas.push_back(static_cast<int>(l / v));
+    for (std::size_t i = 0; i < req_per_minst.size(); ++i) {
+        const auto rounded = static_cast<std::uint64_t>(
+            std::llround(std::max(req_per_minst[i], 1.0)));
+        r[i] = std::max<std::uint64_t>(rounded, 1);
+        l = lcm64(l, r[i]);
+    }
+    std::array<int, kMaxKernelsPerSm> quotas{};
+    for (std::size_t i = 0; i < req_per_minst.size(); ++i)
+        quotas[i] = static_cast<int>(l / r[i]);
     return quotas;
 }
 

@@ -18,10 +18,12 @@
 #ifndef CKESIM_CORE_QBMI_HPP
 #define CKESIM_CORE_QBMI_HPP
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/snapshot.hpp"
+#include "sim/types.hpp"
 
 namespace ckesim {
 
@@ -29,12 +31,14 @@ namespace ckesim {
 std::uint64_t lcm64(std::uint64_t a, std::uint64_t b);
 
 /**
- * Compute per-kernel quotas from rounded Req/Minst values.
- * @param req_per_minst one entry per kernel; values are clamped to
- *        >= 1 before use
+ * Compute per-kernel quotas from rounded Req/Minst values. Allocates
+ * nothing: a controller replenishes whenever a quota runs dry.
+ * @param req_per_minst one entry per kernel (at most
+ *        kMaxKernelsPerSm); values are clamped to >= 1 before use
+ * @return the quotas of those kernels, then zeros
  */
-std::vector<int>
-qbmiQuotas(const std::vector<double> &req_per_minst);
+std::array<int, kMaxKernelsPerSm>
+qbmiQuotas(std::span<const double> req_per_minst);
 
 /**
  * Online Req/Minst estimator: re-sampled every 1024 requests, matching

@@ -20,31 +20,41 @@ TEST(Lcm, Basics)
     EXPECT_EQ(lcm64(0, 5), 0u);
 }
 
+/** qbmiQuotas for @p rates.size() kernels, as a list of that length. */
+std::vector<int>
+quotas(const std::vector<double> &rates)
+{
+    const std::array<int, kMaxKernelsPerSm> q = qbmiQuotas(rates);
+    for (std::size_t i = rates.size(); i < q.size(); ++i)
+        EXPECT_EQ(q[i], 0) << "quota past the last kernel";
+    return {q.begin(), q.begin() + static_cast<std::ptrdiff_t>(rates.size())};
+}
+
 TEST(QbmiQuotas, PaperFormula)
 {
     // bp (Req/Minst 2) with sv (Req/Minst 3): LCM 6 -> quotas (3, 2)
     // so both kernels issue the same request volume per round.
-    EXPECT_EQ(qbmiQuotas({2.0, 3.0}), (std::vector<int>{3, 2}));
+    EXPECT_EQ(quotas({2.0, 3.0}), (std::vector<int>{3, 2}));
     // bp with ks (17): LCM 34 -> (17, 2).
-    EXPECT_EQ(qbmiQuotas({2.0, 17.0}), (std::vector<int>{17, 2}));
+    EXPECT_EQ(quotas({2.0, 17.0}), (std::vector<int>{17, 2}));
 }
 
 TEST(QbmiQuotas, EqualRatesGetEqualQuotas)
 {
-    EXPECT_EQ(qbmiQuotas({4.0, 4.0}), (std::vector<int>{1, 1}));
+    EXPECT_EQ(quotas({4.0, 4.0}), (std::vector<int>{1, 1}));
 }
 
 TEST(QbmiQuotas, RoundsAndClampsRates)
 {
     // 0.4 clamps to 1; 2.6 rounds to 3.
-    EXPECT_EQ(qbmiQuotas({0.4, 2.6}), (std::vector<int>{3, 1}));
+    EXPECT_EQ(quotas({0.4, 2.6}), (std::vector<int>{3, 1}));
 }
 
 TEST(QbmiQuotas, BalancesRequestVolume)
 {
     // quota_i * r_i must be equal across kernels (the LCM).
     const std::vector<double> rates = {2.0, 3.0, 17.0};
-    const std::vector<int> q = qbmiQuotas(rates);
+    const std::vector<int> q = quotas(rates);
     ASSERT_EQ(q.size(), 3u);
     const double v0 = q[0] * rates[0];
     EXPECT_DOUBLE_EQ(q[1] * rates[1], v0);
@@ -54,7 +64,7 @@ TEST(QbmiQuotas, BalancesRequestVolume)
 TEST(QbmiQuotas, ThreeKernels)
 {
     // LCM(1,2,3) = 6 -> (6,3,2).
-    EXPECT_EQ(qbmiQuotas({1.0, 2.0, 3.0}),
+    EXPECT_EQ(quotas({1.0, 2.0, 3.0}),
               (std::vector<int>{6, 3, 2}));
 }
 
