@@ -23,8 +23,9 @@
  *    (host_cores is recorded so readers can tell which).
  *
  *  - strict_busy: the perf-regression gate for the stepping loop
- *    itself. On a busy machine (sms=4, compute-bound bp+hs co-run)
- *    cycles/sec is a direct measure of per-cycle cost. Each scheme
+ *    itself. On a busy machine (sms=4, compute-bound bp+hs co-run
+ *    under four schemes, and the memory-bound sv+ks under WS)
+ *    cycles/sec is a direct measure of per-cycle cost. Each case
  *    runs --busy-repeats times and reports the median (single runs
  *    on a shared host are ±20-40% noisy); with --prof the first run
  *    of each scheme attaches the cycle-cost profiler
@@ -204,6 +205,7 @@ benchSchemes()
 
 struct BusyCase
 {
+    std::string workload; ///< "a+b" kernel short names
     std::string scheme;
     double wall_ms = 0.0;       ///< median over repeats
     double cps = 0.0;           ///< median strict cycles/sec
@@ -214,10 +216,29 @@ std::vector<BusyCase>
 runStrictBusy(Cycle cycles, int repeats, bool prof_on)
 {
     const GpuConfig cfg = makeSmallConfig(4, 4);
-    const Workload wl = makeWorkload({"bp", "hs"});
+    // The compute-bound C+C pair under every scheme, then the M+M pair
+    // sv+ks under WS: the memory-pipeline-stall regime, where the SMs
+    // mostly wait on the memory system.
+    struct Run
+    {
+        const char *first;
+        const char *second;
+        SchemeCase scheme;
+    };
+    const std::vector<SchemeCase> schemes = benchSchemes();
+    std::vector<Run> runs;
+    for (const SchemeCase &s : schemes)
+        runs.push_back({"bp", "hs", s});
+    for (const SchemeCase &s : schemes)
+        if (s.name == "ws")
+            runs.push_back({"sv", "ks", s});
+
     std::vector<BusyCase> out;
-    for (const SchemeCase &s : benchSchemes()) {
+    for (const Run &run : runs) {
+        const Workload wl = makeWorkload({run.first, run.second});
+        const SchemeCase &s = run.scheme;
         BusyCase c;
+        c.workload = std::string(run.first) + "+" + run.second;
         c.scheme = s.name;
         if (prof_on) {
             // Separate profiled run: scope overhead must not leak
@@ -228,7 +249,8 @@ runStrictBusy(Cycle cycles, int repeats, bool prof_on)
             gpu.setProfiler(&prof);
             gpu.run(cycles);
             c.attributed_pct = prof.attributedFraction() * 100.0;
-            std::fprintf(stderr, "strict_busy %s\n", s.name.c_str());
+            std::fprintf(stderr, "strict_busy %s %s\n",
+                         c.workload.c_str(), s.name.c_str());
             std::ostringstream os;
             prof.report(os);
             std::fputs(os.str().c_str(), stderr);
@@ -346,17 +368,18 @@ main(int argc, char **argv)
                      "  \"strict_busy\": {\n"
                      "    \"cycles\": %lld,\n"
                      "    \"sms\": 4,\n"
-                     "    \"workload\": \"bp+hs\",\n"
                      "    \"repeats\": %lld,\n"
                      "    \"cases\": [\n",
                      busy_cycles, busy_repeats);
         for (std::size_t i = 0; i < busy.size(); ++i) {
             const BusyCase &c = busy[i];
             std::fprintf(f,
-                         "      {\"scheme\": \"%s\", "
+                         "      {\"workload\": \"%s\", "
+                         "\"scheme\": \"%s\", "
                          "\"wall_ms\": %.3f, "
                          "\"cycles_per_sec\": %.0f",
-                         c.scheme.c_str(), c.wall_ms, c.cps);
+                         c.workload.c_str(), c.scheme.c_str(),
+                         c.wall_ms, c.cps);
             if (c.attributed_pct > 0.0)
                 std::fprintf(f, ", \"prof_attributed_pct\": %.1f",
                              c.attributed_pct);
@@ -377,8 +400,8 @@ main(int argc, char **argv)
                             m.workers, m.wall_ms, m.jobs_per_sec,
                             m.all_completed ? "" : "  INCOMPLETE");
         for (const BusyCase &c : busy) {
-            std::printf("busy sms=4 bp+hs %-13s strict %8.0f cyc/s",
-                        c.scheme.c_str(), c.cps);
+            std::printf("busy sms=4 %s %-13s strict %8.0f cyc/s",
+                        c.workload.c_str(), c.scheme.c_str(), c.cps);
             if (c.attributed_pct > 0.0)
                 std::printf("  prof %.1f%%", c.attributed_pct);
             std::printf("\n");

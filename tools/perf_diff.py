@@ -5,21 +5,24 @@
 
 Each PARENT CHANGE pair is two bench_perf artifacts measured back to
 back on one host: the parent commit's build and the change's build,
-alternating which side runs first. For every strict_busy scheme the
-tool takes each pair's ratio change / parent of cycles_per_sec (higher
-is faster) and gates the median ratio: below --tolerance is a
-regression. A ratio is only meaningful between runs of one host in
-one session, so both sides are measured together; an artifact recorded
-on another machine says nothing about this one.
+alternating which side runs first. For every strict_busy case (a
+workload and a scheme) the tool takes each pair's ratio change /
+parent of cycles_per_sec (higher is faster) and gates the median
+ratio: below --tolerance is a regression. A case that no parent
+artifact has is new: its row records the change's numbers, marked
+"new", and it is gated from the next comparison on; a parent case the
+change lacks is a finding. A ratio is only meaningful between runs of
+one host in one session, so both sides are measured together; an
+artifact recorded on another machine says nothing about this one.
 
 stdout is the BENCH_perf.json record of the comparison: the last
 CHANGE artifact, whose strict_busy section gains the pair count and,
-per scheme, the median of each side, the median ratio ("improvement")
+per case, the median of each side, the median ratio ("improvement")
 and its spread (the first and third quartiles of the ratios). stderr
-has one line per scheme and the verdict.
+has one line per case and the verdict.
 
 Exit status: 0 clean, 1 if a median ratio falls below --tolerance or a
-scheme is missing from an artifact, 2 on unreadable artifacts or an
+case is missing from some artifacts, 2 on unreadable artifacts or an
 odd number of paths.
 """
 
@@ -39,8 +42,11 @@ def load(path):
 
 
 def busy_cases(doc):
-    return {c["scheme"]: c
-            for c in doc.get("strict_busy", {}).get("cases", [])}
+    """strict_busy cases by (workload, scheme). An artifact whose cases
+    carry no workload ran them all on the section's one workload."""
+    busy = doc.get("strict_busy", {})
+    return {(c.get("workload", busy.get("workload")), c["scheme"]): c
+            for c in busy.get("cases", [])}
 
 
 def dumps(value, indent=0):
@@ -90,13 +96,33 @@ def main():
     last = docs[-1]
     findings = []
     rows = []
-    for scheme, final in busy_cases(last).items():
+    for (workload, scheme), final in busy_cases(last).items():
+        name = f"{workload} {scheme}"
+        key = (workload, scheme)
+        if all(key not in busy_cases(parent) for parent, _ in pairs):
+            changes = [busy_cases(change).get(key) for _, change in pairs]
+            if None in changes:
+                findings.append(f"strict_busy {name}: missing from a "
+                                "change artifact")
+                continue
+            rows.append({
+                "workload": workload, "scheme": scheme,
+                "wall_ms": round(statistics.median(
+                    c["wall_ms"] for c in changes), 3),
+                "cycles_per_sec": round(statistics.median(
+                    c["cycles_per_sec"] for c in changes)),
+                "new": True})
+            print(f"strict_busy {name:<20} change "
+                  f"{rows[-1]['cycles_per_sec']:>9} cyc/s  new: no "
+                  "parent case, gated from the next comparison on",
+                  file=sys.stderr)
+            continue
         parent_cps, change_cps, change_ms, ratios = [], [], [], []
         for parent, change in pairs:
-            pc = busy_cases(parent).get(scheme)
-            cc = busy_cases(change).get(scheme)
+            pc = busy_cases(parent).get(key)
+            cc = busy_cases(change).get(key)
             if pc is None or cc is None:
-                findings.append(f"strict_busy {scheme}: missing from a "
+                findings.append(f"strict_busy {name}: missing from a "
                                 "pair's artifact")
                 break
             parent_cps.append(pc["cycles_per_sec"])
@@ -106,7 +132,8 @@ def main():
         else:
             ratio = statistics.median(ratios)
             q1, q3 = quartiles(ratios)
-            row = {"scheme": scheme,
+            row = {"workload": workload,
+                   "scheme": scheme,
                    "wall_ms": round(statistics.median(change_ms), 3),
                    "cycles_per_sec": round(statistics.median(change_cps)),
                    "prev_cycles_per_sec":
@@ -118,16 +145,21 @@ def main():
                 row["prof_attributed_pct"] = final["prof_attributed_pct"]
             rows.append(row)
             verdict = "REGRESSION" if ratio < args.tolerance else "ok"
-            print(f"strict_busy {scheme:<14} parent "
+            print(f"strict_busy {name:<20} parent "
                   f"{row['prev_cycles_per_sec']:>9} cyc/s  change "
                   f"{row['cycles_per_sec']:>9} cyc/s  "
                   f"{ratio:5.3f}x [q1 {q1:5.3f}, q3 {q3:5.3f}] over "
                   f"{len(ratios)} pair(s)  {verdict}", file=sys.stderr)
             if ratio < args.tolerance:
                 findings.append(
-                    f"strict_busy {scheme}: median {ratio:.3f}x of the "
+                    f"strict_busy {name}: median {ratio:.3f}x of the "
                     f"parent (tolerance {args.tolerance:.2f})")
 
+    for workload, scheme in sorted(
+            {key for parent, _ in pairs for key in busy_cases(parent)}
+            - set(busy_cases(last))):
+        findings.append(f"strict_busy {workload} {scheme}: in a parent "
+                        "artifact but not the change's")
     if not rows and not findings:
         findings.append("no strict_busy cases in the artifacts")
     if "strict_busy" in last:
@@ -142,7 +174,7 @@ def main():
         for f in findings:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"perf_diff: {len(rows)} scheme(s) within tolerance "
+    print(f"perf_diff: {len(rows)} case(s) within tolerance "
           f"{args.tolerance:.2f} over {len(pairs)} pair(s)",
           file=sys.stderr)
     return 0
