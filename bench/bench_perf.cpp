@@ -27,9 +27,10 @@
  *    under four schemes, and the memory-bound sv+ks under WS)
  *    cycles/sec is a direct measure of per-cycle cost. Each case
  *    runs --busy-repeats times and reports the median (single runs
- *    on a shared host are ±20-40% noisy); with --prof the first run
- *    of each scheme attaches the cycle-cost profiler
- *    (sim/profiler.hpp) and reports the component breakdown.
+ *    on a shared host are ±20-40% noisy); with --prof one extra run
+ *    of each case attaches the sampling cycle-cost profiler
+ *    (sim/profiler.hpp), prints its component table to stderr and
+ *    records the attributed share of its samples.
  *    tools/perf_diff.py pairs artifacts of two builds run
  *    alternately on one host and gates the median ratio.
  *
@@ -241,8 +242,8 @@ runStrictBusy(Cycle cycles, int repeats, bool prof_on)
         c.workload = std::string(run.first) + "+" + run.second;
         c.scheme = s.name;
         if (prof_on) {
-            // Separate profiled run: scope overhead must not leak
-            // into the timed medians below.
+            // Separate profiled run: the timed medians below never
+            // carry the sampler.
             Gpu gpu(cfg, wl, s.spec);
             Profiler prof;
             prof.enable();

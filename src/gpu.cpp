@@ -177,17 +177,13 @@ Gpu::Gpu(const GpuConfig &cfg, const Workload &workload,
 
 Gpu::~Gpu()
 {
-    if (owned_prof_)
-        owned_prof_->report(std::cerr); // SIMCHECK-ALLOW(stdio): CKESIM_PROF teardown report
-}
-
-void
-Gpu::setProfiler(Profiler *prof)
-{
-    cost_prof_ = prof;
-    for (auto &sm : sms_)
-        sm->setProfiler(prof);
-    mem_.setProfiler(prof);
+    if (!owned_prof_)
+        return;
+    // One write: tables of Gpus torn down on other threads must not
+    // interleave with this one.
+    std::ostringstream table;
+    owned_prof_->report(table);
+    std::cerr << table.str(); // SIMCHECK-ALLOW(stdio): CKESIM_PROF teardown report
 }
 
 void
@@ -354,7 +350,7 @@ void
 Gpu::stepCycle()
 {
     {
-        ProfScope prof_scheme(cost_prof_, ProfComp::Scheme);
+        ProfScope prof_scheme(ProfComp::Scheme);
         if (profiling_ && now_ == profile_end_)
             finishProfiling();
         if (spec_.ucp && now_ > Cycle{} &&
@@ -376,7 +372,7 @@ Gpu::stepCycle()
 
     const int interval = cfg_.integrity.check_interval;
     if (interval > 0 && now_ % interval == 0) {
-        ProfScope prof_integrity(cost_prof_, ProfComp::Integrity);
+        ProfScope prof_integrity(ProfComp::Integrity);
         watchdogPoll();
         if (cfg_.integrity.periodic_checks)
             checkInvariants();
@@ -389,10 +385,10 @@ void
 Gpu::run(Cycle cycles)
 {
     const Cycle end = now_ + cycles;
-    // Attribute the loop glue (tick dispatch, cadence checks)
-    // explicitly; nested component scopes subtract, so this shows up
-    // as `runloop` self-time.
-    ProfScope prof_loop(cost_prof_, ProfComp::Runloop);
+    const Profiler::Armed sampling(cost_prof_);
+    // The loop glue (tick dispatch, cadence checks) is `runloop`;
+    // the component scopes inside it take over the thread's byte.
+    ProfScope prof_loop(ProfComp::Runloop);
     while (now_ < end) {
         stepCycle();
         ++now_;

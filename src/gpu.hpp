@@ -257,15 +257,14 @@ class Gpu
     bool memoryInFlight() const;
 
     /**
-     * Attach a cycle-cost profiler (nullptr detaches): wall-time
-     * attribution of the strict stepping loop to components
-     * (DESIGN.md §14). Observation only — simulation results are
-     * bit-identical with or without it. A Gpu constructed while the
-     * CKESIM_PROF environment variable is set owns one and prints
-     * its breakdown to stderr on destruction.
+     * Attach a cycle-cost profiler (nullptr detaches): run() samples
+     * which component its thread is in (DESIGN.md §14.4).
+     * Observation only — simulation results are bit-identical with
+     * or without it. A Gpu constructed while the CKESIM_PROF
+     * environment variable is set owns one and prints its breakdown
+     * to stderr on destruction.
      */
-    void setProfiler(Profiler *prof);
-    Profiler *profiler() const { return cost_prof_; }
+    void setProfiler(Profiler *prof) { cost_prof_ = prof; }
 
   private:
     void setupInitialPartition();

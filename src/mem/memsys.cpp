@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "sim/check.hpp"
+#include "sim/profiler.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -74,7 +75,7 @@ MemorySystem::tick(Cycle now)
 
         // Crossbar -> partition input queue, as room allows.
         if (part.inputRoom() > 0) {
-            ProfScope prof_noc(prof_, ProfComp::Noc);
+            ProfScope prof_noc(ProfComp::Noc);
             const MemRequest *req = nullptr;
             while (part.inputRoom() > 0 &&
                    (req = fwd_.readyHead(p, now)) != nullptr) {
@@ -85,16 +86,16 @@ MemorySystem::tick(Cycle now)
 
         const bool frozen = faults_ && faults_->dramFrozen(p, now);
         {
-            ProfScope prof_l2(prof_, ProfComp::L2);
+            ProfScope prof_l2(ProfComp::L2);
             part.tick(now, chan);
         }
         {
-            ProfScope prof_dram(prof_, ProfComp::Dram);
+            ProfScope prof_dram(ProfComp::Dram);
             if (!frozen)
                 chan.tick(now);
         }
         if (const MemRequest *fill = chan.readyFill(now)) {
-            ProfScope prof_l2(prof_, ProfComp::L2);
+            ProfScope prof_l2(ProfComp::L2);
             do {
                 part.onDramFill(*fill, now);
                 chan.popFill();
@@ -104,7 +105,7 @@ MemorySystem::tick(Cycle now)
         // Partition replies -> reply crossbar. Refused replies retry
         // first, in order; while one waits, newer replies queue
         // behind it rather than overtake it.
-        ProfScope prof_noc(prof_, ProfComp::Noc);
+        ProfScope prof_noc(ProfComp::Noc);
         RingBuf<MemRequest> &retry =
             reply_retry_[static_cast<std::size_t>(p)];
         while (!retry.empty() && injectReply(retry.front(), now))

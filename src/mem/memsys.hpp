@@ -19,7 +19,6 @@
 #include "mem/request.hpp"
 #include "sim/config.hpp"
 #include "sim/fault.hpp"
-#include "sim/profiler.hpp"
 #include "sim/ringbuf.hpp"
 #include "sim/types.hpp"
 
@@ -100,9 +99,6 @@ class MemorySystem
     /** Attach a fault injector (nullptr = fault-free operation). */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
-    /** Attach a cycle-cost profiler (nullptr detaches). */
-    void setProfiler(Profiler *prof) { prof_ = prof; }
-
     /** Read requests injected below the L1s (conservation ledger). */
     std::uint64_t injectedReads() const { return injected_reads_; }
     /** Read fills handed back to SMs (conservation ledger). */
@@ -153,7 +149,6 @@ class MemorySystem
     // SIMCHECK-ALLOW(hotpath): fault-injection only; untouched on fault-free runs
     std::vector<std::deque<DelayedFill>> delayed_;
     FaultInjector *faults_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by owner; the Gpu walks the injector
-    Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t inflight_ = 0; ///< read requests below the L1s
     std::uint64_t injected_reads_ = 0;
     std::uint64_t injected_writes_ = 0;

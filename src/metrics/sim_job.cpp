@@ -92,10 +92,13 @@ SimJob::describe() const
     std::string d = kind == JobKind::Isolated ? "iso:" : "cke:";
     d += workload.name();
     if (kind == JobKind::Isolated) {
-        if (tb_limit > 0)
-            d += "#" + std::to_string(tb_limit);
+        if (tb_limit > 0) {
+            d += '#';
+            d += std::to_string(tb_limit);
+        }
     } else if (use_named) {
-        d += ":" + schemeName(named);
+        d += ':';
+        d += schemeName(named);
     } else {
         d += ":spec";
     }

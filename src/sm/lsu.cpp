@@ -1,6 +1,7 @@
 #include "sm/lsu.hpp"
 
 #include "sim/check.hpp"
+#include "sim/profiler.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -56,7 +57,7 @@ Lsu::tick(Cycle now, L1Dcache &l1d, LsuHost &host)
 
     L1Outcome out;
     {
-        ProfScope prof_l1d(prof_, ProfComp::L1d);
+        ProfScope prof_l1d(ProfComp::L1d);
         out = l1d.access(line, e.kernel, e.is_store, target, now);
     }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "mem/l1d.hpp"
-#include "sim/profiler.hpp"
 #include "sim/ringbuf.hpp"
 #include "sim/types.hpp"
 
@@ -76,9 +75,6 @@ class Lsu
         return queue_.empty() ? kInvalidKernel : queue_.front().kernel;
     }
 
-    /** Attach a cycle-cost profiler (nullptr detaches). */
-    void setProfiler(Profiler *prof) { prof_ = prof; }
-
     /** Checkpoint walk of the queue: entries, line lists, progress
      *  cursors (sim/snapshot.hpp archives). Each entry's lines are
      *  written as a counted list, as when every entry owned a vector. */
@@ -110,7 +106,6 @@ class Lsu
     int entry_lines_; // fixed at construction
     int hit_latency_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     SmId sm_id_;      // fixed at construction
-    Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Sm
     RingBuf<Entry> queue_; ///< flat hot queue (DESIGN.md §14)
     /** Every queued entry's lines, in queue order, as one ring of
      *  depth x entry_lines slots. Each entry takes the slots after the

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/check.hpp"
+#include "sim/profiler.hpp"
 #include "sim/snapshot.hpp"
 
 namespace ckesim {
@@ -93,14 +94,14 @@ Sm::drainFills(Cycle now)
     // Each fill goes from the memory system's queue head straight into
     // the L1D. The nested scope keeps the taking charged to noc and
     // the filling to l1d.
-    ProfScope prof_noc(prof_, ProfComp::Noc);
+    ProfScope prof_noc(ProfComp::Noc);
     int port_budget = MemorySystem::kFillsPerCycle;
     while (const MemRequest *fill =
                mem_.readyFill(sm_id_, now, port_budget)) {
         const LineAddr line = fill->line_addr;
         if (!mem_.popFill(sm_id_, now, port_budget))
             continue;
-        ProfScope prof_l1d(prof_, ProfComp::L1d);
+        ProfScope prof_l1d(ProfComp::L1d);
         l1d_.fill(line, scratch_targets_);
         for (const L1Target &t : scratch_targets_)
             requestReturned(t.warp_slot, now);
@@ -465,7 +466,7 @@ Sm::issueFrom(WarpSlot slot, Cycle now)
 void
 Sm::tick(Cycle now)
 {
-    ProfScope prof_sm(prof_, ProfComp::SmIssue);
+    ProfScope prof_sm(ProfComp::SmIssue);
     now_ = now;
     drainFills(now);
     processWakes(now);
@@ -501,14 +502,14 @@ Sm::tick(Cycle now)
         lsuReservationFailure(lsu_.headKernel(), RsFailReason::Mshr);
         ++sm_stats_.lsu_stall_cycles;
     } else {
-        ProfScope prof_lsu(prof_, ProfComp::Lsu);
+        ProfScope prof_lsu(ProfComp::Lsu);
         if (lsu_.tick(now, l1d_, *this))
             ++sm_stats_.lsu_stall_cycles;
     }
 
     // Drain at most one miss-queue entry into the interconnect.
     if (const MemRequest *head = l1d_.peekMissQueue()) {
-        ProfScope prof_noc(prof_, ProfComp::Noc);
+        ProfScope prof_noc(ProfComp::Noc);
         if (mem_.injectFromSm(*head, now))
             l1d_.popMissQueue();
     }

@@ -21,7 +21,6 @@
 #include "mem/l1d.hpp"
 #include "mem/memsys.hpp"
 #include "sim/config.hpp"
-#include "sim/profiler.hpp"
 #include "sim/stats.hpp"
 #include "sim/time_series.hpp"
 #include "sm/lsu.hpp"
@@ -84,14 +83,6 @@ class Sm : public LsuHost
     // ---- integrity layer ------------------------------------------------
     /** Attach a fault injector (nullptr = fault-free operation). */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
-
-    /** Attach a cycle-cost profiler (nullptr detaches). */
-    void
-    setProfiler(Profiler *prof)
-    {
-        prof_ = prof;
-        lsu_.setProfiler(prof);
-    }
 
     /** Lifetime progress events: instructions issued + load requests
      *  returned. Monotonic (never reset); the watchdog's signal. */
@@ -334,7 +325,6 @@ class Sm : public LsuHost
     void *access_observer_opaque_ = nullptr;   // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
 
     FaultInjector *faults_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by the Gpu, which walks the injector
-    Profiler *prof_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): observer; rebound by the Gpu
     std::uint64_t lifetime_issued_ = 0;
     std::uint64_t lifetime_returns_ = 0;
 };

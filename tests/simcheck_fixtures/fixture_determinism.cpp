@@ -75,7 +75,8 @@ class Tally
 // something other than (config, workload, seed). Only the seeded
 // counter RNG in src/sim/rng.hpp may name a <random> engine.
 inline unsigned long long
-ambient(struct timeval *tv, long stamp)
+ambient(struct timeval *tv, struct timespec *ts, timer_t *timer,
+        long stamp)
 {
     std::srand(7); // EXPECT[determinism-hazard]
     unsigned long long v = std::rand(); // EXPECT[determinism-hazard]
@@ -85,6 +86,10 @@ ambient(struct timeval *tv, long stamp)
     std::uniform_int_distribution<int> pick(0, 3); // EXPECT[determinism-hazard]
     v += std::chrono::steady_clock::now().time_since_epoch().count(); // EXPECT[determinism-hazard]
     gettimeofday(tv, nullptr); // EXPECT[determinism-hazard]
+    clock_gettime(CLOCK_MONOTONIC, ts); // EXPECT[determinism-hazard]
+    timer_create(CLOCK_MONOTONIC, nullptr, timer); // EXPECT[determinism-hazard]
+    setitimer(ITIMER_PROF, nullptr, nullptr); // EXPECT[determinism-hazard]
+    v += __builtin_ia32_rdtsc(); // EXPECT[determinism-hazard]
     v += time(nullptr); // EXPECT[determinism-hazard]
     v += clock(); // EXPECT[determinism-hazard]
     // Not reads of ambient state: a time() of a caller's value, and

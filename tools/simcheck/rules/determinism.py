@@ -20,7 +20,9 @@ simulators of this class:
      comparator: ordering by address.
   5. Ad-hoc randomness and wall-clock reads: rand()/srand(), the
      <random> engines and distributions, the std::chrono clocks,
-     gettimeofday(), time(NULL) and clock(). All randomness flows
+     gettimeofday(), clock_gettime(), the POSIX timers
+     (timer_create(), setitimer()), the TSC (__builtin_ia32_rdtsc()),
+     time(NULL) and clock(). All randomness flows
      through the seeded counter RNG in src/sim/rng.hpp, the one
      exempt file; host-side timing that never reaches simulated
      state (profiling, service liveness) is waived where it is read.
@@ -55,6 +57,10 @@ ENTROPY_CALLS = {
     "rand": "rand()/srand()",
     "srand": "rand()/srand()",
     "gettimeofday": "gettimeofday()",
+    "clock_gettime": "clock_gettime()",
+    "timer_create": "timer_create()",
+    "setitimer": "setitimer()",
+    "__builtin_ia32_rdtsc": "__builtin_ia32_rdtsc()",
 }
 
 UNORDERED = (
