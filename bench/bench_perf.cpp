@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -53,6 +52,7 @@
 #include "campaign/campaign_spec.hpp"
 #include "gpu.hpp"
 #include "kernels/workload.hpp"
+#include "metrics/experiment.hpp"
 #include "metrics/sweep_engine.hpp"
 #include "sim/check.hpp"
 #include "sim/profiler.hpp"
@@ -308,9 +308,10 @@ main(int argc, char **argv)
                          "[--prof]\n");
             return 2;
         }
-        *slot = std::strtoll(argv[++i], nullptr, 10);
-        if (*slot <= 0) {
-            std::fprintf(stderr, "bad %s\n", arg.c_str());
+        try {
+            *slot = parseCount(arg.c_str(), argv[++i]);
+        } catch (const SimError &e) {
+            std::fprintf(stderr, "%s\n", e.what());
             return 2;
         }
     }

@@ -64,8 +64,6 @@ class Crossbar
                                     .queue.size());
     }
 
-    int numDests() const { return static_cast<int>(ports_.size()); }
-
     /** Checkpoint walk of every port's queue and wire timer
      *  (sim/snapshot.hpp archives; geometry fixed at construction). */
     template <class Ar, ObjectOf<Crossbar> Self>

@@ -175,8 +175,8 @@ L1Dcache::probeAccess(LineAddr line_number, KernelId kernel, bool write,
     return out;
 }
 
-void
-L1Dcache::fill(LineAddr line_number, std::vector<L1Target> &out)
+std::span<const L1Target>
+L1Dcache::fill(LineAddr line_number)
 {
     rsfail_memo_.reason = RsFailReason::None;
     const int way = tags_.probe(line_number);
@@ -187,7 +187,8 @@ L1Dcache::fill(LineAddr line_number, std::vector<L1Target> &out)
     }
     // Bypassed misses have no reserved line: nothing is installed.
     // The owner is the allocating request's kernel (first target).
-    const KernelId owner = mshrs_.firstTarget(line_number).kernel;
+    const std::span<const L1Target> targets = mshrs_.release(line_number);
+    const KernelId owner = targets.front().kernel;
     SIM_INVARIANT(owner.idx() < mshr_held_.size(),
                   l1dCtx(sm_id_),
                   "fill of line " << line_number
@@ -199,7 +200,7 @@ L1Dcache::fill(LineAddr line_number, std::vector<L1Target> &out)
                       << owner << " underflow on fill of line "
                       << line_number);
     --held;
-    mshrs_.releaseInto(line_number, out);
+    return targets;
 }
 
 void

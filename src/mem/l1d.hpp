@@ -19,6 +19,7 @@
 #ifndef CKESIM_MEM_L1D_HPP
 #define CKESIM_MEM_L1D_HPP
 
+#include <span>
 #include <vector>
 
 #include "mem/cache.hpp"
@@ -97,19 +98,11 @@ class L1Dcache
 
     /**
      * A fill returned from L2 for @p line: make the reserved line
-     * valid and collect every merged target to wake into @p out
-     * (cleared first). Allocation-free on the steady state.
+     * valid, retire its MSHR and hand over every merged target to
+     * wake, the miss's owner first. The span is valid until the next
+     * fill().
      */
-    void fill(LineAddr line, std::vector<L1Target> &out);
-
-    /** Convenience wrapper for tests and cold paths. */
-    std::vector<L1Target>
-    fill(LineAddr line)
-    {
-        std::vector<L1Target> out;
-        fill(line, out);
-        return out;
-    }
+    std::span<const L1Target> fill(LineAddr line);
 
     /** UCP hook: constrain kernel to a contiguous way range. */
     void restrictKernelWays(KernelId kernel, int first, int count)
@@ -173,17 +166,6 @@ class L1Dcache
     }
 
     // ---- integrity layer ------------------------------------------------
-    /** Lifetime MSHR allocations (conservation ledger). */
-    std::uint64_t mshrAllocated() const
-    {
-        return mshrs_.totalAllocated();
-    }
-    /** Lifetime MSHR releases by fills (conservation ledger). */
-    std::uint64_t mshrReleased() const
-    {
-        return mshrs_.totalReleased();
-    }
-
     /**
      * Occupancy-bound and ledger invariants. Cheap enough to run
      * every integrity sweep; throws SimError on violation.

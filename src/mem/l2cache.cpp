@@ -20,10 +20,8 @@ l2Ctx(Cycle now = kNeverCycle, KernelId kernel = kInvalidKernel)
 L2Partition::L2Partition(const L2Config &cfg, int partition_index)
     : cfg_(cfg), partition_index_(partition_index),
       tags_(cfg.numSetsPerPartition(), cfg.assoc),
-      mshrs_(cfg.num_mshrs, /*max_merge=*/16),
-      input_(cfg.miss_queue_depth),
-      replies_(cfg.num_mshrs * 16 + cfg.latency +
-               cfg.miss_queue_depth + 8)
+      mshrs_(cfg.num_mshrs, kMergeWidth),
+      input_(cfg.miss_queue_depth), replies_(replyCapacity(cfg))
 {
     mshrs_.setCheckContext(l2Ctx());
 }
@@ -128,8 +126,8 @@ L2Partition::tick(Cycle now, DramChannel &dram)
 void
 L2Partition::onDramFill(const MemRequest &fill, Cycle now)
 {
-    std::vector<MemRequest> &targets = fill_targets_;
-    mshrs_.releaseInto(fill.line_addr, targets);
+    const std::span<const MemRequest> targets =
+        mshrs_.release(fill.line_addr);
 
     bool dirty = false;
     for (const MemRequest &t : targets)

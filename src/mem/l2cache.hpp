@@ -14,8 +14,6 @@
 #ifndef CKESIM_MEM_L2CACHE_HPP
 #define CKESIM_MEM_L2CACHE_HPP
 
-#include <vector>
-
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/mshr.hpp"
@@ -30,6 +28,21 @@ namespace ckesim {
 class L2Partition
 {
   public:
+    /** Requests one MSHR entry holds, the allocating one included. */
+    static constexpr int kMergeWidth = 16;
+
+    /**
+     * Reply-ring capacity, which the memory system's retry ring behind
+     * it shares: the worst burst is every MSHR target plus a latency
+     * window of hits, none yet taken.
+     */
+    static int
+    replyCapacity(const L2Config &cfg)
+    {
+        return cfg.num_mshrs * kMergeWidth + cfg.latency +
+               cfg.miss_queue_depth + 8;
+    }
+
     L2Partition(const L2Config &cfg, int partition_index);
 
     /** Free input-queue slots (crossbar drains at most this many). */
@@ -108,11 +121,7 @@ class L2Partition
     CacheArray tags_;
     MshrTable<MemRequest> mshrs_;
     RingBuf<MemRequest> input_; ///< flat hot queue (DESIGN.md §14)
-    /** Replies in flight. Capacity covers the worst burst: every MSHR
-     *  target plus a latency window of hits, none yet taken. */
-    RingBuf<Reply> replies_;
-    /** Reused by onDramFill(). */
-    std::vector<MemRequest> fill_targets_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between fills
+    RingBuf<Reply> replies_;    ///< replies in flight (replyCapacity())
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

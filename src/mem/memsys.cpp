@@ -36,8 +36,7 @@ MemorySystem::MemorySystem(const GpuConfig &cfg)
       delayed_(static_cast<std::size_t>(cfg.num_sms))
 {
     for (RingBuf<MemRequest> &retry : reply_retry_)
-        retry.reset(cfg.l2.num_mshrs * 16 + cfg.l2.latency +
-                    cfg.l2.miss_queue_depth + 8);
+        retry.reset(L2Partition::replyCapacity(cfg.l2));
     partitions_.reserve(static_cast<std::size_t>(cfg.numL2Partitions()));
     channels_.reserve(static_cast<std::size_t>(cfg.numL2Partitions()));
     for (int p = 0; p < cfg.numL2Partitions(); ++p) {

@@ -103,8 +103,6 @@ class MemorySystem
     std::uint64_t injectedReads() const { return injected_reads_; }
     /** Read fills handed back to SMs (conservation ledger). */
     std::uint64_t deliveredFills() const { return delivered_fills_; }
-    /** Fills discarded by an injected DropFill fault. */
-    std::uint64_t droppedFills() const { return dropped_fills_; }
     /** Read requests still below the L1s. */
     std::uint64_t inflightReads() const { return inflight_; }
 

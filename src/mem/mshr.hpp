@@ -12,7 +12,9 @@
  * open-addressing hash table: one contiguous slot array, linear
  * probing with a deterministic multiply-shift hash, and backward-shift
  * deletion (no tombstones). Retired slots keep their merge-list
- * allocation, so the steady state allocates nothing. See DESIGN.md §14.
+ * allocation; a merge list still grows past its retained capacity.
+ * One merge (tryMerge) and one release, which hands the fill's
+ * targets over in place. See DESIGN.md §14.2.
  */
 
 #ifndef CKESIM_MEM_MSHR_HPP
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,17 +77,6 @@ class MshrTable
         return findSlot(line_number) != kNoSlot;
     }
 
-    /** Can a new request for this (pending) line merge? */
-    bool
-    canMerge(LineAddr line_number) const
-    {
-        const std::size_t i = findSlot(line_number);
-        SIM_CHECK(i != kNoSlot, ctx_,
-                  "canMerge on line " << line_number
-                                      << " with no outstanding miss");
-        return static_cast<int>(slots_[i].targets.size()) < max_merge_;
-    }
-
     /** Is there room for a brand-new entry? */
     bool hasFree() const { return size_ < capacity_; }
 
@@ -111,27 +103,9 @@ class MshrTable
         ++allocated_;
     }
 
-    /** Merge another request into an existing entry. */
-    void
-    merge(LineAddr line_number, Target target)
-    {
-        const std::size_t i = findSlot(line_number);
-        SIM_CHECK(i != kNoSlot, ctx_,
-                  "merge into line " << line_number
-                                     << " with no outstanding miss");
-        SIM_CHECK(static_cast<int>(slots_[i].targets.size()) <
-                      max_merge_,
-                  ctx_,
-                  "merge list overflow on line "
-                      << line_number << " (max " << max_merge_ << ")");
-        slots_[i].targets.push_back(std::move(target));
-    }
-
     /**
-     * Single-probe pending/canMerge/merge: append @p target to the
-     * outstanding miss for @p line_number if one exists and has merge
-     * room. The hot L1/L2 access paths use this instead of three
-     * separate lookups.
+     * Append @p target to the outstanding miss for @p line_number if
+     * one exists and has merge room, in one probe.
      */
     MergeResult
     tryMerge(LineAddr line_number, Target target)
@@ -146,52 +120,26 @@ class MshrTable
     }
 
     /**
-     * Retire the entry on fill, returning all merged targets.
-     * @pre an entry for @p line_number exists.
+     * Retire the entry on fill and hand over its targets in merge
+     * order, the allocating request's first. The span stays valid
+     * until the next release(): the entry's merge list is swapped
+     * into one member vector, not copied, and the retired slot keeps
+     * the previous list's capacity. @pre an entry for @p line_number
+     * exists.
      */
-    std::vector<Target>
+    std::span<const Target>
     release(LineAddr line_number)
-    {
-        std::vector<Target> out;
-        releaseInto(line_number, out);
-        return out;
-    }
-
-    /**
-     * Allocation-free release: copy the merged targets into @p out
-     * (cleared first) and retire the entry. The entry's merge list
-     * keeps its capacity for the next allocation in its slot.
-     */
-    void
-    releaseInto(LineAddr line_number, std::vector<Target> &out)
     {
         const std::size_t i = findSlot(line_number);
         SIM_CHECK(i != kNoSlot, ctx_,
                   "fill for line " << line_number
                                    << " with no outstanding miss "
                                       "(dropped or duplicated fill)");
-        out.clear();
-        for (Target &t : slots_[i].targets)
-            out.push_back(std::move(t));
-        slots_[i].targets.clear();
+        handed_over_.swap(slots_[i].targets);
         eraseSlot(i);
         --size_;
         ++released_;
-    }
-
-    /**
-     * First merged target of the outstanding miss for @p line_number
-     * — the allocating request's bookkeeping (allocate() always
-     * seeds the merge list with it). @pre an entry exists.
-     */
-    const Target &
-    firstTarget(LineAddr line_number) const
-    {
-        const std::size_t i = findSlot(line_number);
-        SIM_CHECK(i != kNoSlot, ctx_,
-                  "firstTarget on line " << line_number
-                                         << " with no outstanding miss");
-        return slots_[i].targets.front();
+        return handed_over_;
     }
 
     /** Visit every outstanding entry (unspecified order). */
@@ -205,8 +153,6 @@ class MshrTable
     }
 
     int size() const { return size_; }
-    int capacity() const { return capacity_; }
-    int maxMerge() const { return max_merge_; }
     bool empty() const { return size_ == 0; }
 
     // ---- integrity layer ------------------------------------------------
@@ -326,13 +272,20 @@ class MshrTable
             s.targets.clear();
         }
         size_ = 0;
-        for (auto &[line, targets] : entries) {
+        for (auto &entry : entries) {
+            const LineAddr line = entry.first;
+            std::vector<Target> &targets = entry.second;
             SIM_CHECK(!targets.empty(), ctx_,
                       "snapshot MSHR entry for line "
                           << line << " has no targets");
             allocate(line, std::move(targets.front()));
-            for (std::size_t j = 1; j < targets.size(); ++j)
-                merge(line, std::move(targets[j]));
+            for (std::size_t j = 1; j < targets.size(); ++j) {
+                const MergeResult merged =
+                    tryMerge(line, std::move(targets[j]));
+                SIM_CHECK(merged == MergeResult::Merged, ctx_,
+                          "merge list overflow on line "
+                              << line << " (max " << max_merge_ << ")");
+            }
         }
     }
 
@@ -371,6 +324,9 @@ class MshrTable
     int size_ = 0;            ///< outstanding entries
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
+    /** The last release()'s targets.
+     *  SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between fills */
+    std::vector<Target> handed_over_;
     SimCtx ctx_; ///< diagnostic context, rebound by owner
 };
 

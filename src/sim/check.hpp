@@ -66,28 +66,46 @@ std::string formatSimCtx(const SimCtx &ctx);
 [[noreturn]] void raiseSimError(const char *kind, const SimCtx &ctx,
                                 const std::string &detail);
 
+namespace detail {
+
+/**
+ * The failure half of SIM_CHECK / SIM_INVARIANT: formats the detail
+ * through @p detail (an `std::ostream &` sink) and throws. Kept out of
+ * line and cold so a passing check costs its caller one branch and
+ * the ostringstream never lands on the hot path.
+ */
+template <class Detail>
+[[noreturn, gnu::cold, gnu::noinline]] void
+failCheck(const char *kind, const char *expr, const SimCtx &ctx,
+          const Detail &detail)
+{
+    std::ostringstream os;
+    detail(os);
+    throw SimError(kind, expr, ctx, os.str());
+}
+
+} // namespace detail
+
 } // namespace ckesim
+
+/** The one body of SIM_CHECK and SIM_INVARIANT. */
+#define CKESIM_CHECK_BODY(kind, cond, expr, ctx, msg)                  \
+    do {                                                               \
+        if (!(cond)) [[unlikely]] {                                    \
+            ::ckesim::detail::failCheck(                               \
+                kind, expr, (ctx),                                     \
+                [&](::std::ostream &sim_check_os_) {                   \
+                    sim_check_os_ << msg;                              \
+                });                                                    \
+        }                                                              \
+    } while (0)
 
 /** Always-on precondition check; throws SimError with context. */
 #define SIM_CHECK(cond, ctx, msg)                                      \
-    do {                                                               \
-        if (!(cond)) {                                                 \
-            ::std::ostringstream sim_check_os_;                        \
-            sim_check_os_ << msg;                                      \
-            throw ::ckesim::SimError("SIM_CHECK", #cond, (ctx),        \
-                                     sim_check_os_.str());             \
-        }                                                              \
-    } while (0)
+    CKESIM_CHECK_BODY("SIM_CHECK", cond, #cond, ctx, msg)
 
 /** Always-on state invariant; throws SimError with context. */
 #define SIM_INVARIANT(cond, ctx, msg)                                  \
-    do {                                                               \
-        if (!(cond)) {                                                 \
-            ::std::ostringstream sim_check_os_;                        \
-            sim_check_os_ << msg;                                      \
-            throw ::ckesim::SimError("SIM_INVARIANT", #cond, (ctx),    \
-                                     sim_check_os_.str());             \
-        }                                                              \
-    } while (0)
+    CKESIM_CHECK_BODY("SIM_INVARIANT", cond, #cond, ctx, msg)
 
 #endif // CKESIM_SIM_CHECK_HPP

@@ -9,8 +9,7 @@ namespace ckesim {
 Lsu::Lsu(int queue_depth, int entry_lines, int hit_latency, SmId sm_id)
     : depth_(queue_depth), entry_lines_(entry_lines),
       hit_latency_(hit_latency), sm_id_(sm_id), queue_(queue_depth),
-      lines_(static_cast<std::size_t>(queue_depth) *
-             static_cast<std::size_t>(entry_lines))
+      lines_(queue_depth * entry_lines)
 {
 }
 
@@ -34,12 +33,9 @@ Lsu::enqueue(WarpSlot warp_slot, KernelId kernel, bool is_store,
     e.warp_slot = warp_slot;
     e.kernel = kernel;
     e.is_store = is_store;
-    e.first = line_tail_;
     e.count = lines.size();
-    for (const LineAddr line : lines) {
-        lines_[line_tail_] = line;
-        line_tail_ = lineSlot(line_tail_, 1);
-    }
+    for (const LineAddr line : lines)
+        lines_.push_back(line);
     queue_.push_back(e);
 }
 
@@ -50,7 +46,7 @@ Lsu::tick(Cycle now, L1Dcache &l1d, LsuHost &host)
         return false;
 
     Entry &e = queue_.front();
-    const LineAddr line = lines_[lineSlot(e.first, e.next)];
+    const LineAddr line = lines_[e.next];
     L1Target target;
     target.warp_slot = e.warp_slot;
     target.kernel = e.kernel;
@@ -77,6 +73,8 @@ Lsu::tick(Cycle now, L1Dcache &l1d, LsuHost &host)
         const WarpSlot warp_slot = e.warp_slot;
         const KernelId kernel = e.kernel;
         const bool is_store = e.is_store;
+        for (std::size_t i = 0; i < e.count; ++i)
+            lines_.pop_front();
         queue_.pop_front();
         host.lsuEntryDrained(warp_slot, kernel, is_store);
     }
@@ -89,8 +87,10 @@ Lsu::state(Ar &ar, Self &self)
 {
     ar.section("lsu");
     if constexpr (Ar::kLoading)
-        self.line_tail_ = 0;
-    RingBuf<Entry>::state(ar, self.queue_, [&self](auto &a, auto &e) {
+        self.lines_.clear();
+    std::size_t first = 0; // lines_ index of the entry's first line
+    RingBuf<Entry>::state(ar, self.queue_, [&self, &first](auto &a,
+                                                           auto &e) {
         a.id(e.warp_slot);
         a.id(e.kernel);
         a.boolean(e.is_store);
@@ -106,11 +106,11 @@ Lsu::state(Ar &ar, Self &self)
                       "LSU entry with " << e.count
                                         << " lines (1.."
                                         << self.entry_lines_ << ")");
-            e.first = self.line_tail_;
-            self.line_tail_ = self.lineSlot(self.line_tail_, e.count);
+            self.lines_.resize(first + e.count);
         }
         for (std::size_t i = 0; i < e.count; ++i)
-            a.unit(self.lines_[self.lineSlot(e.first, i)]);
+            a.unit(self.lines_[first + i]);
+        first += e.count;
         a.u64(e.next);
         if constexpr (Ar::kLoading) {
             SimCtx ctx;

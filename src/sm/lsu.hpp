@@ -82,39 +82,25 @@ class Lsu
     static void state(Ar &ar, Self &self);
 
   private:
-    /** One memory instruction. Its lines sit in lines_ from slot
-     *  `first` on, wrapping at the end. */
+    /** One memory instruction; its lines sit in lines_. */
     struct Entry
     {
         WarpSlot warp_slot = kInvalidWarpSlot;
         KernelId kernel = kInvalidKernel;
         bool is_store = false;
-        std::size_t first = 0;
         std::size_t count = 0; ///< coalesced lines
         std::size_t next = 0;  ///< lines serviced so far
     };
-
-    /** lines_ slot of line @p i of an entry starting at @p first. */
-    std::size_t
-    lineSlot(std::size_t first, std::size_t i) const
-    {
-        const std::size_t pos = first + i;
-        return pos < lines_.size() ? pos : pos - lines_.size();
-    }
 
     int depth_;       // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     int entry_lines_; // fixed at construction
     int hit_latency_; // SIMCHECK-ALLOW(snapshot-coverage): fixed at construction
     SmId sm_id_;      // fixed at construction
     RingBuf<Entry> queue_; ///< flat hot queue (DESIGN.md §14)
-    /** Every queued entry's lines, in queue order, as one ring of
-     *  depth x entry_lines slots. Each entry takes the slots after the
-     *  previous one's, so the live lines stay one run of at most that
-     *  many slots and an enqueue allocates nothing. */
-    std::vector<LineAddr> lines_;
-    /** Where the next entry's lines go. Layout only: the state walk
-     *  writes lines, not slots, and a restore lays them out from 0. */
-    std::size_t line_tail_ = 0;
+    /** Every queued entry's lines in queue order, the head entry's
+     *  first: depth x entry_lines slots, so an enqueue allocates
+     *  nothing. A drained entry pops its count lines. */
+    RingBuf<LineAddr> lines_;
 };
 
 } // namespace ckesim

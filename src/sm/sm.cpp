@@ -34,7 +34,8 @@ Sm::Sm(const GpuConfig &cfg, SmId sm_id, MemorySystem &mem,
            cfg.l1d.hit_latency, sm_id),
       warps_(static_cast<std::size_t>(cfg.sm.max_warps)),
       scan_meta_(warps_.size()), scan_age_(warps_.size()),
-      tbs_(static_cast<std::size_t>(cfg.sm.max_tbs))
+      tbs_(static_cast<std::size_t>(cfg.sm.max_tbs)),
+      wakes_(cfg.l1d.hit_latency + 1)
 {
     SIM_CHECK(!kernels.empty() &&
                   static_cast<int>(kernels.size()) <= kMaxKernelsPerSm,
@@ -102,8 +103,7 @@ Sm::drainFills(Cycle now)
         if (!mem_.popFill(sm_id_, now, port_budget))
             continue;
         ProfScope prof_l1d(ProfComp::L1d);
-        l1d_.fill(line, scratch_targets_);
-        for (const L1Target &t : scratch_targets_)
+        for (const L1Target &t : l1d_.fill(line))
             requestReturned(t.warp_slot, now);
     }
 }
@@ -111,9 +111,9 @@ Sm::drainFills(Cycle now)
 void
 Sm::processWakes(Cycle now)
 {
-    while (!wakes_.empty() && wakes_.top().first <= now) {
-        const WarpSlot slot = wakes_.top().second;
-        wakes_.pop();
+    while (!wakes_.empty() && wakes_.front().first <= now) {
+        const WarpSlot slot = wakes_.front().second;
+        wakes_.pop_front();
         requestReturned(slot, now);
     }
 }
@@ -727,28 +727,16 @@ Sm::state(Ar &ar, Self &self)
     ar.i64(self.dispatch_rr_);
     ar.unit(self.now_);
 
-    // The wake heap as the flat (cycle, slot) list it pops in; a
-    // restore pushes the list back in that order.
-    std::vector<WakeEvent> wakes;
-    if constexpr (!Ar::kLoading) {
-        auto heap = self.wakes_;
-        wakes.reserve(heap.size());
-        for (; !heap.empty(); heap.pop())
-            wakes.push_back(heap.top());
-    }
-    ar.length(wakes);
-    for (auto &[at, slot] : wakes) {
-        ar.unit(at);
-        ar.id(slot);
-    }
+    // The pending wakes as the (cycle, slot) list they fall due in.
+    RingBuf<WakeEvent>::state(ar, self.wakes_, [](auto &a, auto &wake) {
+        a.unit(wake.first);
+        a.id(wake.second);
+    });
 
     ar.u64(self.lifetime_issued_);
     ar.u64(self.lifetime_returns_);
-    if constexpr (Ar::kLoading) {
-        self.wakes_ = decltype(self.wakes_)(std::greater<WakeEvent>{},
-                                            std::move(wakes));
+    if constexpr (Ar::kLoading)
         self.afterRestore();
-    }
 }
 
 template void Sm::state(SnapshotWriter &, const Sm &);
@@ -793,8 +781,16 @@ Sm::afterRestore()
 void
 Sm::lsuHitReturn(WarpSlot warp_slot, KernelId k, Cycle ready_at)
 {
-    (void)k;
-    wakes_.emplace(ready_at, warp_slot);
+    SIM_INVARIANT(wakes_.empty() ||
+                      wakes_[wakes_.size() - 1].first < ready_at,
+                  smCtx(sm_id_, now_, k),
+                  "hit wake for warp slot "
+                      << warp_slot << " due at " << ready_at
+                      << " does not follow the last pending wake "
+                         "(due at "
+                      << wakes_[wakes_.size() - 1].first
+                      << "): more than one LSU line per cycle");
+    wakes_.push_back(WakeEvent{ready_at, warp_slot});
 }
 
 void

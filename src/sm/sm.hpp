@@ -13,7 +13,6 @@
 #ifndef CKESIM_SM_SM_HPP
 #define CKESIM_SM_SM_HPP
 
-#include <queue>
 #include <vector>
 
 #include "core/issue_policy.hpp"
@@ -21,6 +20,7 @@
 #include "mem/l1d.hpp"
 #include "mem/memsys.hpp"
 #include "sim/config.hpp"
+#include "sim/ringbuf.hpp"
 #include "sim/stats.hpp"
 #include "sim/time_series.hpp"
 #include "sm/lsu.hpp"
@@ -60,10 +60,6 @@ class Sm : public LsuHost
 
     // ---- inspection ----------------------------------------------------
     int numKernels() const { return static_cast<int>(ctx_.size()); }
-    const KernelProfile &profile(KernelId k) const
-    {
-        return *ctx_[k.idx()].prof;
-    }
     const KernelStats &kernelStats(KernelId k) const
     {
         return ctx_[k.idx()].stats;
@@ -77,8 +73,6 @@ class Sm : public LsuHost
     const IssueController &controller() const { return controller_; }
     L1Dcache &l1d() { return l1d_; }
     const L1Dcache &l1d() const { return l1d_; }
-    const Lsu &lsu() const { return lsu_; }
-    SmId smId() const { return sm_id_; }
 
     // ---- integrity layer ------------------------------------------------
     /** Attach a fault injector (nullptr = fault-free operation). */
@@ -309,17 +303,15 @@ class Sm : public LsuHost
     bool dispatch_asleep_ = false;
     Cycle now_{};
 
-    /** Pending (cycle, warp_slot) load-data returns from L1 hits. */
+    /** Pending (cycle, warp_slot) load-data returns from L1 hits, in
+     *  push order, which is due order: the LSU services at most one
+     *  line per cycle and every hit returns hit_latency later, so
+     *  hit_latency + 1 slots hold every wake not yet due. */
     using WakeEvent = std::pair<Cycle, WarpSlot>;
-    std::priority_queue<WakeEvent, std::vector<WakeEvent>,
-                        std::greater<WakeEvent>>
-        wakes_;
+    RingBuf<WakeEvent> wakes_;
 
     // Scratch buffer reused every memory instruction.
     std::vector<LineAddr> scratch_lines_; // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between instructions
-
-    // Scratch buffer reused by every delivered fill.
-    std::vector<L1Target> scratch_targets_;  // SIMCHECK-ALLOW(snapshot-coverage): scratch; dead between fills
 
     AccessObserver access_observer_ = nullptr; // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore
     void *access_observer_opaque_ = nullptr;   // SIMCHECK-ALLOW(snapshot-coverage): rebound by the experiment on restore

@@ -82,7 +82,7 @@ TEST(L1Dcache, MissThenFillThenHit)
     EXPECT_EQ(l1.peekMissQueue()->line_addr, line);
     l1.popMissQueue();
 
-    const std::vector<L1Target> targets = l1.fill(line);
+    const std::span<const L1Target> targets = l1.fill(line);
     ASSERT_EQ(targets.size(), 1u);
     EXPECT_EQ(targets[0].warp_slot, WarpSlot{7});
 

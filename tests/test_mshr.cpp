@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the MSHR table: allocation, merging, capacity and
- * release semantics, plus flat-table-vs-std::map oracle equivalence
- * under randomized and collision-heavy workloads (DESIGN.md §14).
+ * release semantics (including the released span's lifetime), plus
+ * flat-table-vs-std::map oracle equivalence under randomized and
+ * collision-heavy workloads (DESIGN.md §14.2).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "mem/mshr.hpp"
@@ -52,6 +54,13 @@ collidingLines(int capacity, std::size_t bucket, std::size_t count)
     return out;
 }
 
+/** A released span's targets, copied out. */
+std::vector<int>
+released(std::span<const int> targets)
+{
+    return {targets.begin(), targets.end()};
+}
+
 /** Collect a table's full contents through forEach, keyed by line. */
 std::map<std::int64_t, std::vector<int>>
 dumpTable(const IntMshr &t)
@@ -77,10 +86,10 @@ TEST(Mshr, MergeCollectsTargets)
 {
     IntMshr t(4, 4);
     t.allocate(LineAddr{10}, 1);
-    t.merge(LineAddr{10}, 2);
-    t.merge(LineAddr{10}, 3);
-    const std::vector<int> targets = t.release(LineAddr{10});
-    EXPECT_EQ(targets, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(t.tryMerge(LineAddr{10}, 2), IntMshr::MergeResult::Merged);
+    EXPECT_EQ(t.tryMerge(LineAddr{10}, 3), IntMshr::MergeResult::Merged);
+    EXPECT_EQ(released(t.release(LineAddr{10})),
+              (std::vector<int>{1, 2, 3}));
     EXPECT_FALSE(t.pending(LineAddr{10}));
     EXPECT_EQ(t.size(), 0);
 }
@@ -88,10 +97,13 @@ TEST(Mshr, MergeCollectsTargets)
 TEST(Mshr, MergeCapEnforced)
 {
     IntMshr t(4, 2);
+    EXPECT_EQ(t.tryMerge(LineAddr{10}, 1), IntMshr::MergeResult::NoEntry);
     t.allocate(LineAddr{10}, 1);
-    EXPECT_TRUE(t.canMerge(LineAddr{10}));
-    t.merge(LineAddr{10}, 2);
-    EXPECT_FALSE(t.canMerge(LineAddr{10}));
+    EXPECT_EQ(t.tryMerge(LineAddr{10}, 2), IntMshr::MergeResult::Merged);
+    EXPECT_EQ(t.tryMerge(LineAddr{10}, 3), IntMshr::MergeResult::Full);
+    // A refused merge leaves the entry as it was.
+    EXPECT_EQ(released(t.release(LineAddr{10})),
+              (std::vector<int>{1, 2}));
 }
 
 TEST(Mshr, CapacityEnforced)
@@ -100,8 +112,17 @@ TEST(Mshr, CapacityEnforced)
     t.allocate(LineAddr{1}, 0);
     t.allocate(LineAddr{2}, 0);
     EXPECT_FALSE(t.hasFree());
+    EXPECT_THROW(t.allocate(LineAddr{3}, 0), SimError);
     t.release(LineAddr{1});
     EXPECT_TRUE(t.hasFree());
+}
+
+TEST(Mshr, ReleaseWithoutEntryRefused)
+{
+    IntMshr t(4, 4);
+    t.allocate(LineAddr{1}, 0);
+    t.release(LineAddr{1});
+    EXPECT_THROW(t.release(LineAddr{1}), SimError);
 }
 
 TEST(Mshr, IndependentLines)
@@ -109,21 +130,53 @@ TEST(Mshr, IndependentLines)
     IntMshr t(8, 8);
     t.allocate(LineAddr{1}, 100);
     t.allocate(LineAddr{2}, 200);
-    EXPECT_EQ(t.release(LineAddr{2}), std::vector<int>{200});
+    EXPECT_EQ(released(t.release(LineAddr{2})), std::vector<int>{200});
     EXPECT_TRUE(t.pending(LineAddr{1}));
-    EXPECT_EQ(t.release(LineAddr{1}), std::vector<int>{100});
+    EXPECT_EQ(released(t.release(LineAddr{1})), std::vector<int>{100});
     EXPECT_TRUE(t.empty());
 }
 
 TEST(Mshr, Table1Capacity)
 {
-    // The paper's configuration: 128 MSHRs per SM.
+    // The paper's configuration: 128 MSHRs per SM, 8 requests each.
     IntMshr t(128, 8);
     for (int i = 0; i < 128; ++i)
         t.allocate(LineAddr{i}, i);
     EXPECT_FALSE(t.hasFree());
-    EXPECT_EQ(t.capacity(), 128);
-    EXPECT_EQ(t.maxMerge(), 8);
+    for (int m = 1; m < 8; ++m)
+        EXPECT_EQ(t.tryMerge(LineAddr{5}, m), IntMshr::MergeResult::Merged);
+    EXPECT_EQ(t.tryMerge(LineAddr{5}, 8), IntMshr::MergeResult::Full);
+}
+
+TEST(Mshr, ReleasedSpanOutlivesOtherLinesTraffic)
+{
+    // Both fill paths read the released span while they go on to touch
+    // the table's other lines; only the next release may reuse it.
+    // Collision-heavy lines make the traffic probe, shift and grow the
+    // merge lists around the retired slot.
+    constexpr int kCapacity = 8;
+    IntMshr t(kCapacity, 6);
+    const std::vector<LineAddr> chain = collidingLines(kCapacity, 2, 5);
+    t.allocate(chain[0], 1);
+    t.tryMerge(chain[0], 2);
+    t.tryMerge(chain[0], 3);
+    t.allocate(chain[1], 10);
+    const std::span<const int> first = t.release(chain[0]);
+
+    for (std::size_t i = 2; i < chain.size(); ++i) {
+        t.allocate(chain[i], static_cast<int>(i) * 10);
+        for (int m = 1; m < 6; ++m) {
+            ASSERT_EQ(t.tryMerge(chain[i], static_cast<int>(i) * 10 + m),
+                      IntMshr::MergeResult::Merged);
+        }
+    }
+    t.allocate(chain[0], 100); // the released line again
+    ASSERT_EQ(t.tryMerge(chain[1], 11), IntMshr::MergeResult::Merged);
+    EXPECT_EQ(released(first), (std::vector<int>{1, 2, 3}));
+
+    // The next release hands over its own targets.
+    EXPECT_EQ(released(t.release(chain[1])), (std::vector<int>{10, 11}));
+    EXPECT_EQ(released(t.release(chain[0])), std::vector<int>{100});
 }
 
 // ---- flat-table-vs-map oracle equivalence -------------------------------
@@ -157,7 +210,7 @@ TEST(MshrOracle, RandomizedOpsMatchMapOracle)
         const std::uint64_t roll = rng.nextBelow(100);
 
         ASSERT_EQ(t.pending(line), it != oracle.end());
-        if (roll < 40) {
+        if (roll < 70) {
             // Allocate-or-merge through the single-probe path.
             const IntMshr::MergeResult got = t.tryMerge(line, next_target);
             if (it == oracle.end()) {
@@ -179,19 +232,10 @@ TEST(MshrOracle, RandomizedOpsMatchMapOracle)
                 it->second.push_back(next_target);
                 ++next_target;
             }
-        } else if (roll < 70) {
-            // Separate-probe merge path.
-            if (it != oracle.end() &&
-                static_cast<int>(it->second.size()) < kMaxMerge) {
-                ASSERT_TRUE(t.canMerge(line));
-                t.merge(line, next_target);
-                it->second.push_back(next_target);
-                ++next_target;
-            }
         } else if (it != oracle.end()) {
-            // Fill: merged targets come back in merge order.
-            ASSERT_EQ(t.firstTarget(line), it->second.front());
-            ASSERT_EQ(t.release(line), it->second);
+            // Fill: merged targets come back in merge order, the
+            // allocating one first.
+            ASSERT_EQ(released(t.release(line)), it->second);
             oracle.erase(it);
         }
 
@@ -215,9 +259,9 @@ TEST(MshrOracle, CollisionChainSurvivesMiddleDeletions)
         t.allocate(chain[i], static_cast<int>(i));
 
     // Release the middle pair, then the head, in that order.
-    EXPECT_EQ(t.release(chain[2]), std::vector<int>{2});
-    EXPECT_EQ(t.release(chain[3]), std::vector<int>{3});
-    EXPECT_EQ(t.release(chain[0]), std::vector<int>{0});
+    EXPECT_EQ(released(t.release(chain[2])), std::vector<int>{2});
+    EXPECT_EQ(released(t.release(chain[3])), std::vector<int>{3});
+    EXPECT_EQ(released(t.release(chain[0])), std::vector<int>{0});
     EXPECT_FALSE(t.pending(chain[0]));
     EXPECT_FALSE(t.pending(chain[2]));
     EXPECT_FALSE(t.pending(chain[3]));
@@ -225,13 +269,13 @@ TEST(MshrOracle, CollisionChainSurvivesMiddleDeletions)
     EXPECT_TRUE(t.pending(chain[1]));
     EXPECT_TRUE(t.pending(chain[4]));
     EXPECT_TRUE(t.pending(chain[5]));
-    EXPECT_EQ(t.firstTarget(chain[4]), 4);
     // Reinsert into the freed space and verify nothing was orphaned.
     t.allocate(chain[0], 100);
-    EXPECT_EQ(t.firstTarget(chain[0]), 100);
     EXPECT_EQ(t.size(), 4);
     const auto dump = dumpTable(t);
     EXPECT_EQ(dump.size(), 4u);
+    EXPECT_EQ(dump.at(chain[0].get()), std::vector<int>{100});
+    EXPECT_EQ(dump.at(chain[4].get()), std::vector<int>{4});
     EXPECT_EQ(dump.at(chain[5].get()), std::vector<int>{5});
 }
 
@@ -246,7 +290,7 @@ TEST(MshrOracle, SnapshotRoundTripCollisionHeavy)
         collidingLines(kCapacity, 5, 5);
     for (std::size_t i = 0; i < chain.size(); ++i) {
         t.allocate(chain[i], static_cast<int>(i) * 10);
-        t.merge(chain[i], static_cast<int>(i) * 10 + 1);
+        t.tryMerge(chain[i], static_cast<int>(i) * 10 + 1);
     }
     t.release(chain[1]); // leave a backward-shifted chain behind
 

@@ -2,12 +2,13 @@
  * @file
  * Unit tests for the SM: TB dispatch under static resource limits,
  * per-kernel quotas, warp execution, TB restart semantics, stats, the
- * due-wheel and sleeping dispatch across a checkpoint, and wide
- * machines that GpuConfig::validate() accepts.
+ * due-wheel, sleeping dispatch and pending hit wakes across a
+ * checkpoint, and wide machines that GpuConfig::validate() accepts.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "gpu.hpp"
@@ -21,6 +22,9 @@ namespace {
 
 struct SmFixture
 {
+    SmFixture() = default;
+    explicit SmFixture(const GpuConfig &c) : cfg(c) {}
+
     GpuConfig cfg = makeSmallConfig(1, 2);
     MemorySystem mem{cfg};
 
@@ -355,6 +359,77 @@ TEST(Sm, RestoredWhileDispatchSleepsMatchesStraightRun)
     }
     EXPECT_GT(straight->kernelStats(KernelId{0}).tbs_completed, done_at);
     EXPECT_EQ(smBytes(*resumed), smBytes(*straight));
+}
+
+/** Pending L1-hit wakes, read off the SM's diagnostic line. */
+std::size_t
+pendingWakes(const Sm &sm)
+{
+    const std::string line = sm.describeState();
+    const std::size_t at = line.find(" wakes=");
+    return at == std::string::npos ? 0 : std::stoul(line.substr(at + 7));
+}
+
+/**
+ * Checkpoint an SM with L1-hit wakes pending under @p hit_latency and
+ * restore it into fresh objects: the restored wake ring must track the
+ * straight run byte for byte.
+ */
+void
+restoreWithWakesPending(int hit_latency)
+{
+    GpuConfig cfg = makeSmallConfig(1, 2);
+    cfg.l1d.hit_latency = hit_latency;
+    KernelProfile p = findProfile("hs");
+    SmFixture a(cfg), b(cfg);
+    auto straight = a.makeSm({&p});
+    auto resumed = b.makeSm({&p});
+    straight->setTbQuota(KernelId{0}, 4);
+    resumed->setTbQuota(KernelId{0}, 4);
+    // Mid-run, right after a tick that queued a wake.
+    Cycle at{1000};
+    a.run(*straight, at);
+    while (pendingWakes(*straight) == 0 && at < Cycle{20000}) {
+        a.run(*straight, Cycle{1}, at);
+        ++at;
+    }
+    ASSERT_GT(pendingWakes(*straight), 0u) << "no hit wake by cycle " << at;
+    {
+        SnapshotWriter w;
+        Sm::state(w, std::as_const(*straight));
+        MemorySystem::state(w, std::as_const(a.mem));
+        SnapshotReader r(w.bytes());
+        Sm::state(r, *resumed);
+        MemorySystem::state(r, b.mem);
+        ASSERT_TRUE(r.atEnd());
+    }
+    ASSERT_EQ(pendingWakes(*resumed), pendingWakes(*straight));
+    const std::uint64_t hits_at =
+        straight->kernelStats(KernelId{0}).l1d_hits;
+    for (Cycle t = at; t < at + Cycle{2000}; ++t) {
+        straight->tick(t);
+        a.mem.tick(t);
+        resumed->tick(t);
+        b.mem.tick(t);
+        if (t < at + Cycle{8} || t.get() % 100 == 0) {
+            ASSERT_EQ(smBytes(*resumed), smBytes(*straight))
+                << "cycle " << t;
+        }
+    }
+    EXPECT_GT(straight->kernelStats(KernelId{0}).l1d_hits, hits_at);
+    EXPECT_EQ(smBytes(*resumed), smBytes(*straight));
+}
+
+TEST(Sm, RestoredWakeRingMatchesStraightRunAtHitLatency0)
+{
+    // Zero latency: a wake queued in one tick falls due in the next,
+    // so the ring holds one wake at most.
+    restoreWithWakesPending(0);
+}
+
+TEST(Sm, RestoredWakeRingMatchesStraightRunAtHitLatency1)
+{
+    restoreWithWakesPending(1);
 }
 
 /** Run @p p alone on a one-SM @p cfg through the audit. */
