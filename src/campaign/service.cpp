@@ -74,7 +74,10 @@ struct JobEntry
 {
     JobPhase phase = JobPhase::Queued;
     int deaths = 0;             ///< workers lost while running it
-    CampaignJobOutcome outcome; ///< attempts so far; the rest at Done
+    /** Attempts so far; the state and any error at Done. A result is
+     *  kept as its encodeSimResult bytes in payload. */
+    CampaignJobOutcome outcome;
+    std::vector<std::uint8_t> payload;
     /** Live subscriptions. Until Done the first is the submission
      *  that named the key first: the job is read from it, and fault
      *  plans address its index. */
@@ -161,12 +164,17 @@ class Fleet
     void admit(std::uint64_t campaign_id);
     const SimJob &jobOf(const Subscriber &sub) const;
     void reclaimJob(std::uint64_t key);
-    void completeJob(std::uint64_t key, const SimResult &result);
+    /** @p payload is the result's encodeSimResult bytes. */
+    void completeJob(std::uint64_t key, std::vector<std::uint8_t> payload);
     void failJob(std::uint64_t key, CampaignJobState state,
                  const std::string &kind, const std::string &detail);
     void publish(std::uint64_t key, JobEntry &entry);
+    /** Tell @p sub the job's terminal @p outcome; a completed job's
+     *  result is @p payload, encodeSimResult's bytes, which a client
+     *  is sent as they are. */
     void notify(const Subscriber &sub, std::uint64_t key,
-                const JobEntry &entry, bool replay);
+                const CampaignJobOutcome &outcome,
+                const std::vector<std::uint8_t> &payload, bool replay);
     void resolveOne(std::uint64_t campaign_id, bool completed);
 
     // ---- clients ---------------------------------------------------------
@@ -206,7 +214,9 @@ class Fleet
     std::uint64_t inproc_id_ = 0; ///< the in-process submission, if any
 
     /** Every completed result, appended before anyone hears of it;
-     *  not open when the fleet has no journal path. */
+     *  not open when the fleet has no journal path. While it is open,
+     *  a completed job leaves jobs_ once published and is served
+     *  from here. */
     ResultJournal journal_;
 
     ServiceReport report_;
@@ -457,12 +467,11 @@ Fleet::handleWorkerFrame(int slot, const Frame &frame)
         (result || frame.type == FrameType::JobError) && ws.busy &&
         frame.key == ws.busy_key &&
         frame.job_index == jobs_.at(ws.busy_key).subs.front().index;
-    SimResult value;
     std::string kind;
     std::string detail;
     try {
         if (answers && result)
-            value = decodeSimResult(frame.payload);
+            (void)decodeSimResult(frame.payload);
         else if (answers)
             decodeJobError(frame.payload, kind, detail);
     } catch (const SimError &) {
@@ -477,7 +486,7 @@ Fleet::handleWorkerFrame(int slot, const Frame &frame)
     ws.busy = false;
     ws.busy_key = 0;
     if (result)
-        completeJob(key, value);
+        completeJob(key, frame.payload);
     else
         failJob(key, CampaignJobState::Failed, kind, detail);
 }
@@ -532,6 +541,7 @@ Fleet::runOneInProcess()
     // jobs.
     if (!inproc_) {
         inproc_ = std::make_unique<SweepEngine>(1);
+        inproc_->setMemoLimit(kWorkerMemoEntries);
         report_.degraded_in_process = true;
     }
     const std::uint64_t key = queue_.front();
@@ -545,7 +555,7 @@ Fleet::runOneInProcess()
         failJob(key, CampaignJobState::Failed, e.kind(), e.what());
         return;
     }
-    completeJob(key, result);
+    completeJob(key, encodeSimResult(result));
 }
 
 // ---- jobs ----------------------------------------------------------------
@@ -563,27 +573,25 @@ Fleet::admit(std::uint64_t campaign_id)
             return;
         const std::uint64_t key = me->second.jobs[i].key();
         const Subscriber sub{campaign_id, static_cast<std::uint32_t>(i)};
-        auto [it, fresh] = jobs_.try_emplace(key);
-        JobEntry &entry = it->second;
-        if (!fresh) {
+        if (const auto it = jobs_.find(key); it != jobs_.end()) {
             ++report_.dedupe_hits;
+            JobEntry &entry = it->second;
             if (entry.phase == JobPhase::Done)
-                notify(sub, key, entry, true);
+                notify(sub, key, entry.outcome, entry.payload, true);
             else
                 entry.subs.push_back(sub);
             continue;
         }
-        SimResult replayed;
-        if (journal_.find(key, replayed)) {
-            entry.phase = JobPhase::Done;
-            entry.outcome.state = CampaignJobState::Completed;
-            entry.outcome.result = std::move(replayed);
-            entry.outcome.from_journal = true;
+        std::vector<std::uint8_t> payload;
+        if (journal_.findPayload(key, payload)) {
             ++report_.journal_hits;
-            notify(sub, key, entry, true);
+            CampaignJobOutcome replayed;
+            replayed.state = CampaignJobState::Completed;
+            replayed.from_journal = true;
+            notify(sub, key, replayed, payload, true);
             continue;
         }
-        entry.subs.push_back(sub);
+        jobs_[key].subs.push_back(sub);
         queue_.push_back(key);
     }
 }
@@ -620,21 +628,24 @@ Fleet::reclaimJob(std::uint64_t key)
 }
 
 void
-Fleet::completeJob(std::uint64_t key, const SimResult &result)
+Fleet::completeJob(std::uint64_t key, std::vector<std::uint8_t> payload)
 {
     JobEntry &entry = jobs_.at(key);
     entry.phase = JobPhase::Done;
     entry.outcome.state = CampaignJobState::Completed;
-    entry.outcome.result = result;
+    entry.payload = std::move(payload);
     // Durable before visible: a result is journaled (fsync'd) before
     // any subscriber hears about it, so a crash between the two
     // cannot strand a client with a result the resume cannot replay.
     // One append per key per journal history: only freshly computed
     // results land here, and a key runs at most once.
     if (journal_.isOpen())
-        journal_.append(key, result);
+        journal_.appendPayload(key, entry.payload);
     ++report_.jobs_completed;
     publish(key, entry);
+    // The journal serves any later submission of the key.
+    if (journal_.isOpen())
+        jobs_.erase(key);
 }
 
 void
@@ -656,19 +667,22 @@ Fleet::publish(std::uint64_t key, JobEntry &entry)
     const std::vector<Subscriber> subs = std::move(entry.subs);
     entry.subs.clear();
     for (const Subscriber &sub : subs)
-        notify(sub, key, entry, false);
+        notify(sub, key, entry.outcome, entry.payload, false);
 }
 
 void
 Fleet::notify(const Subscriber &sub, std::uint64_t key,
-              const JobEntry &entry, bool replay)
+              const CampaignJobOutcome &outcome,
+              const std::vector<std::uint8_t> &payload, bool replay)
 {
     const auto it = campaigns_.find(sub.campaign_id);
     if (it == campaigns_.end())
         return;
-    const CampaignJobOutcome &outcome = entry.outcome;
     if (it->second.outcomes != nullptr) {
-        (*it->second.outcomes)[sub.index] = outcome;
+        CampaignJobOutcome &out = (*it->second.outcomes)[sub.index];
+        out = outcome;
+        if (outcome.ok())
+            out.result = decodeSimResult(payload);
     } else {
         Frame frame;
         frame.job_index = sub.index;
@@ -676,7 +690,7 @@ Fleet::notify(const Subscriber &sub, std::uint64_t key,
         if (outcome.ok()) {
             frame.type = FrameType::JobResult;
             frame.aux = replay ? 1u : 0u;
-            frame.payload = encodeSimResult(outcome.result);
+            frame.payload = payload;
         } else {
             frame.type = FrameType::JobFailed;
             frame.payload = encodeJobError(outcome.error_kind,
@@ -865,7 +879,6 @@ Fleet::handleSubmit(int fd, const Frame &frame)
     // (deduped and journal-served jobs are free).
     std::size_t new_jobs = 0;
     {
-        SimResult scratch;
         std::vector<std::uint64_t> seen;
         for (const SimJob &job : built) {
             const std::uint64_t key = job.key();
@@ -874,7 +887,7 @@ Fleet::handleSubmit(int fd, const Frame &frame)
             if (std::find(seen.begin(), seen.end(), key) !=
                 seen.end())
                 continue;
-            if (journal_.find(key, scratch))
+            if (journal_.contains(key))
                 continue;
             seen.push_back(key);
             ++new_jobs;
@@ -1003,8 +1016,10 @@ Fleet::run()
             draining_ = true;
         if (draining_)
             drainQueue();
-        if (drained())
+        if (drained()) {
+            report_.jobs_held = jobs_.size();
             return report_;
+        }
 
         pumpDispatch();
         const bool in_process = fleetGone() && !queue_.empty();

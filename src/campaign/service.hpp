@@ -36,6 +36,10 @@
  *    jobs keep running and their results land in the fsync'd
  *    journal, so an idempotent resubmission replays completed results
  *    (JobResult aux bit 0 set) instead of re-running them;
+ *  - memory does not grow with jobs served: with a journal, a
+ *    completed job leaves the job table once its subscribers have
+ *    it, and any later submission of its key is served the journal
+ *    record's payload bytes;
  *  - SIGTERM (requestDrain()) refuses new submissions, finishes
  *    in-flight jobs, fails queued jobs as Drained, notifies every
  *    client, and shuts the fleet down cleanly;
@@ -85,8 +89,8 @@ struct ServiceReport
     std::uint64_t campaigns_done = 0;    ///< CampaignDone sent
     std::uint64_t jobs_completed = 0;    ///< results produced/served
     std::uint64_t jobs_failed = 0;       ///< terminal job failures
-    std::uint64_t journal_hits = 0;      ///< served without dispatch
-    std::uint64_t dedupe_hits = 0;       ///< subscriptions to live jobs
+    std::uint64_t journal_hits = 0;      ///< served from the journal
+    std::uint64_t dedupe_hits = 0;       ///< served from the job table
     std::uint64_t dispatched = 0;        ///< dispatch frames sent
     std::uint64_t redispatched = 0;      ///< re-dispatches after loss
     std::uint64_t client_corrupt = 0;    ///< client streams dropped
@@ -97,6 +101,7 @@ struct ServiceReport
     std::uint64_t corrupt_frames = 0;    ///< worker streams distrusted
     std::uint64_t heartbeats = 0;        ///< heartbeat frames seen
     std::uint64_t pings = 0;
+    std::uint64_t jobs_held = 0;         ///< job table entries at drain
     bool degraded_in_process = false;    ///< ran jobs without a fleet
     bool drain_requested = false;
 };

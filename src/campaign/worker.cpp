@@ -83,9 +83,14 @@ runCampaignWorker(const WorkerConfig &cfg)
     st.faults = &faults;
 
     // One serial engine per worker: each dispatched job is computed
-    // single-threaded (bit-deterministic), and nested isolated
-    // baselines are memoized across this worker's dispatches.
+    // single-threaded (bit-deterministic). It holds caches only: the
+    // profiling windows of the prefix classes it has run, and the
+    // most recently used results, among them the nested isolated
+    // baselines a campaign's jobs share. The daemon keeps the
+    // results, so the memo is bounded and the worker's memory stays
+    // flat in the jobs it serves.
     SweepEngine engine(1);
+    engine.setMemoLimit(kWorkerMemoEntries);
     engine.setPollHook([&st] { onWorkerPoll(st); });
 
     for (;;) {

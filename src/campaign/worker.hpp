@@ -1,11 +1,13 @@
 /**
  * @file
  * Campaign worker: the child-process half of the campaign layer. A
- * worker is forked by the fleet loop (campaign/service.cpp) and is
- * stateless: every Dispatch carries the job itself (encodeSimJob),
+ * worker is forked by the fleet loop (campaign/service.cpp) and holds
+ * caches only: every Dispatch carries the job itself (encodeSimJob),
  * which the worker decodes, checks against the frame's content hash,
  * runs on a serial in-process SweepEngine, and answers with a result,
- * a structured error, and heartbeats over its socket.
+ * a structured error, and heartbeats over its socket. The engine
+ * keeps the profiling windows it simulated and its most recent
+ * results; the daemon keeps every result.
  *
  * Heartbeats ride the simulator's run-control poll cadence: the
  * worker proves liveness exactly as often as the simulation proves
@@ -17,11 +19,18 @@
 #ifndef CKESIM_CAMPAIGN_WORKER_HPP
 #define CKESIM_CAMPAIGN_WORKER_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/procfault.hpp"
 
 namespace ckesim {
+
+/** Results a worker's engine memoizes at most: a few campaigns' jobs
+ *  with the nested isolated baselines they share. The fleet loop's
+ *  in-process engine, which stands in for a lost fleet, holds as
+ *  many. */
+inline constexpr std::size_t kWorkerMemoEntries = 64;
 
 /** Everything a forked worker needs to serve its socket. */
 struct WorkerConfig

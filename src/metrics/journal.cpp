@@ -343,6 +343,7 @@ ResultJournal::open(const std::string &path)
     std::lock_guard<std::mutex> lk(mu_);
     close();
     records_.clear();
+    end_ = 0;
     stats_ = JournalStats{};
     path_ = path;
 
@@ -356,12 +357,15 @@ ResultJournal::open(const std::string &path)
             journalFail("read('" + path +
                         "') failed: " + std::strerror(err));
 
-        // Replay the intact records; truncate away the first record
-        // that is not intact, and everything after it.
+        // Index the intact records (the scan decodes every one);
+        // truncate away the first record that is not intact, and
+        // everything after it.
         const JournalFsckRecord stop = scanRecords(
-            data,
-            [this](const JournalFsckRecord &rec, SimResult &&result) {
-                records_[rec.key] = std::move(result);
+            data, [&](const JournalFsckRecord &rec, SimResult &&) {
+                const std::uint8_t *h = data.data() + rec.offset;
+                records_[rec.key] =
+                    Record{rec.offset + kHeaderBytes, rec.payload_len,
+                           getLE<std::uint32_t>(h + 17)};
                 ++stats_.loaded;
             });
         if (stop.status == JournalRecordStatus::BadVersion &&
@@ -380,11 +384,13 @@ ResultJournal::open(const std::string &path)
         if (::lseek(fd_, end, SEEK_SET) < 0)
             journalFail("lseek('" + path +
                         "') failed: " + std::strerror(errno));
+        end_ = stop.offset;
     } catch (...) {
         // A refused open leaves the journal closed and empty, so
         // append() raises instead of writing after a foreign record.
         close();
         records_.clear();
+        end_ = 0;
         stats_ = JournalStats{};
         throw;
     }
@@ -393,7 +399,14 @@ ResultJournal::open(const std::string &path)
 void
 ResultJournal::append(std::uint64_t key, const SimResult &result)
 {
-    const std::vector<std::uint8_t> payload = encodeSimResult(result);
+    appendPayload(key, encodeSimResult(result));
+}
+
+void
+ResultJournal::appendPayload(std::uint64_t key,
+                             const std::vector<std::uint8_t> &payload)
+{
+    const std::uint32_t crc = crc32(payload.data(), payload.size());
 
     std::vector<std::uint8_t> record;
     record.reserve(kHeaderBytes + payload.size());
@@ -401,12 +414,14 @@ ResultJournal::append(std::uint64_t key, const SimResult &result)
     record.push_back(kSnapshotFormatVersion);
     putLE<std::uint64_t>(record, key);
     putLE(record, static_cast<std::uint32_t>(payload.size()));
-    putLE(record, crc32(payload.data(), payload.size()));
+    putLE(record, crc);
     record.insert(record.end(), payload.begin(), payload.end());
 
     std::lock_guard<std::mutex> lk(mu_);
     if (fd_ < 0)
         journalFail("append to a journal that is not open");
+    const Record at{end_ + kHeaderBytes,
+                    static_cast<std::uint32_t>(payload.size()), crc};
     std::size_t off = 0;
     while (off < record.size()) {
         const ssize_t n =
@@ -418,25 +433,63 @@ ResultJournal::append(std::uint64_t key, const SimResult &result)
                         "') failed: " + std::strerror(errno));
         }
         off += static_cast<std::size_t>(n);
+        end_ += static_cast<std::uint64_t>(n);
     }
     // The write-ahead contract: the record is durable before the
     // result is handed to anyone.
     if (::fsync(fd_) != 0)
         journalFail("fsync('" + path_ +
                     "') failed: " + std::strerror(errno));
-    records_[key] = result;
+    records_[key] = at;
     ++stats_.appended;
 }
 
 bool
 ResultJournal::find(std::uint64_t key, SimResult &out) const
 {
+    std::vector<std::uint8_t> payload;
+    if (!findPayload(key, payload))
+        return false;
+    out = decodeSimResult(payload);
+    return true;
+}
+
+bool
+ResultJournal::findPayload(std::uint64_t key,
+                           std::vector<std::uint8_t> &out) const
+{
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = records_.find(key);
     if (it == records_.end())
         return false;
-    out = it->second;
+    const Record &rec = it->second;
+    out.resize(rec.length);
+    std::size_t got = 0;
+    while (got < out.size()) {
+        const ssize_t n =
+            ::pread(fd_, out.data() + got, out.size() - got,
+                    static_cast<off_t>(rec.offset + got));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            journalFail("pread('" + path_ + "') failed: " +
+                        (n < 0 ? std::strerror(errno)
+                               : "the record is cut off"));
+        got += static_cast<std::size_t>(n);
+    }
+    // open() validated this record; bytes that changed since are a
+    // journal edited under a running process.
+    if (crc32(out.data(), out.size()) != rec.crc)
+        journalFail("record for key " + std::to_string(key) + " in '" +
+                    path_ + "' no longer matches its CRC32");
     return true;
+}
+
+bool
+ResultJournal::contains(std::uint64_t key) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return records_.count(key) != 0;
 }
 
 std::size_t

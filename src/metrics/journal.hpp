@@ -10,7 +10,9 @@
  * at any byte leaves at most one torn record at the tail — which
  * loading detects and truncates away. Results are re-encoded with the
  * snapshot codec (bit-exact doubles), so a resumed sweep's output
- * table is byte-identical to the uninterrupted run's.
+ * table is byte-identical to the uninterrupted run's. Results stay on
+ * disk: the journal indexes each key's payload by file offset, length
+ * and CRC, and reads it back on demand.
  *
  * Thread safety: find() and append() may be called concurrently from
  * SweepEngine workers; all mutable state is guarded by one mutex.
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "metrics/sim_job.hpp"
 
@@ -47,8 +50,8 @@ class ResultJournal
     ResultJournal &operator=(const ResultJournal &) = delete;
 
     /**
-     * Open @p path for resuming (creating it if absent): replay every
-     * intact record into memory, truncate the file at the first
+     * Open @p path for resuming (creating it if absent): validate and
+     * index every intact record, truncate the file at the first
      * record that is not intact (the scan fsckJournal reports), and
      * position for appending. Throws SimError (kind "Journal") when
      * the file cannot be opened or its first record belongs to a
@@ -65,8 +68,22 @@ class ResultJournal
      */
     void append(std::uint64_t key, const SimResult &result);
 
-    /** The recovered/recorded result for @p key, or false. */
+    /** append(), given the result as encodeSimResult's bytes. */
+    void appendPayload(std::uint64_t key,
+                       const std::vector<std::uint8_t> &payload);
+
+    /** The recovered/recorded result for @p key, or false. Reads
+     *  the payload back from the file and checks its CRC; throws
+     *  SimError (kind "Journal") when the bytes no longer match. */
     bool find(std::uint64_t key, SimResult &out) const;
+
+    /** find(), but the payload bytes as read (encodeSimResult's
+     *  output), not decoded. */
+    bool findPayload(std::uint64_t key,
+                     std::vector<std::uint8_t> &out) const;
+
+    /** Whether a record for @p key is present; reads nothing. */
+    bool contains(std::uint64_t key) const;
 
     /** Number of distinct job keys present. */
     std::size_t size() const;
@@ -74,12 +91,21 @@ class ResultJournal
     JournalStats stats() const;
 
   private:
+    /** Where a key's latest payload sits in the file. */
+    struct Record
+    {
+        std::uint64_t offset = 0; ///< of the payload
+        std::uint32_t length = 0;
+        std::uint32_t crc = 0;
+    };
+
     void close();
 
     mutable std::mutex mu_;
     int fd_ = -1;
     std::string path_;
-    std::unordered_map<std::uint64_t, SimResult> records_;
+    std::uint64_t end_ = 0; ///< file length, where the next record goes
+    std::unordered_map<std::uint64_t, Record> records_;
     JournalStats stats_;
 };
 

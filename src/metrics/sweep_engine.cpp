@@ -164,6 +164,11 @@ SweepEngine::stats() const
     s.journal_hits = journal_hits_.load();
     s.prefix_runs = prefix_runs_.load();
     s.prefix_restores = prefix_restores_.load();
+    {
+        std::lock_guard<std::mutex> lk(cache_mu_);
+        s.memo_entries = cache_.size();
+    }
+    s.windows_held = windows_.size();
     return s;
 }
 
@@ -174,6 +179,13 @@ SweepEngine::clearCache()
     cache_.clear();
 }
 
+void
+SweepEngine::setMemoLimit(std::size_t entries)
+{
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    memo_limit_ = entries;
+}
+
 std::optional<std::shared_future<SimResult>>
 SweepEngine::claim(const SimJob &job, std::uint64_t key,
                    std::promise<SimResult> &prom)
@@ -181,13 +193,76 @@ SweepEngine::claim(const SimJob &job, std::uint64_t key,
     std::lock_guard<std::mutex> lk(cache_mu_);
     const auto it = cache_.find(key);
     if (it == cache_.end()) {
-        cache_.emplace(key, prom.get_future().share());
+        cache_.emplace(key, Memo{prom.get_future().share(), ++memo_clock_});
+        // Over the limit, the least recently claimed entry goes. A
+        // running job's waiters keep their copies of its future.
+        if (memo_limit_ != 0 && cache_.size() > memo_limit_)
+            cache_.erase(std::min_element(
+                cache_.begin(), cache_.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second.used < b.second.used;
+                }));
         return std::nullopt;
     }
+    it->second.used = ++memo_clock_;
     memo_hits_.fetch_add(1);
     if (job.kind == JobKind::Isolated)
         isolated_hits_.fetch_add(1);
-    return it->second;
+    return it->second.result;
+}
+
+// ---- the window memo ---------------------------------------------------
+
+namespace {
+
+std::size_t
+windowBytes(const GpuSnapshot &snap)
+{
+    return sizeof snap + snap.bytes.size();
+}
+
+} // namespace
+
+SweepEngine::WindowMemo::Snap
+SweepEngine::WindowMemo::find(std::uint64_t cls, bool qbmi)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it =
+        std::find_if(lru_.begin(), lru_.end(),
+                     [&](const Window &w) { return w.cls == cls; });
+    if (it == lru_.end() || (qbmi && !it->qbmi))
+        return nullptr;
+    lru_.splice(lru_.begin(), lru_, it);
+    return it->snap;
+}
+
+void
+SweepEngine::WindowMemo::hold(std::uint64_t cls, bool qbmi, Snap snap)
+{
+    const std::size_t bytes = windowBytes(*snap);
+    std::lock_guard<std::mutex> lk(mu_);
+    // A class's one window: a QBMI window replaces a plain one, and
+    // serves every job of the class.
+    const auto old =
+        std::find_if(lru_.begin(), lru_.end(),
+                     [&](const Window &w) { return w.cls == cls; });
+    if (old != lru_.end()) {
+        bytes_ -= windowBytes(*old->snap);
+        lru_.erase(old);
+    }
+    lru_.push_front(Window{cls, qbmi, std::move(snap)});
+    bytes_ += bytes;
+    while (bytes_ > kWindowBudgetBytes) {
+        bytes_ -= windowBytes(*lru_.back().snap);
+        lru_.pop_back();
+    }
+}
+
+std::size_t
+SweepEngine::WindowMemo::size() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return lru_.size();
 }
 
 template <class Fn>
@@ -547,7 +622,26 @@ SweepEngine::compute(const SimJob &job, std::uint64_t key)
             return recovered;
         }
     }
-    return simulate(job, key, nullptr);
+    SchemeSpec spec;
+    const std::optional<std::uint64_t> cls = prefixKey(job, spec);
+    if (!cls)
+        return simulate(job, key, nullptr);
+
+    // Restore a held window of the class, or simulate it in this
+    // job's own machine, hold its snapshot and continue from there.
+    const bool qbmi = spec.bmi == BmiMode::QBMI;
+    Gpu gpu(job.cfg, job.workload, spec);
+    gpu.setPollHook(poll_hook_);
+    if (const WindowMemo::Snap held = windows_.find(*cls, qbmi)) {
+        gpu.restorePrefix(*held);
+        prefix_restores_.fetch_add(1);
+    } else {
+        gpu.run(spec.ws_profile_window);
+        windows_.hold(*cls, qbmi,
+                      std::make_shared<const GpuSnapshot>(gpu.snapshot()));
+        prefix_runs_.fetch_add(1);
+    }
+    return simulate(job, key, &gpu);
 }
 
 SimResult

@@ -6,9 +6,10 @@
  * shared by every scheme in a sweep. Results are returned in
  * submission order and are bit-identical for any worker count: each
  * simulation is single-threaded and deterministic, and cross-job
- * coupling goes only through memoized (deterministic) results. Within
- * a sweep, dynamic Warped-Slicer jobs of one prefix class simulate
- * their profiling window once and restore it (DESIGN.md §9).
+ * coupling goes only through memoized (deterministic) results.
+ * Dynamic Warped-Slicer jobs of one prefix class share a profiling
+ * window: within a sweep once per chunk, through run() once per
+ * engine while the window memo holds it (DESIGN.md §9).
  */
 
 #ifndef CKESIM_METRICS_SWEEP_ENGINE_HPP
@@ -20,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -48,6 +50,10 @@ struct SweepStats
      *  restored one instead of simulating their own. */
     std::uint64_t prefix_runs = 0;
     std::uint64_t prefix_restores = 0;
+    /** What the engine holds now: memoized results and profiling
+     *  windows. */
+    std::uint64_t memo_entries = 0;
+    std::uint64_t windows_held = 0;
 
     double
     hitRate() const
@@ -115,6 +121,10 @@ class WorkStealingPool
 class SweepEngine
 {
   public:
+    /** Deflated bytes of profiling windows the engine holds at most;
+     *  past it the least recently used go (DESIGN.md §9). */
+    static constexpr std::size_t kWindowBudgetBytes = 16u << 20;
+
     /** @p jobs worker count; <=0 = hardware concurrency. */
     explicit SweepEngine(int jobs = 0);
 
@@ -128,10 +138,13 @@ class SweepEngine
      * chunks of at most ceil(eligible / jobs()) members: each chunk
      * simulates one window, snapshots it at `profile_end`, and its
      * other members restore it and simulate only their measurement.
+     * A sweep neither reads nor fills the window memo run() keeps.
      */
     std::vector<SimResult> sweep(const std::vector<SimJob> &jobs);
 
-    /** Run (or fetch) one job. */
+    /** Run (or fetch) one job. A dynamic Warped-Slicer job restores a
+     *  held window of its prefix class, or simulates the window and
+     *  holds it. */
     SimResult run(const SimJob &job);
 
     /** Memoized isolated baseline of one kernel. */
@@ -160,7 +173,12 @@ class SweepEngine
                                const Workload &workload);
 
     SweepStats stats() const;
+    /** Drop every memoized result; held windows stay. */
     void clearCache();
+
+    /** Hold at most @p entries memoized results, dropping the least
+     *  recently used past it; 0 (the default) holds every one. */
+    void setMemoLimit(std::size_t entries);
 
     /** Attach a write-ahead results journal (nullptr detaches): run()
      *  serves journaled results without simulating and durably records
@@ -179,6 +197,36 @@ class SweepEngine
     }
 
   private:
+    /**
+     * Deflated profiling-window snapshots at `profile_end`, one per
+     * prefix class, least recently used last, within
+     * kWindowBudgetBytes. Thread-safe.
+     */
+    class WindowMemo
+    {
+      public:
+        using Snap = std::shared_ptr<const GpuSnapshot>;
+
+        /** The window a job of class @p cls can restore: a QBMI job
+         *  (@p qbmi) only one that ran under QBMI, any other job
+         *  either (restorePrefix canonicalises the QBMI state). */
+        Snap find(std::uint64_t cls, bool qbmi);
+        /** Hold @p snap as the class's window, replacing any other. */
+        void hold(std::uint64_t cls, bool qbmi, Snap snap);
+        std::size_t size() const;
+
+      private:
+        struct Window
+        {
+            std::uint64_t cls = 0;
+            bool qbmi = false; ///< the window ran under QBMI
+            Snap snap;
+        };
+        mutable std::mutex mu_;
+        std::list<Window> lru_; ///< most recently used first
+        std::size_t bytes_ = 0;
+    };
+
     /** Memo lookup: a hit returns the entry's future (and counts it);
      *  a miss registers @p prom's future, which the caller settles. */
     std::optional<std::shared_future<SimResult>>
@@ -213,9 +261,16 @@ class SweepEngine
     int jobs_;
     WorkStealingPool pool_;
 
-    std::mutex cache_mu_;
-    std::unordered_map<std::uint64_t, std::shared_future<SimResult>>
-        cache_;
+    struct Memo
+    {
+        std::shared_future<SimResult> result;
+        std::uint64_t used = 0; ///< memo_clock_ at the last claim
+    };
+    mutable std::mutex cache_mu_;
+    std::unordered_map<std::uint64_t, Memo> cache_;
+    std::uint64_t memo_clock_ = 0; ///< guarded by cache_mu_
+    std::size_t memo_limit_ = 0;   ///< guarded by cache_mu_; 0 = none
+    WindowMemo windows_;
 
     std::atomic<std::uint64_t> sims_executed_{0};
     std::atomic<std::uint64_t> memo_hits_{0};

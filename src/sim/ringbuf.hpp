@@ -1,16 +1,20 @@
 /**
  * @file
- * Fixed-capacity ring buffer for per-cycle simulator queues.
+ * Bounded ring buffer for per-cycle simulator queues.
  *
  * The run loop walks every queue every cycle, so the hot queues
  * (LSU entries and lines, L1 miss queue, L1-hit wakes, crossbar ports,
  * L2 input/replies/retries, DRAM queue/fills) must not pay
  * std::deque's chunked allocation on the push/pop steady state.
- * RingBuf stores its elements in one flat allocation sized once at
- * construction and never grows: the simulator's queues all have
+ * RingBuf stores its elements in one flat allocation with a hard
+ * bound fixed at construction: the simulator's queues all have
  * config-derived occupancy bounds, and exceeding one is a modelling
- * bug, so push_back on a full buffer raises a SimError instead of
- * reallocating.
+ * bug, so push_back at the bound raises a SimError. Below the bound
+ * the storage grows on demand, doubling, so a queue whose bound is
+ * far above what it ever holds costs only what it holds.
+ *
+ * A push may move the storage: no reference or pointer into a ring
+ * stays valid across a push_back (or resize) to the same ring.
  *
  * Contract (see DESIGN.md §14.1): only what the simulator calls.
  *  - FIFO: push_back / pop_front / front / operator[] (oldest = 0) /
@@ -24,6 +28,7 @@
 #ifndef CKESIM_SIM_RINGBUF_HPP
 #define CKESIM_SIM_RINGBUF_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -33,7 +38,7 @@
 
 namespace ckesim {
 
-/** Flat FIFO with a hard capacity fixed by reset()/construction. */
+/** Flat FIFO with a hard bound fixed by reset()/construction. */
 template <typename T>
 class RingBuf
 {
@@ -44,15 +49,16 @@ class RingBuf
     /** @param capacity maximum occupancy (>= 0). */
     explicit RingBuf(int capacity) { reset(capacity); }
 
-    /** Drop all elements and (re)size the backing store. */
+    /** Drop all elements and the storage; @p capacity becomes the
+     *  bound. */
     void
     reset(int capacity)
     {
         SIM_CHECK(capacity >= 0, ringCtx(),
                   "ring buffer capacity " << capacity
                                           << " is negative");
-        data_.clear();
-        data_.resize(static_cast<std::size_t>(capacity));
+        data_ = std::vector<T>();
+        room_ = 0;
         cap_ = static_cast<std::size_t>(capacity);
         head_ = 0;
         size_ = 0;
@@ -67,14 +73,13 @@ class RingBuf
     T &operator[](std::size_t i) { return data_[slot(i)]; }
     const T &operator[](std::size_t i) const { return data_[slot(i)]; }
 
-    /** Append; raises SimError when full (growth refusal). */
+    /** Append, growing the storage when it is full; raises SimError
+     *  at the bound. May move the storage. */
     void
     push_back(const T &value)
     {
-        SIM_CHECK(size_ < cap_, ringCtx(),
-                  "push_back on full ring buffer (capacity "
-                      << cap_
-                      << "): fixed-capacity queues refuse to grow");
+        if (size_ == room_) [[unlikely]]
+            grow();
         data_[slot(size_)] = value;
         ++size_;
     }
@@ -113,7 +118,7 @@ class RingBuf
     }
 
     /** std::deque::resize: drop from the back, or append
-     *  value-initialized elements (raises SimError when full). */
+     *  value-initialized elements (raises SimError past the bound). */
     void
     resize(std::size_t n)
     {
@@ -151,13 +156,35 @@ class RingBuf
     slot(std::size_t logical) const
     {
         std::size_t pos = head_ + logical;
-        if (pos >= cap_)
-            pos -= cap_;
+        if (pos >= room_)
+            pos -= room_;
         return pos;
     }
 
-    std::vector<T> data_;
-    std::size_t cap_ = 0;
+    /** Double the storage (at least kFirstSlots, at most the bound),
+     *  moving the elements to its front in FIFO order. */
+    [[gnu::noinline]] void
+    grow()
+    {
+        SIM_CHECK(size_ < cap_, ringCtx(),
+                  "push_back on full ring buffer (capacity "
+                      << cap_
+                      << "): fixed-capacity queues refuse to grow");
+        std::vector<T> grown(
+            std::min(cap_, std::max(kFirstSlots, 2 * room_)));
+        for (std::size_t i = 0; i < size_; ++i)
+            grown[i] = std::move(data_[slot(i)]);
+        data_.swap(grown);
+        room_ = data_.size();
+        head_ = 0;
+    }
+
+    /** Slots of a ring's first allocation. */
+    static constexpr std::size_t kFirstSlots = 8;
+
+    std::vector<T> data_;  ///< storage
+    std::size_t room_ = 0; ///< data_.size(), the slots allocated
+    std::size_t cap_ = 0;  ///< the bound
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

@@ -2,8 +2,9 @@
  * @file
  * Write-ahead results journal coverage: SimResult codec round-trips,
  * append/reopen recovery, torn-tail truncation, CRC rejection of
- * corrupted records, format-version refusal, and the last-writer-wins
- * duplicate-key rule.
+ * corrupted records, format-version refusal, the last-writer-wins
+ * duplicate-key rule, and payloads appended as bytes and read back
+ * from the file on demand.
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +161,46 @@ TEST(ResultJournal, DuplicateKeyLastWriterWins)
     SimResult out;
     ASSERT_TRUE(j.find(7, out));
     EXPECT_EQ(out.isolated->ipc, 2.0);
+}
+
+TEST(ResultJournal, ReadsPayloadsBackFromTheFile)
+{
+    TempFile tmp("payload");
+    ResultJournal j;
+    j.open(tmp.path());
+    j.append(1, makeIsolated(1.0));
+    // A result appended as its encoded bytes is the same record.
+    j.appendPayload(2, encodeSimResult(makeConcurrent("bp+sv")));
+    EXPECT_TRUE(j.contains(2));
+    EXPECT_FALSE(j.contains(3));
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(j.findPayload(2, payload));
+    EXPECT_EQ(payload, encodeSimResult(makeConcurrent("bp+sv")));
+    EXPECT_FALSE(j.findPayload(3, payload));
+    {
+        ResultJournal reopened;
+        reopened.open(tmp.path());
+        EXPECT_EQ(reopened.stats().loaded, 2u);
+        SimResult out;
+        ASSERT_TRUE(reopened.find(2, out));
+        expectSameBytes(out, makeConcurrent("bp+sv"));
+    }
+
+    // The journal holds offsets, not results: a payload byte flipped
+    // on disk after it was written fails the CRC when read back.
+    {
+        std::FILE *f = std::fopen(tmp.path().c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, -1, SEEK_END);
+        const int c = std::fgetc(f);
+        std::fseek(f, -1, SEEK_END);
+        std::fputc(c ^ 0xff, f);
+        std::fclose(f);
+    }
+    SimResult out;
+    EXPECT_TRUE(j.find(1, out));
+    expectSameBytes(out, makeIsolated(1.0));
+    EXPECT_THROW(j.find(2, out), SimError);
 }
 
 TEST(ResultJournal, TornTailIsTruncatedAndIntactRecordsSurvive)

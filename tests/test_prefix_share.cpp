@@ -2,10 +2,12 @@
  * @file
  * Shared Warped-Slicer profiling windows: Gpu::restorePrefix of one
  * window must end byte-identical to a straight run for every scheme
- * in the window's prefix class; SweepEngine::sweep, which shares
- * windows, must return the bytes a fresh engine's per-job run()
- * returns, for any worker count; its counters must be exact; and a
- * snapshot off the boundary or from another prefix class is refused.
+ * in the window's prefix class; SweepEngine::sweep and run(), which
+ * share windows, must return the bytes of straight runs, for any
+ * worker count; run() holds each window once for later runs, while a
+ * sweep's windows stay in the sweep; the counters must be exact; and
+ * a snapshot off the boundary or from another prefix class is
+ * refused.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign_spec.hpp"
 #include "core/mil.hpp"
 #include "metrics/journal.hpp"
 #include "metrics/sweep_engine.hpp"
@@ -263,16 +266,25 @@ encodeAll(const std::vector<SimResult> &results)
     return out;
 }
 
+/** Each job straight through in its own machine: a sweep of one job
+ *  is a chunk of one, which neither simulates a window to share nor
+ *  restores one. */
+std::vector<SimResult>
+straightRuns(const std::vector<SimJob> &jobs)
+{
+    SweepEngine fresh(1);
+    std::vector<SimResult> out;
+    for (const SimJob &job : jobs)
+        out.push_back(fresh.sweep({job}).front());
+    EXPECT_EQ(fresh.stats().prefix_runs, 0u);
+    EXPECT_EQ(fresh.stats().prefix_restores, 0u);
+    return out;
+}
+
 TEST(PrefixShareSweep, MatchesPerJobRunsAtAnyWorkerCount)
 {
     const std::vector<SimJob> jobs = mixedBatch();
-    std::vector<SimResult> want;
-    {
-        SweepEngine fresh(1);
-        for (const SimJob &job : jobs)
-            want.push_back(fresh.run(job));
-        EXPECT_EQ(fresh.stats().prefix_runs, 0u);
-    }
+    const std::vector<SimResult> want = straightRuns(jobs);
     const auto want_bytes = encodeAll(want);
 
     for (int workers : {1, 4}) {
@@ -325,6 +337,48 @@ TEST(PrefixShareSweep, F11ShapedBatchCountsExactly)
     engine.sweep(jobs);
     EXPECT_EQ(engine.stats().prefix_runs, 17u);
     EXPECT_EQ(engine.stats().sims_executed, s.sims_executed);
+    // A sweep's windows stay in the sweep.
+    EXPECT_EQ(engine.stats().windows_held, 0u);
+}
+
+TEST(PrefixShareRun, SmokeCampaignSimulatesOneWindowPerClass)
+{
+    // The smoke campaign's four Warped-Slicer jobs fall in three
+    // prefix classes. On bp+sv, WS simulates a plain window, and
+    // WS-QBMI+DMIL then needs a QBMI window, which replaces it and
+    // serves both after; sv+ks and bp+hs simulate one each. An engine
+    // serving the campaign job by job, at several cycle counts,
+    // simulates those four windows once and restores after, within a
+    // result memo bound below one campaign's jobs and baselines.
+    constexpr std::size_t kLimit = 6;
+    const std::vector<Cycle> cycle_counts = {Cycle{600}, Cycle{700},
+                                             Cycle{800}};
+    SweepEngine engine(1);
+    engine.setMemoLimit(kLimit);
+    for (Cycle cycles : cycle_counts) {
+        const std::vector<SimJob> jobs =
+            buildNamedCampaign("smoke", cycles);
+        std::vector<SimResult> got;
+        for (const SimJob &job : jobs) {
+            got.push_back(engine.run(job));
+            EXPECT_LE(engine.stats().memo_entries, kLimit);
+        }
+        EXPECT_EQ(encodeAll(got), encodeAll(straightRuns(jobs)))
+            << jobs.front().describe();
+    }
+    const SweepStats s = engine.stats();
+    EXPECT_EQ(s.prefix_runs, 4u);
+    EXPECT_EQ(s.prefix_restores, 4u * (cycle_counts.size() - 1));
+    EXPECT_EQ(s.windows_held, 3u);
+
+    // A sweep of the campaign at a fresh cycle count restores none of
+    // the held windows: its bp+sv chunk simulates one window for its
+    // two members, and the other two classes run straight through.
+    const std::vector<SimJob> jobs = buildNamedCampaign("smoke", Cycle{900});
+    EXPECT_EQ(encodeAll(engine.sweep(jobs)), encodeAll(straightRuns(jobs)));
+    EXPECT_EQ(engine.stats().prefix_runs, s.prefix_runs + 1);
+    EXPECT_EQ(engine.stats().prefix_restores, s.prefix_restores + 1);
+    EXPECT_EQ(engine.stats().windows_held, 3u);
 }
 
 } // namespace

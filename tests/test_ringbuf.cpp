@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the fixed-capacity ring buffer behind the per-cycle
- * queues (DESIGN.md §14): wrap-around FIFO order, growth refusal at
- * capacity, snapshot round-trips, and a randomized std::deque oracle.
+ * Unit tests for the bounded ring buffer behind the per-cycle queues
+ * (DESIGN.md §14): wrap-around FIFO order, on-demand growth up to the
+ * bound and refusal at it, snapshot round-trips, and a randomized
+ * std::deque oracle.
  */
 
 #include <gtest/gtest.h>
@@ -53,6 +54,44 @@ TEST(RingBuf, GrowthRefusalAtCapacity)
     EXPECT_THROW(rb.push_back(3), SimError);
     // The refused push must not have corrupted the contents.
     EXPECT_EQ(contents(rb), (std::vector<int>{1, 2}));
+}
+
+TEST(RingBuf, GrowingWhileWrappedKeepsFifoOrder)
+{
+    RingBuf<int> rb(100);
+    // Fill the first allocation, then wrap its head past the edge.
+    for (int i = 0; i < 8; ++i)
+        rb.push_back(i);
+    for (int i = 0; i < 5; ++i)
+        rb.pop_front();
+    for (int i = 8; i < 13; ++i)
+        rb.push_back(i); // logical 5..12, head at slot 5 of 8
+    for (int i = 13; i < 40; ++i)
+        rb.push_back(i); // grows twice, from a wrapped state
+    std::vector<int> want;
+    for (int i = 5; i < 40; ++i)
+        want.push_back(i);
+    EXPECT_EQ(contents(rb), want);
+    EXPECT_EQ(rb.front(), 5);
+}
+
+TEST(RingBuf, GrowsOnlyUpToItsBoundThenRaises)
+{
+    // 13 is neither the first allocation nor a doubling of it.
+    RingBuf<int> rb(13);
+    for (int i = 0; i < 13; ++i)
+        rb.push_back(i);
+    EXPECT_THROW(rb.push_back(13), SimError);
+    std::vector<int> want;
+    for (int i = 0; i < 13; ++i)
+        want.push_back(i);
+    EXPECT_EQ(contents(rb), want);
+    // Wrapping at the bound still works and still refuses.
+    rb.pop_front();
+    rb.push_back(13);
+    EXPECT_THROW(rb.push_back(14), SimError);
+    EXPECT_EQ(rb.front(), 1);
+    EXPECT_EQ(rb[12], 13);
 }
 
 TEST(RingBuf, ZeroCapacityRefusesEverything)
@@ -113,6 +152,27 @@ TEST(RingBuf, SnapshotRoundTripPreservesWrappedState)
     SnapshotWriter w2;
     Ring::state(w2, std::as_const(back), walkU64);
     EXPECT_EQ(w.bytes(), w2.bytes());
+}
+
+TEST(RingBuf, RestoreLongerThanStorageGrowsIt)
+{
+    using Ring = RingBuf<std::uint64_t>;
+    const auto walkU64 = [](auto &ar, auto &v) { ar.u64(v); };
+    Ring big(64);
+    for (std::uint64_t i = 0; i < 50; ++i)
+        big.push_back(i);
+    SnapshotWriter w;
+    Ring::state(w, std::as_const(big), walkU64);
+
+    Ring fresh(64); // no storage allocated yet
+    fresh.push_back(7);
+    SnapshotReader r(w.bytes());
+    Ring::state(r, fresh, walkU64);
+    EXPECT_EQ(contents(fresh), contents(big));
+    fresh.pop_front();
+    fresh.push_back(50);
+    EXPECT_EQ(fresh[48], 49u);
+    EXPECT_EQ(fresh[49], 50u);
 }
 
 TEST(RingBuf, RestoreRefusesOversizedSnapshot)

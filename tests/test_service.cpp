@@ -25,6 +25,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/campaign_engine.hpp"
@@ -82,14 +83,19 @@ class ServiceProc
     {
         if (pid_ > 0)
             (void)killHard();
+        if (report_fd_ >= 0)
+            ::close(report_fd_);
     }
 
     void start(const ServiceOptions &opts)
     {
         socket_path_ = opts.socket_path;
+        int report_pipe[2];
+        ASSERT_EQ(::pipe(report_pipe), 0);
         pid_ = ::fork();
         ASSERT_GE(pid_, 0) << "fork failed";
         if (pid_ == 0) {
+            ::close(report_pipe[0]);
             int status = 2;
             try {
                 CampaignService service(opts);
@@ -98,13 +104,17 @@ class ServiceProc
                 std::memset(&sa, 0, sizeof sa);
                 sa.sa_handler = onChildTerm;
                 ::sigaction(SIGTERM, &sa, nullptr);
-                (void)service.serve();
-                status = 0;
+                const ServiceReport report = service.serve();
+                if (::write(report_pipe[1], &report, sizeof report) ==
+                    static_cast<ssize_t>(sizeof report))
+                    status = 0;
             } catch (...) {
                 status = 2;
             }
             ::_exit(status);
         }
+        ::close(report_pipe[1]);
+        report_fd_ = report_pipe[0];
         // The socket appearing means the listener is live.
         for (int i = 0; i < 500; ++i) {
             if (::access(socket_path_.c_str(), F_OK) == 0)
@@ -123,8 +133,14 @@ class ServiceProc
         int status = 0;
         (void)::waitpid(pid_, &status, 0);
         pid_ = -1;
+        if (::read(report_fd_, &report_, sizeof report_) !=
+            static_cast<ssize_t>(sizeof report_))
+            report_ = ServiceReport{};
         return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     }
+
+    /** The drained service's lifetime report (after stop()). */
+    const ServiceReport &report() const { return report_; }
 
     /** SIGKILL — the crash the --resume path must recover from. */
     int killHard()
@@ -139,7 +155,12 @@ class ServiceProc
     }
 
   private:
+    static_assert(std::is_trivially_copyable_v<ServiceReport>,
+                  "the child sends its report through a pipe");
+
     pid_t pid_ = -1;
+    int report_fd_ = -1; ///< read end of the child's report pipe
+    ServiceReport report_;
     std::string socket_path_;
 };
 
@@ -240,7 +261,18 @@ TEST(CampaignService, SingleClientMatchesInProcessGroundTruth)
     EXPECT_EQ(clientTable(outcome, copts), groundTruthTable());
     EXPECT_EQ(outcome.report.results, outcome.jobs.size());
 
+    // The same campaign again: the finished jobs left the job table,
+    // so the journal serves every one, as the record's bytes.
+    const ClientOutcome again = runCampaignClient(copts);
+    ASSERT_EQ(again.status, ClientStatus::Completed)
+        << again.report.error;
+    EXPECT_EQ(clientTable(again, copts), groundTruthTable());
+
     EXPECT_EQ(service.stop(), 0);
+    const ServiceReport &report = service.report();
+    EXPECT_EQ(report.journal_hits, again.jobs.size());
+    EXPECT_EQ(report.dedupe_hits, 0u);
+    EXPECT_EQ(report.jobs_held, 0u);
 
     // Every job ran exactly once, durably.
     std::uint64_t records = 0, distinct = 0;
@@ -275,6 +307,7 @@ TEST(CampaignService, ConcurrentClientsAllByteIdentical)
     }
 
     EXPECT_EQ(service.stop(), 0);
+    EXPECT_EQ(service.report().jobs_held, 0u);
 
     // Three identical submissions, every job dispatched once: the
     // journal must hold one record per distinct key, not three.
@@ -315,6 +348,7 @@ TEST(CampaignService, ClientDeathMidStreamOrphansNothing)
     EXPECT_EQ(clientTable(retry, copts), groundTruthTable());
 
     EXPECT_EQ(service.stop(), 0);
+    EXPECT_EQ(service.report().jobs_held, 0u);
 
     // The disconnect caused zero re-runs: one record per key.
     std::uint64_t records = 0, distinct = 0;

@@ -154,14 +154,14 @@ runService(const ServiceOptions &opts)
             "client_corrupt=%" PRIu64 " client_disconnects=%" PRIu64
             " worker_deaths=%" PRIu64 " respawned=%" PRIu64
             " hung_killed=%" PRIu64 " corrupt_frames=%" PRIu64
-            " pings=%" PRIu64 "%s%s\n",
+            " pings=%" PRIu64 " jobs_held=%" PRIu64 "%s%s\n",
             r.connections, r.submissions, r.rejected,
             r.campaigns_done, r.jobs_completed, r.jobs_failed,
             r.journal_hits, r.dedupe_hits, r.dispatched,
             r.redispatched, r.client_corrupt, r.client_disconnects,
             r.worker_deaths, r.workers_respawned,
             r.hung_workers_killed, r.corrupt_frames, r.pings,
-            r.degraded_in_process ? " degraded_in_process" : "",
+            r.jobs_held, r.degraded_in_process ? " degraded_in_process" : "",
             r.drain_requested ? " drain_requested" : "");
         return 0;
     } catch (const SimError &e) {
