@@ -4,7 +4,7 @@
  * (stable key order) so successive PRs can diff orchestration
  * overhead and simulator speed.
  *
- * Two sections:
+ * Three sections:
  *
  *  - campaign_throughput: jobs/sec of the smoke campaign run (a)
  *    in-process through a SweepEngine and (b) through the
@@ -33,6 +33,14 @@
  *    records the attributed share of its samples.
  *    tools/perf_diff.py pairs artifacts of two builds run
  *    alternately on one host and gates the median ratio.
+ *
+ *  - codec: what a Warped-Slicer profiling window costs to hold and
+ *    to reuse. For two bp+sv windows under WS (the smoke campaign's
+ *    2-SM machine and the 16-SM Table 1 machine), the median and
+ *    quartiles over kCodecRepeats runs of Gpu::snapshot() at
+ *    `profile_end` and of Gpu::restorePrefix() into a fresh machine
+ *    (constructed outside the timed region). tools/perf_diff.py
+ *    reports their paired ratios ungated.
  *
  * Usage: bench_perf [--out BENCH_perf.json] [--cycles N]
  *                   [--cycles-large N] [--busy-cycles N]
@@ -272,6 +280,75 @@ runStrictBusy(Cycle cycles, int repeats, bool prof_on)
     return out;
 }
 
+// ---- window codec: snapshot and restorePrefix -------------------------
+
+/** Timed runs per codec window: a few ms each, so enough for
+ *  quartiles at little cost. */
+constexpr int kCodecRepeats = 15;
+
+/** Median, first and third quartile (inclusive method). */
+struct Spread
+{
+    double median = 0.0;
+    double q1 = 0.0;
+    double q3 = 0.0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const auto at = [&](double q) {
+        const double pos = q * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.5), at(0.25), at(0.75)};
+}
+
+struct CodecCase
+{
+    std::string window; ///< "machine kernels"
+    int sms = 0;
+    std::uint64_t plain_bytes = 0;
+    std::size_t deflated_bytes = 0;
+    Spread snapshot_ms;
+    Spread restore_ms;
+};
+
+CodecCase
+runCodec(const std::string &name, const GpuConfig &cfg)
+{
+    const Workload wl = makeWorkload({"bp", "sv"});
+    const SchemeSpec spec = makeScheme(PartitionScheme::WarpedSlicer,
+                                       BmiMode::None, MilMode::None);
+    Gpu source(cfg, wl, spec);
+    source.run(spec.ws_profile_window);
+
+    CodecCase c;
+    c.window = name;
+    c.sms = cfg.num_sms;
+    GpuSnapshot window;
+    std::vector<double> snap_ms, restore_ms;
+    for (int r = 0; r < kCodecRepeats; ++r) {
+        const auto start = Clock::now();
+        window = source.snapshot();
+        snap_ms.push_back(msSince(start));
+    }
+    for (int r = 0; r < kCodecRepeats; ++r) {
+        Gpu target(cfg, wl, spec);
+        const auto start = Clock::now();
+        target.restorePrefix(window);
+        restore_ms.push_back(msSince(start));
+    }
+    c.plain_bytes = window.plain_size;
+    c.deflated_bytes = window.bytes.size();
+    c.snapshot_ms = spreadOf(snap_ms);
+    c.restore_ms = spreadOf(restore_ms);
+    return c;
+}
+
 } // namespace
 
 int
@@ -325,6 +402,11 @@ main(int argc, char **argv)
         const std::vector<BusyCase> busy = runStrictBusy(
             Cycle{static_cast<std::uint64_t>(busy_cycles)},
             static_cast<int>(busy_repeats), prof_on);
+
+        const std::vector<CodecCase> codec = {
+            runCodec("smoke bp+sv", makeSmallConfig(2, 2)),
+            runCodec("table1 bp+sv", benchConfig()),
+        };
 
         std::FILE *f = std::fopen(out_path.c_str(), "w");
         if (f == nullptr) {
@@ -390,6 +472,30 @@ main(int argc, char **argv)
         }
         std::fprintf(f,
                      "    ]\n"
+                     "  },\n"
+                     "  \"codec\": {\n"
+                     "    \"scheme\": \"ws\",\n"
+                     "    \"repeats\": %d,\n"
+                     "    \"windows\": [\n",
+                     kCodecRepeats);
+        for (std::size_t i = 0; i < codec.size(); ++i) {
+            const CodecCase &c = codec[i];
+            std::fprintf(
+                f,
+                "      {\"window\": \"%s\", \"sms\": %d, "
+                "\"plain_bytes\": %llu, \"deflated_bytes\": %zu, "
+                "\"snapshot_ms\": %.3f, \"snapshot_q1_ms\": %.3f, "
+                "\"snapshot_q3_ms\": %.3f, \"restore_ms\": %.3f, "
+                "\"restore_q1_ms\": %.3f, \"restore_q3_ms\": %.3f}%s\n",
+                c.window.c_str(), c.sms,
+                static_cast<unsigned long long>(c.plain_bytes),
+                c.deflated_bytes, c.snapshot_ms.median,
+                c.snapshot_ms.q1, c.snapshot_ms.q3, c.restore_ms.median,
+                c.restore_ms.q1, c.restore_ms.q3,
+                i + 1 < codec.size() ? "," : "");
+        }
+        std::fprintf(f,
+                     "    ]\n"
                      "  }\n"
                      "}\n");
         std::fclose(f);
@@ -408,6 +514,12 @@ main(int argc, char **argv)
                 std::printf("  prof %.1f%%", c.attributed_pct);
             std::printf("\n");
         }
+        for (const CodecCase &c : codec)
+            std::printf("codec %-12s snapshot %7.2f ms  restorePrefix "
+                        "%7.2f ms  [q1 %.2f, q3 %.2f]\n",
+                        c.window.c_str(), c.snapshot_ms.median,
+                        c.restore_ms.median, c.restore_ms.q1,
+                        c.restore_ms.q3);
 
         int rc = 0;
         for (const ScalePoint &sp : points)

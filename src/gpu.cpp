@@ -586,6 +586,7 @@ Gpu::snapshot() const
     snap.fingerprint = w.fingerprint();
     snap.plain_size = w.plainSize();
     snap.bytes = w.take();
+    snap.index = w.takeIndex();
     return snap;
 }
 

@@ -223,7 +223,10 @@ class Gpu
      * (same config, kernels and scheme). Throws SimError (kind
      * "Snapshot") on a format-version, config-digest or setup-digest
      * mismatch, or when the payload does not inflate to its recorded
-     * size and fingerprint.
+     * size, block index and fingerprint. The payload is inflated once
+     * and each slice is checked before it is decoded, so a restore
+     * refused partway leaves this Gpu partly restored, from verified
+     * bytes only: discard it.
      */
     void restore(const GpuSnapshot &snap);
 
@@ -236,7 +239,8 @@ class Gpu
      * Then a controller outside QBMI mode takes back its construction
      * QBMI state, which it never reads, so run(n) ends byte-identical
      * to a straight run of window + n cycles. A QBMI machine must
-     * restore a window simulated under QBMI.
+     * restore a window simulated under QBMI. A refused payload leaves
+     * this Gpu partly restored, as restore() does.
      */
     void restorePrefix(const GpuSnapshot &snap);
 

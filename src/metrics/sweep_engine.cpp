@@ -218,7 +218,8 @@ namespace {
 std::size_t
 windowBytes(const GpuSnapshot &snap)
 {
-    return sizeof snap + snap.bytes.size();
+    return sizeof snap + snap.bytes.size() +
+           snap.index.size() * sizeof(std::uint64_t);
 }
 
 } // namespace

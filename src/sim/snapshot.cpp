@@ -3,6 +3,7 @@
 #define ZLIB_CONST
 #include <zlib.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <sstream>
@@ -14,8 +15,41 @@ namespace ckesim {
 namespace {
 
 /** Staging buffer size: plain bytes between deflate calls, and the
- *  inflated window a reader decodes from. */
+ *  slices a reader inflates and verifies at a time. */
 constexpr std::size_t kStage = std::size_t{64} << 10;
+constexpr std::size_t kStageSlices = kStage / kSnapshotSlice;
+static_assert(kStageSlices == 4 && kStage % kSnapshotSlice == 0);
+
+/** Reader stage room past kStage for the unread tail of a value that
+ *  straddles two stages; a longer value grows the stage. */
+constexpr std::size_t kStageTail = 64;
+
+/** Slices in a plain stream of @p n bytes, the last maybe shorter. */
+std::uint64_t
+sliceCount(std::uint64_t n)
+{
+    return n / kSnapshotSlice + (n % kSnapshotSlice != 0 ? 1 : 0);
+}
+
+/** FNV-1a over a stage's four slices at @p p, each continuing from its
+ *  own @p h. One FNV-1a chain waits on each multiply; four independent
+ *  chains overlap their latencies. */
+void
+fnvStage(const std::uint8_t *p, std::uint64_t (&h)[kStageSlices])
+{
+    constexpr std::size_t s = kSnapshotSlice;
+    std::uint64_t a = h[0], b = h[1], c = h[2], d = h[3];
+    for (std::size_t i = 0; i < s; ++i) {
+        a = (a ^ p[i]) * Fnv1a::kPrime;
+        b = (b ^ p[s + i]) * Fnv1a::kPrime;
+        c = (c ^ p[2 * s + i]) * Fnv1a::kPrime;
+        d = (d ^ p[3 * s + i]) * Fnv1a::kPrime;
+    }
+    h[0] = a;
+    h[1] = b;
+    h[2] = c;
+    h[3] = d;
+}
 
 [[noreturn]] void
 zlibFail(const std::string &detail)
@@ -101,8 +135,17 @@ SnapshotWriter::raw(const void *p, std::size_t n)
 void
 SnapshotWriter::appended(std::size_t n)
 {
-    fp_.bytes(buf_.data() + buf_.size() - n, n);
+    const std::uint8_t *p = buf_.data() + buf_.size() - n;
     plain_size_ += n;
+    while (n >= slice_left_) {
+        fp_.bytes(p, slice_left_);
+        p += slice_left_;
+        n -= slice_left_;
+        index_.push_back(fp_.value());
+        slice_left_ = kSnapshotSlice;
+    }
+    fp_.bytes(p, n);
+    slice_left_ -= n;
     if (z_ && buf_.size() >= kStage)
         drain(/*finish=*/false);
 }
@@ -135,6 +178,14 @@ SnapshotWriter::take()
     drain(/*finish=*/true);
     out_.shrink_to_fit();
     return std::move(out_);
+}
+
+std::vector<std::uint64_t>
+SnapshotWriter::takeIndex()
+{
+    if (slice_left_ != kSnapshotSlice)
+        index_.push_back(fp_.value());
+    return std::move(index_);
 }
 
 void
@@ -217,46 +268,28 @@ SnapshotWriter::vecBool(const std::vector<bool> &v)
 // ---- SnapshotReader -----------------------------------------------
 
 SnapshotReader::SnapshotReader(const std::vector<std::uint8_t> &bytes)
-    : cur_(bytes.data()), end_(bytes.data() + bytes.size()),
-      size_(bytes.size())
+    : begin_(bytes.data()), cur_(bytes.data()),
+      end_(bytes.data() + bytes.size()), size_(bytes.size())
 {
 }
 
 SnapshotReader::SnapshotReader(const GpuSnapshot &snap)
-    : stage_(kStage)
+    : size_(static_cast<std::size_t>(snap.plain_size)),
+      stage_(kStage + kStageTail), index_(&snap.index)
 {
-    // Verification pass: plain size, zlib's own check and the FNV-1a
-    // fingerprint, before any byte reaches a decoder.
-    {
-        ZStream z(/*deflating=*/false);
-        z.input(snap.bytes.data(), snap.bytes.size());
-        Fnv1a fp;
-        std::uint64_t total = 0;
-        bool ended = false;
-        while (!ended) {
-            const std::size_t got =
-                z.inflateInto(stage_.data(), stage_.size(), ended);
-            total += got;
-            if (total > snap.plain_size)
-                zlibFail("deflated snapshot payload inflates past its "
-                         "recorded " +
-                         std::to_string(snap.plain_size) + " bytes");
-            fp.bytes(stage_.data(), got);
-        }
-        if (z.s.avail_in != 0 || total != snap.plain_size)
-            zlibFail("deflated snapshot payload inflates to " +
-                     std::to_string(total) + " bytes with " +
-                     std::to_string(z.s.avail_in) +
-                     " trailing, recorded " +
-                     std::to_string(snap.plain_size));
-        if (fp.value() != snap.fingerprint)
-            zlibFail("snapshot payload does not match its fingerprint "
-                     "(corrupted or truncated checkpoint)");
-    }
-    size_ = static_cast<std::size_t>(snap.plain_size);
+    const std::uint64_t slices = sliceCount(snap.plain_size);
+    if (snap.index.size() != slices)
+        zlibFail("snapshot block index has " +
+                 std::to_string(snap.index.size()) +
+                 " entries, its recorded " +
+                 std::to_string(snap.plain_size) + " bytes take " +
+                 std::to_string(slices));
+    if (slices != 0 && snap.index.back() != snap.fingerprint)
+        zlibFail("snapshot block index does not end at its "
+                 "fingerprint (corrupted checkpoint)");
     z_ = std::make_unique<ZStream>(/*deflating=*/false);
     z_->input(snap.bytes.data(), snap.bytes.size());
-    cur_ = end_ = stage_.data();
+    begin_ = cur_ = end_ = stage_.data();
 }
 
 SnapshotReader::~SnapshotReader() = default;
@@ -267,61 +300,95 @@ SnapshotReader::fail(const std::string &detail) const
     SimCtx ctx;
     ctx.module = "snapshot";
     std::ostringstream os;
-    os << detail << " at payload offset " << pos_ << " of " << size_;
+    os << detail << " at payload offset " << offset() << " of " << size_;
     raiseSimError("Snapshot", ctx, os.str());
+}
+
+void
+SnapshotReader::tagMismatch(SnapTag want, std::uint8_t got) const
+{
+    std::ostringstream os;
+    os << "type tag mismatch: expected "
+       << int(static_cast<std::uint8_t>(want)) << ", found " << int(got);
+    fail(os.str());
 }
 
 void
 SnapshotReader::refill(std::size_t n)
 {
-    if (!z_)
+    if (!z_ || n > size_ - offset())
         fail("truncated snapshot payload");
     const auto keep = static_cast<std::size_t>(end_ - cur_);
-    if (keep > 0)
-        std::memmove(stage_.data(), cur_, keep);
-    if (stage_.size() < n)
-        stage_.resize(n);
+    base_ = offset();
+    std::memmove(stage_.data(), cur_, keep);
     std::size_t have = keep;
-    bool ended = false;
-    while (have < n && !ended)
-        have += z_->inflateInto(stage_.data() + have,
-                                stage_.size() - have, ended);
-    if (have < n)
-        fail("truncated snapshot payload");
-    cur_ = stage_.data();
-    end_ = stage_.data() + have;
+    while (have < n) {
+        if (stage_.size() < have + kStage)
+            stage_.resize(have + kStage);
+        have += inflateSlices(stage_.data() + have);
+    }
+    begin_ = cur_ = stage_.data();
+    end_ = cur_ + have;
 }
 
-const std::uint8_t *
-SnapshotReader::take(std::size_t n)
+std::size_t
+SnapshotReader::inflateSlices(std::uint8_t *out)
 {
-    if (n > size_ - pos_)
-        fail("truncated snapshot payload");
-    if (n > static_cast<std::size_t>(end_ - cur_))
-        refill(n);
-    const std::uint8_t *p = cur_;
-    cur_ += n;
-    pos_ += n;
-    return p;
+    const std::size_t want = std::min(kStage, size_ - inflated_);
+    std::size_t got = 0;
+    bool ended = false;
+    while (got < want && !ended)
+        got += z_->inflateInto(out + got, want - got, ended);
+    if (got < want)
+        zlibFail("deflated snapshot payload inflates to " +
+                 std::to_string(inflated_ + got) + " bytes, recorded " +
+                 std::to_string(size_));
+    if (inflated_ + got == size_) {
+        // The last slice: the stream must end here, with no input left.
+        std::uint8_t past[16];
+        if (!ended && z_->inflateInto(past, sizeof past, ended) != 0)
+            zlibFail("deflated snapshot payload inflates past its "
+                     "recorded " +
+                     std::to_string(size_) + " bytes");
+        if (z_->s.avail_in != 0)
+            zlibFail("deflated snapshot payload has " +
+                     std::to_string(z_->s.avail_in) +
+                     " trailing byte(s)");
+    }
+    verifySlices(out, got);
+    inflated_ += got;
+    return got;
 }
 
 void
-SnapshotReader::expect(SnapTag t)
+SnapshotReader::verifySlices(const std::uint8_t *out, std::size_t n) const
 {
-    const std::uint8_t got = *take(1);
-    if (got != static_cast<std::uint8_t>(t)) {
-        std::ostringstream os;
-        os << "type tag mismatch: expected " << int(static_cast<std::uint8_t>(t))
-           << ", found " << int(got);
-        fail(os.str());
+    // Each slice's chain starts from the entry before it, which the
+    // check of the slice before confirmed, so the checks chain into
+    // the whole stream's fingerprint.
+    const std::vector<std::uint64_t> &index = *index_;
+    const std::size_t first = inflated_ / kSnapshotSlice;
+    const auto count = static_cast<std::size_t>(sliceCount(n));
+    std::uint64_t h[kStageSlices] = {};
+    for (std::size_t j = 0; j < count; ++j)
+        h[j] = first + j == 0 ? Fnv1a::kBasis : index[first + j - 1];
+    if (n == kStage) {
+        fnvStage(out, h);
+    } else {
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t at = j * kSnapshotSlice;
+            Fnv1a fp(h[j]);
+            fp.bytes(out + at, std::min(kSnapshotSlice, n - at));
+            h[j] = fp.value();
+        }
     }
-}
-
-std::uint8_t
-SnapshotReader::u8()
-{
-    expect(SnapTag::U8);
-    return *take(1);
+    for (std::size_t j = 0; j < count; ++j)
+        if (h[j] != index[first + j])
+            zlibFail("snapshot payload does not match its fingerprint "
+                     "in slice " +
+                     std::to_string(first + j) + " of " +
+                     std::to_string(index.size()) +
+                     " (corrupted or truncated checkpoint)");
 }
 
 std::uint32_t
@@ -329,37 +396,6 @@ SnapshotReader::u32()
 {
     expect(SnapTag::U32);
     return getLE<std::uint32_t>(take(4));
-}
-
-std::uint64_t
-SnapshotReader::u64()
-{
-    expect(SnapTag::U64);
-    return getLE<std::uint64_t>(take(8));
-}
-
-std::int64_t
-SnapshotReader::i64()
-{
-    expect(SnapTag::I64);
-    return static_cast<std::int64_t>(getLE<std::uint64_t>(take(8)));
-}
-
-bool
-SnapshotReader::boolean()
-{
-    expect(SnapTag::Bool);
-    const std::uint8_t v = *take(1);
-    if (v > 1)
-        fail("bool value out of range");
-    return v != 0;
-}
-
-double
-SnapshotReader::f64()
-{
-    expect(SnapTag::F64);
-    return std::bit_cast<double>(getLE<std::uint64_t>(take(8)));
 }
 
 std::string
@@ -375,17 +411,17 @@ SnapshotReader::section(const char *name)
 {
     expect(SnapTag::Section);
     const std::size_t n = getLE<std::uint32_t>(take(4));
-    const std::string got(reinterpret_cast<const char *>(take(n)), n);
-    if (got != name)
+    const auto *got = reinterpret_cast<const char *>(take(n));
+    if (n != std::strlen(name) || std::memcmp(got, name, n) != 0)
         fail("section mismatch: expected '" + std::string(name) +
-             "', found '" + got + "'");
+             "', found '" + std::string(got, n) + "'");
 }
 
 std::size_t
 SnapshotReader::length(std::size_t most)
 {
     const std::uint64_t n = u64();
-    if (n > size_ - pos_)
+    if (n > size_ - offset())
         fail("vector length implausibly large");
     if (n > most)
         fail("snapshot holds " + std::to_string(n) +

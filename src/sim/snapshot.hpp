@@ -31,7 +31,11 @@
  * holds its stream deflated: the writer passes it through a small
  * staging buffer into zlib, and the reader inflates it the same way,
  * so the plain stream (~4.65 MB for a 16-SM machine) is never held
- * whole. The fingerprint is always over the plain stream.
+ * whole. The fingerprint is always over the plain stream. The writer
+ * also records a block index, its running fingerprint at the end of
+ * every kSnapshotSlice bytes, so a reader verifies each slice of a
+ * GpuSnapshot as it inflates it, before any decoder reads the slice,
+ * and the payload is inflated once.
  *
  * Format rules (see DESIGN.md section 11):
  *  - kSnapshotFormatVersion (sim/types.hpp) must be bumped on any
@@ -45,6 +49,7 @@
 #ifndef CKESIM_SIM_SNAPSHOT_HPP
 #define CKESIM_SIM_SNAPSHOT_HPP
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -97,6 +102,9 @@ getLE(const std::uint8_t *p)
         v |= static_cast<U>(p[i]) << (8 * i);
     return v;
 }
+
+/** Plain bytes per block-index entry (GpuSnapshot::index). */
+inline constexpr std::size_t kSnapshotSlice = std::size_t{16} << 10;
 
 /** "No bound" for a content-sized count (SnapshotReader::length). */
 inline constexpr std::size_t kAnyLength =
@@ -215,6 +223,12 @@ class SnapshotWriter
     /** The payload: the plain stream, or the finished deflate stream. */
     std::vector<std::uint8_t> take();
 
+    /** The block index, taken once at the end of the stream: the
+     *  fingerprint after each kSnapshotSlice plain bytes, then after
+     *  the last, shorter slice if there is one. Its last entry is
+     *  fingerprint(). */
+    std::vector<std::uint64_t> takeIndex();
+
   private:
     void tag(SnapTag t);
     void raw(const void *p, std::size_t n);
@@ -228,7 +242,7 @@ class SnapshotWriter
         appended(sizeof(U));
     }
 
-    /** Fingerprint and count the last @p n bytes of buf_. */
+    /** Fingerprint, count and index the last @p n bytes of buf_. */
     void appended(std::size_t n);
     /** Deflate the staged bytes into out_ (@p finish ends the stream). */
     void drain(bool finish);
@@ -238,6 +252,8 @@ class SnapshotWriter
     std::unique_ptr<ZStream> z_;    ///< null for the Plain codec
     std::uint64_t plain_size_ = 0;
     Fnv1a fp_;
+    std::vector<std::uint64_t> index_;        ///< see takeIndex()
+    std::size_t slice_left_ = kSnapshotSlice; ///< bytes to the next entry
 };
 
 /**
@@ -255,12 +271,17 @@ class SnapshotReader
     explicit SnapshotReader(const std::vector<std::uint8_t> &bytes);
 
     /**
-     * Reader over a GpuSnapshot's deflated payload. Construction
-     * first streams the whole payload through inflate and FNV-1a,
-     * holding only a staging buffer, and throws SimError kind
-     * "Snapshot" unless it inflates to exactly `plain_size` bytes
-     * with the recorded fingerprint. Decoding then inflates it again,
-     * so no decoder ever sees a corrupted byte.
+     * Reader over a GpuSnapshot's deflated payload, which must
+     * outlive it. Construction checks the block index's shape: one
+     * entry per kSnapshotSlice of `plain_size`, the last equal to
+     * `fingerprint`. Reads then inflate the payload once, through a
+     * 64 KiB stage: each stage's four slices are fingerprinted from
+     * their index entries and checked against the next ones before
+     * any decoder reads them, and at the last slice the stream must
+     * end at exactly `plain_size` bytes with no trailing input. A
+     * failed check throws SimError kind "Snapshot", so no decoder
+     * ever sees a corrupted byte; the values read before it came
+     * from verified slices.
      */
     explicit SnapshotReader(const GpuSnapshot &snap);
 
@@ -268,12 +289,46 @@ class SnapshotReader
     SnapshotReader(const SnapshotReader &) = delete;
     SnapshotReader &operator=(const SnapshotReader &) = delete;
 
-    std::uint8_t u8();
+    std::uint8_t
+    u8()
+    {
+        expect(SnapTag::U8);
+        return *take(1);
+    }
+
     std::uint32_t u32();
-    std::uint64_t u64();
-    std::int64_t i64();
-    bool boolean();
-    double f64();
+
+    std::uint64_t
+    u64()
+    {
+        expect(SnapTag::U64);
+        return getLE<std::uint64_t>(take(8));
+    }
+
+    std::int64_t
+    i64()
+    {
+        expect(SnapTag::I64);
+        return static_cast<std::int64_t>(getLE<std::uint64_t>(take(8)));
+    }
+
+    bool
+    boolean()
+    {
+        expect(SnapTag::Bool);
+        const std::uint8_t v = *take(1);
+        if (v > 1) [[unlikely]]
+            fail("bool value out of range");
+        return v != 0;
+    }
+
+    double
+    f64()
+    {
+        expect(SnapTag::F64);
+        return std::bit_cast<double>(getLE<std::uint64_t>(take(8)));
+    }
+
     std::string str();
 
     // The same reads, assigned through a reference: what a state walk
@@ -367,26 +422,57 @@ class SnapshotReader
 
     /** Entire plain payload consumed? restore() asserts this at the
      *  end. */
-    bool atEnd() const { return pos_ == size_; }
+    bool atEnd() const { return offset() == size_; }
 
     /** Plain bytes consumed so far. */
-    std::size_t offset() const { return pos_; }
+    std::size_t
+    offset() const
+    {
+        return base_ + static_cast<std::size_t>(cur_ - begin_);
+    }
 
   private:
-    void expect(SnapTag t);
-    const std::uint8_t *take(std::size_t n);
-    /** Inflate until at least @p n bytes are staged at cur_. */
+    void
+    expect(SnapTag t)
+    {
+        const std::uint8_t got = *take(1);
+        if (got != static_cast<std::uint8_t>(t)) [[unlikely]]
+            tagMismatch(t, got);
+    }
+
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        if (n > static_cast<std::size_t>(end_ - cur_)) [[unlikely]]
+            refill(n);
+        const std::uint8_t *p = cur_;
+        cur_ += n;
+        return p;
+    }
+
+    /** Inflate and verify slices until at least @p n bytes are
+     *  readable at cur_. */
     void refill(std::size_t n);
+    /** Inflate the next slices, at most a stage of them, into
+     *  @p out, verify them and return their length. */
+    std::size_t inflateSlices(std::uint8_t *out);
+    /** Check the @p n bytes at @p out, the next slices, against the
+     *  block index. */
+    void verifySlices(const std::uint8_t *out, std::size_t n) const;
     /** A u64 count that must equal @p want. */
     void expectLength(std::size_t want);
+    [[noreturn]] void tagMismatch(SnapTag want, std::uint8_t got) const;
     [[noreturn]] void fail(const std::string &detail) const;
 
-    const std::uint8_t *cur_ = nullptr; ///< next unread plain byte
-    const std::uint8_t *end_ = nullptr; ///< end of the readable window
-    std::size_t pos_ = 0;               ///< plain offset of cur_
-    std::size_t size_ = 0;              ///< plain payload length
-    std::vector<std::uint8_t> stage_;   ///< inflated window
-    std::unique_ptr<ZStream> z_;        ///< null for a plain stream
+    const std::uint8_t *begin_ = nullptr; ///< start of the readable window
+    const std::uint8_t *cur_ = nullptr;   ///< next unread plain byte
+    const std::uint8_t *end_ = nullptr;   ///< end of the readable window
+    std::size_t base_ = 0;                ///< plain offset of begin_
+    std::size_t size_ = 0;                ///< plain payload length
+    std::size_t inflated_ = 0;            ///< plain bytes verified so far
+    std::vector<std::uint8_t> stage_;     ///< inflated, verified slices
+    std::unique_ptr<ZStream> z_;          ///< null for a plain stream
+    const std::vector<std::uint64_t> *index_ = nullptr; ///< GpuSnapshot::index
 };
 
 /** Reads what FieldWriter<SnapshotWriter> wrote (sim/fields.hpp). */
@@ -450,6 +536,11 @@ struct GpuSnapshot
     Cycle cycle{};
     /** FNV-1a fingerprint of the plain stream @ref bytes inflates to. */
     std::uint64_t fingerprint = 0;
+    /** Block index: the running fingerprint at the end of each
+     *  kSnapshotSlice bytes of the plain stream, and at its end (the
+     *  last entry is @ref fingerprint). A restore checks each slice
+     *  against it before decoding the slice. */
+    std::vector<std::uint64_t> index;
     /** Config pin: hash of the owning simulation's GpuConfig fields
      *  (the same set SimJob::key() covers). */
     std::uint64_t config_digest = 0;

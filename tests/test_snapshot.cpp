@@ -113,6 +113,41 @@ TEST(SnapshotCodec, FingerprintTracksContent)
     EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
+/** @p w's finished deflated stream as a GpuSnapshot payload. */
+GpuSnapshot
+payloadOf(SnapshotWriter &w)
+{
+    GpuSnapshot s;
+    s.fingerprint = w.fingerprint();
+    s.plain_size = w.plainSize();
+    s.bytes = w.take();
+    s.index = w.takeIndex();
+    return s;
+}
+
+TEST(SnapshotCodec, DeflatedReadsSpanStages)
+{
+    // Values straddle the reader's 64 KiB stages, and a string longer
+    // than a stage grows it.
+    SnapshotWriter w(SnapshotCodec::Deflate);
+    const std::string big(150000, 'x');
+    for (std::uint64_t i = 0; i < 10000; ++i)
+        w.u64(i);
+    w.str(big);
+    w.section("after");
+    w.f64(2.5);
+    const GpuSnapshot s = payloadOf(w);
+    ASSERT_EQ(s.index.back(), s.fingerprint);
+
+    SnapshotReader r(s);
+    for (std::uint64_t i = 0; i < 10000; ++i)
+        ASSERT_EQ(r.u64(), i);
+    EXPECT_EQ(r.str(), big);
+    r.section("after");
+    EXPECT_EQ(r.f64(), 2.5);
+    EXPECT_TRUE(r.atEnd());
+}
+
 // ---- Gpu snapshot/restore ----------------------------------------------
 
 GpuConfig
@@ -294,7 +329,11 @@ TEST(GpuSnapshot, SnapshotIsDeflatedAndFingerprintsThePlainStream)
     gpu.run(Cycle{500});
     const GpuSnapshot snap = gpu.snapshot();
     EXPECT_LT(snap.bytes.size(), snap.plain_size / 2);
-    SnapshotReader r(snap); // inflates and verifies
+    // One index entry per slice, the last one the fingerprint.
+    ASSERT_EQ(snap.index.size(),
+              (snap.plain_size + kSnapshotSlice - 1) / kSnapshotSlice);
+    EXPECT_EQ(snap.index.back(), snap.fingerprint);
+    SnapshotReader r(snap); // checks the index; reads inflate and verify
     EXPECT_EQ(r.offset(), 0u);
     EXPECT_FALSE(r.atEnd());
     r.section("gpu");
@@ -349,6 +388,34 @@ TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
         s.fingerprint ^= 1;
         bad.emplace_back("fingerprint", s);
     }
+    // The block index: one flipped checkpoint in the first, a middle
+    // and the last slice, an entry short, a last entry off the
+    // fingerprint, and a fingerprint changed together with it (so
+    // only the last slice's own check can catch it).
+    const std::size_t slices = good.index.size();
+    ASSERT_GE(slices, 3u);
+    for (std::size_t at : {std::size_t{0}, slices / 2, slices - 1}) {
+        GpuSnapshot s = good;
+        s.index[at] ^= 1;
+        bad.emplace_back("checkpoint " + std::to_string(at) + " flipped",
+                         s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.index.pop_back();
+        bad.emplace_back("index one entry short", s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.index.back() = s.index[slices - 2];
+        bad.emplace_back("last entry off the fingerprint", s);
+    }
+    {
+        GpuSnapshot s = good;
+        s.fingerprint ^= 1;
+        s.index.back() ^= 1;
+        bad.emplace_back("fingerprint and last entry", s);
+    }
 
     for (const auto &[name, snap] : bad) {
         Gpu target(snapCfg(), mixedPair(), spec);
@@ -363,6 +430,68 @@ TEST(GpuSnapshot, RestoreRejectsCorruptedPayload)
     Gpu target(snapCfg(), mixedPair(), spec);
     target.restore(good);
     EXPECT_EQ(target.snapshot().fingerprint, good.fingerprint);
+}
+
+/** A deflated stream of @p values u64s, 9 plain bytes each, as a
+ *  GpuSnapshot payload; value @p changed is written as an i64, so
+ *  its tag byte alone differs. */
+GpuSnapshot
+valueStream(std::size_t values, std::size_t changed)
+{
+    SnapshotWriter w(SnapshotCodec::Deflate);
+    for (std::size_t i = 0; i < values; ++i) {
+        if (i == changed)
+            w.i64(static_cast<std::int64_t>(i));
+        else
+            w.u64(i);
+    }
+    return payloadOf(w);
+}
+
+TEST(GpuSnapshot, ChangedSliceIsRefusedBeforeDecoding)
+{
+    // The changed stream's bytes under the unchanged stream's index:
+    // the changed slice must fail its check before any value in it is
+    // decoded. A "type tag mismatch" would mean a decoder read a
+    // slice before it was verified.
+    constexpr std::size_t kValues = 40000;
+    constexpr std::size_t kValueBytes = 9;
+    const GpuSnapshot good = valueStream(kValues, kValues);
+    const std::size_t slices = good.index.size();
+    ASSERT_GE(slices, 8u);
+    const std::size_t mid = slices / 2;
+    for (std::size_t changed :
+         {std::size_t{1}, mid * kSnapshotSlice / kValueBytes + 1,
+          kValues - 1}) {
+        const std::size_t slice =
+            changed * kValueBytes / kSnapshotSlice;
+        GpuSnapshot s = good;
+        s.bytes = valueStream(kValues, changed).bytes;
+        ASSERT_NE(s.bytes, good.bytes);
+        SnapshotReader r(s);
+        std::size_t read = 0;
+        try {
+            for (; read < kValues; ++read)
+                (void)r.u64();
+            ADD_FAILURE() << "read accepted changed slice " << slice;
+        } catch (const SimError &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(e.kind(), "Snapshot") << what;
+            EXPECT_NE(what.find("does not match its fingerprint"),
+                      std::string::npos)
+                << "slice " << slice << ": " << what;
+            EXPECT_EQ(what.find("type tag mismatch"), std::string::npos)
+                << "slice " << slice << ": " << what;
+        }
+        // Only values wholly before the changed slice were decoded.
+        EXPECT_LE(read * kValueBytes, slice * kSnapshotSlice)
+            << "slice " << slice;
+    }
+    // The unchanged stream reads back whole.
+    SnapshotReader r(good);
+    for (std::size_t i = 0; i < kValues; ++i)
+        ASSERT_EQ(r.u64(), i);
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(GpuSnapshot, FaultInjectorBudgetsSurviveRestore)

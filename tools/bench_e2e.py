@@ -3,10 +3,14 @@
 
 Runs paper-evaluation experiments with --tables --jobs N, repeats
 every (build, figure) run with the builds interleaved, and writes one
-row per (build, figure): median wall time with min and max, peak RSS,
-the engine's sims executed, WS prefix runs and restores, the tables'
-md5, host_cores and the build's commit. The tool only measures; it
-does not build.
+row per (build, figure): the median wall time with its quartiles, min
+and max, the median CPU-seconds (user + system) with quartiles, peak
+RSS, the engine's sims executed, WS prefix runs and restores, the
+tables' md5, host_cores and the build's commit. Every build after the
+first also gets, per figure, the median and quartiles of its per-repeat
+wall and CPU ratios to the first build (wall_ratio_to_first and
+cpu_ratio_to_first, below 1 is faster) and the repeats in which it
+was faster. The tool only measures; it does not build.
 
     python3 tools/bench_e2e.py \\
         --build parent=../parent-build@6250f7c \\
@@ -114,11 +118,22 @@ def run_once(build, fig, jobs):
     sims = SIMS_RE.search(text)
     prefix = PREFIX_RE.search(text)
     return {"wall": wall,
+            "cpu": usage.ru_utime + usage.ru_stime,
             "rss_mb": usage.ru_maxrss / 1024.0,
             "sims": int(sims.group(1)) if sims else None,
             "prefix_runs": int(prefix.group(1)) if prefix else 0,
             "prefix_restores": int(prefix.group(2)) if prefix else 0,
             "md5": hashlib.md5(out).hexdigest()}
+
+
+def spread(values, digits=3):
+    """Median and quartiles (inclusive method) of @p values."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), digits),
+            "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
 def main():
@@ -152,30 +167,42 @@ def main():
                                         if fig["cycles"] else ""),
                          r["wall"]), file=sys.stderr)
 
+    host_cores = len(os.sched_getaffinity(0))
     rows = []
     for build in builds:
         for fi, fig in enumerate(figures):
             rs = runs[(build["label"], fi)]
             walls = [r["wall"] for r in rs]
             md5s = sorted({r["md5"] for r in rs})
-            rows.append({
+            row = {
                 "build": build["label"],
                 "commit": build["commit"],
                 "figure": fig["name"],
                 "cycles": fig["cycles"] or "default",
                 "jobs": args.jobs,
+                "host_cores": host_cores,
                 "repeats": len(rs),
-                "wall_s": {"median": round(statistics.median(walls), 3),
-                           "min": round(min(walls), 3),
-                           "max": round(max(walls), 3)},
+                "wall_s": dict(spread(walls),
+                               min=round(min(walls), 3),
+                               max=round(max(walls), 3)),
+                "cpu_s": spread([r["cpu"] for r in rs]),
                 "peak_rss_mb": round(max(r["rss_mb"] for r in rs), 1),
                 "sims_executed": rs[0]["sims"],
                 "prefix_runs": rs[0]["prefix_runs"],
                 "prefix_restores": rs[0]["prefix_restores"],
                 "tables_md5": md5s[0] if len(md5s) == 1 else md5s,
-            })
+            }
+            first = runs[(builds[0]["label"], fi)]
+            if build is not builds[0]:
+                # Repeat k of each build ran back to back: a pair.
+                for key in ("wall", "cpu"):
+                    ratios = [r[key] / f[key] for r, f in zip(rs, first)]
+                    row[key + "_ratio_to_first"] = dict(
+                        spread(ratios), faster_repeats=sum(
+                            x < 1.0 for x in ratios))
+            rows.append(row)
     doc = {"bench": "e2e_figures",
-           "host_cores": len(os.sched_getaffinity(0)),
+           "host_cores": host_cores,
            "rows": rows}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)

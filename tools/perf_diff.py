@@ -21,6 +21,11 @@ per case, the median of each side, the median ratio ("improvement")
 and its spread (the first and third quartiles of the ratios). stderr
 has one line per case and the verdict.
 
+The codec section (Gpu::snapshot and Gpu::restorePrefix of a
+profiling window) is reported, never gated: per window, the median
+change / parent ratio of each time (below 1 is faster) and its
+quartiles, or "new" when no parent artifact has the window.
+
 Exit status: 0 clean, 1 if a median ratio falls below --tolerance or a
 case is missing from some artifacts, 2 on unreadable artifacts or an
 odd number of paths.
@@ -47,6 +52,59 @@ def busy_cases(doc):
     busy = doc.get("strict_busy", {})
     return {(c.get("workload", busy.get("workload")), c["scheme"]): c
             for c in busy.get("cases", [])}
+
+
+def codec_windows(doc):
+    """codec windows by name (none in artifacts older than the
+    section)."""
+    return {w["window"]: w
+            for w in doc.get("codec", {}).get("windows", [])}
+
+
+def codec_rows(pairs, last):
+    """The codec section's paired ratios, one row per window of the
+    last artifact. Reported only: host noise on a few-ms timing is no
+    gate."""
+    rows = []
+    for name, final in codec_windows(last).items():
+        both = [(codec_windows(p).get(name), codec_windows(c).get(name))
+                for p, c in pairs]
+        both = [(p, c) for p, c in both if p is not None and c is not None]
+        row = {"window": name, "sms": final["sms"],
+               "plain_bytes": final["plain_bytes"],
+               "deflated_bytes": final["deflated_bytes"]}
+        if not both:
+            changes = [codec_windows(c).get(name) for _, c in pairs]
+            changes = [c for c in changes if c is not None]
+            for key in ("snapshot_ms", "restore_ms"):
+                row[key] = round(statistics.median(
+                    c[key] for c in changes), 3)
+            row["new"] = True
+            print(f"codec {name:<20} change snapshot "
+                  f"{row['snapshot_ms']:.2f} ms  restorePrefix "
+                  f"{row['restore_ms']:.2f} ms  new: no parent window",
+                  file=sys.stderr)
+            rows.append(row)
+            continue
+        line = f"codec {name:<20}"
+        for key, what in (("snapshot_ms", "snapshot"),
+                          ("restore_ms", "restorePrefix")):
+            ratios = [c[key] / p[key] for p, c in both]
+            q1, q3 = quartiles(ratios)
+            stem = key[:-3]
+            row[key] = round(statistics.median(c[key] for _, c in both), 3)
+            row[f"prev_{key}"] = round(
+                statistics.median(p[key] for p, _ in both), 3)
+            row[f"{stem}_ratio"] = round(statistics.median(ratios), 3)
+            row[f"{stem}_ratio_q1"] = round(q1, 3)
+            row[f"{stem}_ratio_q3"] = round(q3, 3)
+            line += (f"  {what} {row[f'prev_{key}']:.2f} -> "
+                     f"{row[key]:.2f} ms {row[f'{stem}_ratio']:5.3f}x "
+                     f"[q1 {q1:5.3f}, q3 {q3:5.3f}]")
+        print(f"{line} over {len(both)} pair(s), ungated",
+              file=sys.stderr)
+        rows.append(row)
+    return rows
 
 
 def dumps(value, indent=0):
@@ -167,6 +225,12 @@ def main():
         busy.pop("cases", None)
         busy["pairs"] = len(pairs)
         busy["cases"] = rows
+    if "codec" in last:
+        codec = last["codec"]
+        windows = codec_rows(pairs, last)
+        codec.pop("windows", None)
+        codec["pairs"] = len(pairs)
+        codec["windows"] = windows
     print(dumps(last))
 
     if findings:
